@@ -9,7 +9,7 @@
 // Usage:
 //
 //	go test -run NONE -bench . ./... | benchjson -o BENCH.json
-//	benchjson -o BENCH.json -baseline BENCH_PR6.json -max-regress 20 bench.txt
+//	benchjson -o BENCH.json -baseline BENCH_PR10.json -max-regress 20 bench.txt
 package main
 
 import (

@@ -48,14 +48,7 @@ func benchRoom(b *testing.B, members int) *Room {
 func drain(r *Room) {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		idle := true
-		for _, sh := range r.shards {
-			if len(sh.ch) > 0 {
-				idle = false
-				break
-			}
-		}
-		if idle && r.sendQueueDepth() == 0 {
+		if items, descs := r.fan.QueueDepth(); items+descs == 0 {
 			return
 		}
 		time.Sleep(100 * time.Microsecond)

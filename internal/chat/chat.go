@@ -12,10 +12,11 @@
 // reproduces exactly that behaviour: avatars are fetched per message
 // displayed, with no cache.
 //
-// Fan-out mirrors the media hub: each room shards its members across K
-// workers, every member has a bounded async send queue with a drop-oldest
-// policy, and members that never drain are disconnected — one slow
-// WebSocket cannot head-of-line-block a room. In huge rooms each member
+// Fan-out runs on internal/fanout, the core shared with the media hub:
+// each room shards its members across K workers, every member has a
+// bounded async send queue with a drop-oldest policy, and members that
+// never drain are disconnected — one slow WebSocket cannot
+// head-of-line-block a room. In huge rooms each member
 // samples the chat stream (per-viewer comment-visibility capping) so what
 // a member sees stays bounded as the room grows.
 package chat
@@ -68,6 +69,11 @@ type Message struct {
 // DefaultJoinCap is the number of joined users after which the chat
 // becomes full.
 const DefaultJoinCap = 100
+
+// MaxHeartsPerTap bounds the multiplier one tap request may carry. The
+// count arrives from outside (?n= or a heart message's count), and an
+// unbounded one wraps the monotonic tap counters negative in two requests.
+const MaxHeartsPerTap = 1000
 
 // RoomConfig tunes a chat room: the simulated chatter workload plus the
 // interaction-plane machinery (fan-out sharding, queue bounds, heart and
@@ -331,7 +337,7 @@ func (s *Server) serveHeart(w http.ResponseWriter, r *http.Request) {
 	n := 1
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
+		if err != nil || v < 1 || v > MaxHeartsPerTap {
 			http.Error(w, "bad n", http.StatusBadRequest)
 			return
 		}

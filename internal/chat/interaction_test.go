@@ -3,8 +3,10 @@ package chat
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,20 +93,11 @@ func waitIdle(t *testing.T, r *Room) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
-		if r.sendQueueDepth() == 0 {
-			idle := true
-			for _, sh := range r.shards {
-				if len(sh.ch) > 0 {
-					idle = false
-					break
-				}
-			}
-			if idle {
-				// One settle round: a shard may be mid-deliver.
-				time.Sleep(10 * time.Millisecond)
-				if r.sendQueueDepth() == 0 {
-					return
-				}
+		if items, descs := r.fan.QueueDepth(); items+descs == 0 {
+			// One settle round: a shard may be mid-deliver.
+			time.Sleep(10 * time.Millisecond)
+			if items, _ := r.fan.QueueDepth(); items == 0 {
+				return
 			}
 		}
 		select {
@@ -496,6 +489,55 @@ func TestHeartTapHTTP(t *testing.T) {
 	}
 	if st := s.Snapshot(); st.HeartTaps != 6 {
 		t.Fatalf("snapshot HeartTaps = %d, want 6", st.HeartTaps)
+	}
+}
+
+// TestHeartTapCountBounded is the regression test for unbounded tap
+// multipliers: two taps of MaxInt64 used to wrap heartTaps and the pending
+// delta negative, so Stats.HeartTaps dipped and flushHearts swallowed the
+// delta. Over HTTP an oversized n is refused; over the WebSocket it is
+// clamped; the counters only ever grow.
+func TestHeartTapCountBounded(t *testing.T) {
+	s, hs, room := startChat(t, "huge", RoomConfig{JoinCap: 10, HeartInterval: -1, PresenceInterval: -1})
+	huge := strconv.Itoa(math.MaxInt64)
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(hs.URL+"/hearts/huge?n="+huge, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("tap with n=MaxInt64: status %d, want 400", resp.StatusCode)
+		}
+	}
+	if got := s.Snapshot().HeartTaps; got != 0 {
+		t.Fatalf("refused taps counted: HeartTaps = %d", got)
+	}
+
+	c, err := Join(ClientConfig{ChatURL: wsBase(hs) + "/chat/huge"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitMembers(t, room, 1)
+	var last int64
+	for i := 1; i <= 2; i++ {
+		if err := c.Heart(math.MaxInt64); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(i * MaxHeartsPerTap)
+		deadline := time.Now().Add(3 * time.Second)
+		for s.Snapshot().HeartTaps != want {
+			if got := s.Snapshot().HeartTaps; got < last || time.Now().After(deadline) {
+				t.Fatalf("after %d oversized taps HeartTaps = %d, want %d", i, got, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		last = want
+	}
+	room.flushHearts()
+	if got := room.counters.heartDeltas.Load(); got != 1 {
+		t.Fatalf("pending taps swallowed: %d deltas flushed, want 1", got)
 	}
 }
 

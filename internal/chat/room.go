@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"periscope/internal/fanout"
 	"periscope/internal/websocket"
 )
 
@@ -23,7 +23,8 @@ type MemberConn interface {
 // Interaction-plane tuning defaults. A zero in RoomConfig means the
 // default; a negative interval disables that control loop.
 const (
-	// DefaultFanoutShardCap caps the per-room fan-out worker count.
+	// DefaultFanoutShardCap caps the per-room fan-out worker count — chat
+	// rooms are numerous, so each stays small.
 	DefaultFanoutShardCap = 8
 	// DefaultSendQueueDepth bounds each member's async send queue. Chat
 	// messages are small and bursty; 64 slots absorb several seconds of a
@@ -46,19 +47,6 @@ const (
 	// shardQueueDepth bounds each fan-out shard's descriptor queue.
 	shardQueueDepth = 256
 )
-
-// defaultFanoutShards picks the per-room worker count: one per core,
-// capped — chat rooms are numerous, so each stays small.
-func defaultFanoutShards() int {
-	k := runtime.GOMAXPROCS(0)
-	if k < 1 {
-		k = 1
-	}
-	if k > DefaultFanoutShardCap {
-		k = DefaultFanoutShardCap
-	}
-	return k
-}
 
 // roomCounters are one room's cumulative interaction-plane metrics. They
 // fold into the server aggregate when the room closes, so server-level
@@ -87,65 +75,6 @@ func (c *roomCounters) addTo(st *Stats) {
 	st.SampledOut += c.sampledOut.Load()
 }
 
-// member is one attached client: messages are enqueued on a bounded
-// channel and written by a dedicated goroutine, so one slow WebSocket
-// never head-of-line-blocks its room.
-type member struct {
-	conn  MemberConn
-	shard *chatShard
-	ch    chan *websocket.PreparedMessage
-	quit  chan struct{}
-	once  sync.Once
-	// salt drives per-member visibility sampling in huge rooms.
-	salt uint32
-	// canSend is false for members who joined a full chat.
-	canSend bool
-	// dropped counts drop-oldest penalties; owned by the shard's delivery
-	// path (guarded by shard.mu).
-	dropped int
-}
-
-// enqueue offers a message without ever blocking; when the queue is full
-// the oldest entry is dropped to make room. Reports whether anything was
-// dropped. Chat frames are GC-managed, so dropped slots need no release.
-func (m *member) enqueue(pm *websocket.PreparedMessage) bool {
-	select {
-	case m.ch <- pm:
-		return false
-	default:
-	}
-	select {
-	case <-m.ch:
-	default:
-	}
-	select {
-	case m.ch <- pm:
-	default:
-	}
-	return true
-}
-
-// stop wakes the sender goroutine for shutdown; idempotent.
-func (m *member) stop() {
-	m.once.Do(func() { close(m.quit) })
-}
-
-// run drains the queue onto the member's connection. A write error closes
-// the connection; the server's read loop then leaves the room.
-func (m *member) run() {
-	for {
-		select {
-		case <-m.quit:
-			return
-		case pm := <-m.ch:
-			if m.conn.WritePrepared(pm) != nil {
-				m.conn.Close()
-				return
-			}
-		}
-	}
-}
-
 // roomMsg is the per-shard fan-out descriptor: the broadcaster marshals
 // and frames the message once and publishes one of these to every shard.
 type roomMsg struct {
@@ -171,134 +100,31 @@ func sampleKey(seq uint64, salt uint32) uint32 {
 	return uint32(x)
 }
 
-// chatShard owns a disjoint subset of a room's members; a dedicated
-// worker delivers descriptors from ch, so K shards spread per-member
-// enqueue work across K cores.
-type chatShard struct {
-	r    *Room
-	ch   chan roomMsg
-	quit chan struct{}
-	// nmembers mirrors len(members) so the broadcaster skips empty shards
-	// without taking mu.
-	nmembers atomic.Int32
+// frame is what a member's queue slot holds: the shared prepared frame.
+// Frames are GC-managed, so a discarded slot needs no release.
+type frame = *websocket.PreparedMessage
 
-	mu      sync.Mutex
-	members []*member
-	stopped bool
+// chatMember is a member's fan-out state: salt drives its visibility
+// sampling in huge rooms.
+type chatMember struct{ salt uint32 }
+
+// admit applies visibility sampling: every member queues the same frame.
+func admit(m *fanout.Member[MemberConn, chatMember, frame], d roomMsg) (frame, bool) {
+	return d.pm, d.thresh >= sampleAll || sampleKey(d.seq, m.State.salt)&0xffff < d.thresh
 }
 
-// attach registers m; reports false when the shard has stopped.
-func (sh *chatShard) attach(m *member) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.stopped {
-		return false
-	}
-	sh.members = append(sh.members, m)
-	sh.nmembers.Store(int32(len(sh.members)))
-	return true
+// done accounts one shard's delivery of one message: one add per counter
+// per batch, not per member.
+func (r *Room) done(_ roomMsg, t fanout.Tally) {
+	r.counters.messagesOut.Add(int64(t.Admitted))
+	r.counters.sampledOut.Add(int64(t.Skipped))
+	r.counters.drops.Add(int64(t.Dropped))
 }
 
-// remove detaches m, reporting whether it was still attached — the shard
-// list is the single arbiter between a Leave and a concurrent hopeless
-// eviction, so gauges decrement exactly once.
-func (sh *chatShard) remove(m *member) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, w := range sh.members {
-		if w == m {
-			last := len(sh.members) - 1
-			sh.members[i] = sh.members[last]
-			sh.members[last] = nil
-			sh.members = sh.members[:last]
-			sh.nmembers.Store(int32(len(sh.members)))
-			return true
-		}
-	}
-	return false
-}
-
-// publish hands one descriptor to the shard worker, blocking only on
-// worker backpressure (bounded queue), never on any member socket.
-func (sh *chatShard) publish(m roomMsg) {
-	select {
-	case sh.ch <- m:
-	case <-sh.quit:
-	}
-}
-
-// run is the shard worker loop.
-func (sh *chatShard) run() {
-	for {
-		select {
-		case <-sh.quit:
-			return
-		case m := <-sh.ch:
-			sh.deliver(m)
-		}
-	}
-}
-
-// deliver fans one message out to this shard's members: visibility
-// sampling, drop-oldest enqueue, hopeless eviction.
-func (sh *chatShard) deliver(m roomMsg) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := 0; i < len(sh.members); i++ {
-		v := sh.members[i]
-		if m.thresh < sampleAll && sampleKey(m.seq, v.salt)&0xffff >= m.thresh {
-			sh.r.counters.sampledOut.Add(1)
-			continue
-		}
-		sh.r.counters.messagesOut.Add(1)
-		if v.enqueue(m.pm) {
-			v.dropped++
-			sh.r.counters.drops.Add(1)
-			if v.dropped >= sh.r.cfg.HopelessDrops {
-				// Hopeless consumer: evict exactly once — remove from the
-				// shard so no later message can re-evict, then close.
-				last := len(sh.members) - 1
-				sh.members[i] = sh.members[last]
-				sh.members[last] = nil
-				sh.members = sh.members[:last]
-				sh.nmembers.Store(int32(len(sh.members)))
-				i--
-				v.conn.Close()
-				v.stop()
-				sh.r.forget(v.conn)
-				sh.r.nmembers.Add(-1)
-				sh.r.presenceDirty.Store(true)
-				sh.r.counters.hopeless.Add(1)
-			}
-		}
-	}
-}
-
-// queueDepth sums the members' queued messages (snapshot gauge).
-func (sh *chatShard) queueDepth() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n := 0
-	for _, m := range sh.members {
-		n += len(m.ch)
-	}
-	return n
-}
-
-// stopShard detaches, stops, and disconnects every member, then stops the
-// worker.
-func (sh *chatShard) stopShard() {
-	sh.mu.Lock()
-	sh.stopped = true
-	members := sh.members
-	sh.members = nil
-	sh.nmembers.Store(0)
-	sh.mu.Unlock()
-	close(sh.quit)
-	for _, m := range members {
-		m.stop()
-		m.conn.Close()
-	}
+// evicted accounts a member disconnected for never draining its queue.
+func (r *Room) evicted(MemberConn) {
+	r.presenceDirty.Store(true)
+	r.counters.hopeless.Add(1)
 }
 
 // Room is one broadcast's interaction plane: sharded chat fan-out with
@@ -309,11 +135,8 @@ type Room struct {
 	ID  string
 	cfg RoomConfig
 
-	shards []*chatShard
-	seq    atomic.Uint64
-	// nmembers is the current-member gauge (distinct from counters.
-	// membersJoined, the cumulative join count).
-	nmembers atomic.Int32
+	fan *fanout.Group[MemberConn, chatMember, roomMsg, frame]
+	seq atomic.Uint64
 	// pendingHearts accumulates taps between delta ticks — the tap path is
 	// one atomic add, never a fan-out.
 	pendingHearts atomic.Int64
@@ -325,9 +148,7 @@ type Room struct {
 	counters roomCounters
 
 	mu      sync.Mutex
-	byConn  map[MemberConn]*member
 	joined  int
-	next    int // round-robin attach cursor
 	stopped bool
 	stopCh  chan struct{}
 	saltRng *rand.Rand
@@ -337,7 +158,7 @@ type Room struct {
 // and starts the simulated chatter loop if the config has any chatters.
 func NewRoom(id string, cfg RoomConfig) *Room {
 	if cfg.FanoutShards <= 0 {
-		cfg.FanoutShards = defaultFanoutShards()
+		cfg.FanoutShards = fanout.DefaultShards(DefaultFanoutShardCap)
 	}
 	if cfg.SendQueueDepth <= 0 {
 		cfg.SendQueueDepth = DefaultSendQueueDepth
@@ -360,15 +181,18 @@ func NewRoom(id string, cfg RoomConfig) *Room {
 	r := &Room{
 		ID:      id,
 		cfg:     cfg,
-		byConn:  map[MemberConn]*member{},
 		stopCh:  make(chan struct{}),
 		saltRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6a09e667)),
 	}
-	for i := 0; i < cfg.FanoutShards; i++ {
-		sh := &chatShard{r: r, ch: make(chan roomMsg, shardQueueDepth), quit: make(chan struct{})}
-		r.shards = append(r.shards, sh)
-		go sh.run()
-	}
+	r.fan = fanout.New(cfg.FanoutShards, shardQueueDepth, cfg.SendQueueDepth, cfg.HopelessDrops,
+		fanout.Hooks[MemberConn, chatMember, roomMsg, frame]{
+			Share:   func(roomMsg) {},
+			Done:    r.done,
+			Admit:   admit,
+			Send:    MemberConn.WritePrepared,
+			Discard: func(frame) {},
+			Evicted: r.evicted,
+		})
 	if cfg.HeartInterval > 0 || cfg.PresenceInterval > 0 {
 		go r.controlLoop()
 	}
@@ -462,12 +286,14 @@ func (r *Room) flushHearts() {
 	r.publish(Message{Kind: KindHeartDelta, Count: int(n), SentUnixNano: time.Now().UnixNano()}, false)
 }
 
-// Heart records n heart taps (n<=0 counts as one). Taps are aggregated
-// server-side and leave the room as periodic counter deltas.
+// Heart records n heart taps (n<=0 counts as one, n is clamped to
+// MaxHeartsPerTap). Taps are aggregated server-side and leave the room as
+// periodic counter deltas.
 func (r *Room) Heart(n int) {
 	if n <= 0 {
 		n = 1
 	}
+	n = min(n, MaxHeartsPerTap)
 	r.counters.heartTaps.Add(int64(n))
 	r.pendingHearts.Add(int64(n))
 }
@@ -484,10 +310,11 @@ func (r *Room) Broadcast(m Message) {
 }
 
 // publish marshals and frames the message once, then hands one descriptor
-// to each non-empty shard. The broadcaster's cost is O(shards), not
+// to the fan-out group. The broadcaster's cost is O(shards), not
 // O(members).
 func (r *Room) publish(m Message, sampled bool) {
-	if r.nmembers.Load() == 0 {
+	n := r.fan.Len()
+	if n == 0 {
 		return
 	}
 	data, err := json.Marshal(m)
@@ -500,19 +327,14 @@ func (r *Room) publish(m Message, sampled bool) {
 		thresh: sampleAll,
 	}
 	if sampled {
-		if n, cap := int(r.nmembers.Load()), r.cfg.VisibilityCap; cap > 0 && n > cap {
+		if cap := r.cfg.VisibilityCap; cap > 0 && n > cap {
 			msg.thresh = uint32((uint64(cap) << 16) / uint64(n))
 			if msg.thresh == 0 {
 				msg.thresh = 1
 			}
 		}
 	}
-	for _, sh := range r.shards {
-		if sh.nmembers.Load() == 0 {
-			continue
-		}
-		sh.publish(msg)
-	}
+	r.fan.Publish(msg)
 }
 
 // Join attaches a connection to the room. canSend is false once the room
@@ -520,64 +342,29 @@ func (r *Room) publish(m Message, sampled bool) {
 // when the room has closed; the caller owns closing the connection then.
 func (r *Room) Join(c MemberConn) (canSend, ok bool) {
 	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		return false, false
-	}
 	r.joined++
 	canSend = r.joined <= r.cfg.JoinCap
-	m := &member{
-		conn:    c,
-		ch:      make(chan *websocket.PreparedMessage, r.cfg.SendQueueDepth),
-		quit:    make(chan struct{}),
-		salt:    r.saltRng.Uint32(),
-		canSend: canSend,
-	}
-	sh := r.shards[r.next%len(r.shards)]
-	r.next++
-	m.shard = sh
-	r.byConn[c] = m
+	salt := r.saltRng.Uint32()
 	r.mu.Unlock()
-	if !sh.attach(m) {
-		// The shard stopped between the checks; undo the registration.
-		r.forget(c)
+	if !r.fan.Attach(c, chatMember{salt: salt}) {
 		return false, false
 	}
-	r.nmembers.Add(1)
 	r.counters.membersJoined.Add(1)
 	r.presenceDirty.Store(true)
-	go m.run()
 	return canSend, true
 }
 
 // Leave detaches a connection. It is a no-op when the delivery path
 // already evicted the member as hopeless.
 func (r *Room) Leave(c MemberConn) {
-	r.mu.Lock()
-	m := r.byConn[c]
-	delete(r.byConn, c)
-	r.mu.Unlock()
-	if m == nil {
-		return
-	}
-	if m.shard.remove(m) {
-		r.nmembers.Add(-1)
+	if r.fan.Remove(c) {
 		r.presenceDirty.Store(true)
 	}
-	m.stop()
-}
-
-// forget drops the conn→member registration without touching the shard
-// (used by the delivery path, which edits its own member list).
-func (r *Room) forget(c MemberConn) {
-	r.mu.Lock()
-	delete(r.byConn, c)
-	r.mu.Unlock()
 }
 
 // Members reports the current number of attached clients.
 func (r *Room) Members() int {
-	return int(r.nmembers.Load())
+	return r.fan.Len()
 }
 
 // Joined reports the cumulative join count (the chat-full cap compares
@@ -588,20 +375,12 @@ func (r *Room) Joined() int {
 	return r.joined
 }
 
-// sendQueueDepth sums queued messages across all members (gauge).
-func (r *Room) sendQueueDepth() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.queueDepth()
-	}
-	return n
-}
-
 // addTo folds the room's counters (and gauges) into st.
 func (r *Room) addTo(st *Stats) {
 	r.counters.addTo(st)
 	st.Members += r.Members()
-	st.SendQueueDepth += r.sendQueueDepth()
+	queued, _ := r.fan.QueueDepth()
+	st.SendQueueDepth += queued
 }
 
 // Close stops the chatter and control loops, then stops and disconnects
@@ -614,10 +393,8 @@ func (r *Room) Close() {
 	}
 	r.stopped = true
 	close(r.stopCh)
-	r.byConn = map[MemberConn]*member{}
 	r.mu.Unlock()
-	for _, sh := range r.shards {
-		sh.stopShard()
+	for _, c := range r.fan.Stop() {
+		c.Close()
 	}
-	r.nmembers.Store(0)
 }

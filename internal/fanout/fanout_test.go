@@ -1,0 +1,494 @@
+package fanout
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"periscope/internal/leakcheck"
+)
+
+// TestMain enforces that every shard worker and member writer a test
+// started has exited by the end of the binary: Stop, Remove and eviction
+// must each leave no goroutine behind.
+func TestMain(m *testing.M) {
+	leakcheck.Main(m)
+}
+
+// item is a counting queue item: the ledger checks that each one ends up
+// sent or discarded exactly once.
+type item struct {
+	desc      int
+	sent      atomic.Int32
+	discarded atomic.Int32
+}
+
+// conn is a member key. A stalled conn blocks in Send until released, like
+// a socket whose TCP window has collapsed.
+type conn struct {
+	stall   chan struct{} // nil: writes complete at once
+	entered chan struct{} // signalled when a stalled Send begins
+	sent    atomic.Int32
+	closes  atomic.Int32
+}
+
+// Close is what the core calls on a failed Send or an eviction.
+func (c *conn) Close() error {
+	c.closes.Add(1)
+	return nil
+}
+
+func stalledConn() *conn {
+	return &conn{stall: make(chan struct{}), entered: make(chan struct{}, 1)}
+}
+
+// desc is a counting descriptor; only, when set, restricts it to one member.
+type desc struct {
+	id   int
+	only *conn
+}
+
+// rig is a Group over counting hooks.
+type rig struct {
+	*Group[*conn, struct{}, desc, *item]
+
+	mu      sync.Mutex
+	items   []*item
+	tally   Tally
+	shares  atomic.Int32
+	dones   atomic.Int32
+	evicted atomic.Int32
+}
+
+func newRig(shards, memberDepth, hopeless int) *rig {
+	r := &rig{}
+	r.Group = New(shards, 16, memberDepth, hopeless, Hooks[*conn, struct{}, desc, *item]{
+		Share: func(desc) { r.shares.Add(1) },
+		Done: func(_ desc, t Tally) {
+			r.dones.Add(1)
+			r.mu.Lock()
+			r.tally.Admitted += t.Admitted
+			r.tally.Skipped += t.Skipped
+			r.tally.Dropped += t.Dropped
+			r.mu.Unlock()
+		},
+		Admit: func(m *Member[*conn, struct{}, *item], d desc) (*item, bool) {
+			if d.only != nil && d.only != m.Key {
+				return nil, false
+			}
+			return r.newItem(d.id), true
+		},
+		Send: func(c *conn, it *item) error {
+			if c.stall != nil {
+				select {
+				case c.entered <- struct{}{}:
+				default:
+				}
+				<-c.stall
+			}
+			it.sent.Add(1)
+			c.sent.Add(1)
+			return nil
+		},
+		Discard: func(it *item) { it.discarded.Add(1) },
+		Evicted: func(*conn) { r.evicted.Add(1) },
+	})
+	return r
+}
+
+func (r *rig) newItem(desc int) *item {
+	it := &item{desc: desc}
+	r.mu.Lock()
+	r.items = append(r.items, it)
+	r.mu.Unlock()
+	return it
+}
+
+// deliverN drives the core's delivery step inline on shard 0, so queue,
+// drop and eviction counts are deterministic. Descriptor ids count from
+// `from`; with keepUp set, each delivery waits for that member's writer to
+// have sent it, so only members that cannot keep up ever drop.
+func (r *rig) deliverN(t *testing.T, from, n int, keepUp *conn) {
+	t.Helper()
+	for i := from; i < from+n; i++ {
+		r.deliver(r.shards[0], desc{id: i})
+		if keepUp != nil {
+			waitFor(t, "a healthy member's writer", func() bool { return int(keepUp.sent.Load()) == i+1 })
+		}
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// settle waits until every item created so far is accounted for and fails
+// on any accounted twice; it returns the sent and discarded totals.
+func (r *rig) settle(t *testing.T) (sent, discarded int) {
+	t.Helper()
+	r.mu.Lock()
+	items := append([]*item(nil), r.items...)
+	r.mu.Unlock()
+	waitFor(t, "every item to be sent or discarded", func() bool {
+		for _, it := range items {
+			if it.sent.Load()+it.discarded.Load() == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for _, it := range items {
+		s, d := int(it.sent.Load()), int(it.discarded.Load())
+		if s+d != 1 {
+			t.Errorf("item of descriptor %d: sent %d times, discarded %d times", it.desc, s, d)
+		}
+		sent += s
+		discarded += d
+	}
+	return sent, discarded
+}
+
+// TestPushDropOldest: a full queue never blocks the producer; it discards
+// exactly the oldest queued items, in order, and keeps the newest.
+func TestPushDropOldest(t *testing.T) {
+	for _, tc := range []struct{ depth, pushes int }{
+		{depth: 1, pushes: 1},
+		{depth: 1, pushes: 5},
+		{depth: 4, pushes: 4},
+		{depth: 4, pushes: 11},
+		{depth: 64, pushes: 200},
+	} {
+		var discarded []int
+		m := &Member[*conn, struct{}, int]{
+			ch:      make(chan int, tc.depth),
+			discard: func(q int) { discarded = append(discarded, q) },
+		}
+		for i := 0; i < tc.pushes; i++ {
+			if got, want := m.Push(i), i >= tc.depth; got != want {
+				t.Errorf("depth %d: Push #%d reported dropped=%v, want %v", tc.depth, i, got, want)
+			}
+		}
+		over := max(0, tc.pushes-tc.depth)
+		if len(discarded) != over {
+			t.Fatalf("depth %d, %d pushes: %d discarded, want %d", tc.depth, tc.pushes, len(discarded), over)
+		}
+		for i, q := range discarded {
+			if q != i {
+				t.Errorf("depth %d: discard #%d was item %d, want the oldest (%d)", tc.depth, i, q, i)
+			}
+		}
+		for want := over; want < tc.pushes; want++ {
+			if got := <-m.ch; got != want {
+				t.Errorf("depth %d: queue holds %d where %d expected", tc.depth, got, want)
+			}
+		}
+	}
+}
+
+// TestExactlyOnceAcrossDetach drives a stalled and a healthy member on one
+// shard through each way a member can leave — Remove, hopeless eviction,
+// Stop — and checks the ledger: every queued item is sent or discarded
+// exactly once, the stalled member never delays its shard-mate, the tally
+// matches what happened, and eviction closes the books exactly once.
+func TestExactlyOnceAcrossDetach(t *testing.T) {
+	const depth, hopeless = 4, 8
+	for _, tc := range []struct {
+		name      string
+		overflow  int // deliveries after the stalled queue is full
+		leave     func(t *testing.T, r *rig, stalled, healthy *conn)
+		evictions int32
+		members   int // attached after leave
+	}{
+		{name: "remove", overflow: 3, members: 1,
+			leave: func(t *testing.T, r *rig, stalled, _ *conn) {
+				if !r.Remove(stalled) {
+					t.Error("Remove of an attached member reported false")
+				}
+				if r.Remove(stalled) {
+					t.Error("second Remove reported true")
+				}
+			}},
+		{name: "evict", overflow: hopeless + 5, evictions: 1, members: 1,
+			leave: func(t *testing.T, r *rig, stalled, _ *conn) {
+				if r.Remove(stalled) {
+					t.Error("Remove after eviction reported true: the member left twice")
+				}
+			}},
+		{name: "stop", overflow: 2, members: 0,
+			leave: func(t *testing.T, r *rig, stalled, healthy *conn) {
+				keys := r.Stop()
+				if len(keys) != 2 {
+					t.Errorf("Stop returned %d keys, want both members", len(keys))
+				}
+				if r.Stop() != nil {
+					t.Error("second Stop detached members again")
+				}
+				if r.Attach(&conn{}, struct{}{}) {
+					t.Error("Attach after Stop was accepted")
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(1, depth, hopeless)
+			defer r.Stop()
+			stalled, healthy := stalledConn(), &conn{}
+			if !r.Attach(stalled, struct{}{}) || !r.Attach(healthy, struct{}{}) {
+				t.Fatal("attach refused")
+			}
+			// The stalled writer takes one item and blocks; the next depth
+			// fill its queue; every delivery after that drops its oldest.
+			// The healthy member gets every one of them meanwhile.
+			r.deliverN(t, 0, 1, healthy)
+			<-stalled.entered
+			r.deliverN(t, 1, depth+tc.overflow, healthy)
+			total := 1 + depth + tc.overflow
+			drops := min(tc.overflow, hopeless)
+			if got, _ := r.QueueDepth(); tc.evictions == 0 && got != depth {
+				t.Errorf("queue depth %d, want the stalled member's full queue (%d)", got, depth)
+			}
+
+			tc.leave(t, r, stalled, healthy)
+			close(stalled.stall)
+			sent, discarded := r.settle(t)
+
+			if got := r.evicted.Load(); got != tc.evictions {
+				t.Errorf("Evicted fired %d times, want %d", got, tc.evictions)
+			}
+			if got := stalled.closes.Load(); got != tc.evictions {
+				t.Errorf("stalled connection closed %d times, want %d (only eviction closes)", got, tc.evictions)
+			}
+			if got := r.Len(); got != tc.members {
+				t.Errorf("%d members attached, want %d", got, tc.members)
+			}
+			// The stalled member is offered every delivery until eviction
+			// takes it out of the shard.
+			offered := 1 + depth + drops
+			r.mu.Lock()
+			tally := r.tally
+			r.mu.Unlock()
+			if want := (Tally{Admitted: total + offered, Dropped: drops}); tally != want {
+				t.Errorf("tally %+v, want %+v", tally, want)
+			}
+			// Of the stalled member's items only the one in flight is sent.
+			if sent != total+1 || discarded != offered-1 {
+				t.Errorf("sent %d discarded %d, want %d and %d", sent, discarded, total+1, offered-1)
+			}
+		})
+	}
+}
+
+// TestEvictionRacesRemove: a hopeless eviction and a concurrent Remove of
+// the same member have a single arbiter. Exactly one of them detaches it —
+// either Evicted fires or Remove reports true, never both, never neither.
+func TestEvictionRacesRemove(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		r := newRig(1, 1, 1)
+		c := stalledConn()
+		r.Attach(c, struct{}{})
+		r.deliverN(t, 0, 1, nil)
+		<-c.entered
+		r.deliverN(t, 1, 1, nil) // queue full: the next delivery evicts
+
+		var removed atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); r.deliver(r.shards[0], desc{id: 2}) }()
+		go func() { defer wg.Done(); removed.Store(r.Remove(c)) }()
+		wg.Wait()
+
+		evicted := r.evicted.Load()
+		if evicted > 1 || (evicted == 1) == removed.Load() {
+			t.Fatalf("iteration %d: Evicted fired %d times and Remove reported %v", i, evicted, removed.Load())
+		}
+		if r.Len() != 0 || r.Remove(c) {
+			t.Fatalf("iteration %d: member still attached after leaving", i)
+		}
+		close(c.stall)
+		r.settle(t)
+		r.Stop()
+	}
+}
+
+// TestAttachRacesStop: every Attach that races Stop is either accepted —
+// and then detached by that Stop — or refused; none is left attached to a
+// stopped group with a writer nobody will stop (leakcheck would see it),
+// and the first item handed to it is consumed exactly once either way.
+func TestAttachRacesStop(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		r := newRig(4, 4, 8)
+		var accepted atomic.Int32
+		var wg sync.WaitGroup
+		for a := 0; a < 4; a++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					if r.Attach(&conn{}, struct{}{}, r.newItem(-1)) {
+						accepted.Add(1)
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(i%5) * 50 * time.Microsecond)
+		keys := r.Stop()
+		wg.Wait()
+		if int(accepted.Load()) != len(keys) {
+			t.Fatalf("iteration %d: %d attaches accepted, Stop detached %d", i, accepted.Load(), len(keys))
+		}
+		if r.Len() != 0 {
+			t.Fatalf("iteration %d: %d members attached after Stop", i, r.Len())
+		}
+		r.settle(t)
+	}
+}
+
+// TestChurnLedger runs the real worker path under churn: publishers race
+// attaches, removes and evictions (a member's queue is closed the moment it
+// is detached, so a late Push would panic). Afterwards every member has left
+// exactly once — evicted or removed, never both — every item ever queued has
+// been sent or discarded exactly once, and every share is done.
+func TestChurnLedger(t *testing.T) {
+	const churners, rounds = 4, 200
+	r := newRig(4, 2, 3)
+	stalled := stalledConn() // never drains: evicted as hopeless mid-run
+	r.Attach(stalled, struct{}{})
+
+	var pub, churn sync.WaitGroup
+	var removed atomic.Int32
+	stop := make(chan struct{})
+	for p := 0; p < 2; p++ {
+		pub.Add(1)
+		go func() {
+			defer pub.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					r.Publish(desc{id: i})
+				}
+			}
+		}()
+	}
+	for w := 0; w < churners; w++ {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := 0; i < rounds; i++ {
+				c := &conn{}
+				r.Attach(c, struct{}{}, r.newItem(-1))
+				time.Sleep(50 * time.Microsecond)
+				// A flooded member may have been evicted meanwhile.
+				if r.Remove(c) {
+					removed.Add(1)
+				}
+			}
+		}()
+	}
+	churn.Wait()
+	waitFor(t, "the stalled member's eviction", func() bool { return stalled.closes.Load() == 1 })
+	close(stop)
+	pub.Wait()
+	close(stalled.stall)
+	waitFor(t, "every share to be done", func() bool { return r.shares.Load() == r.dones.Load() })
+	if keys := r.Stop(); len(keys) != 0 {
+		t.Errorf("Stop detached %d members after all were removed or evicted", len(keys))
+	}
+	r.settle(t)
+	if got, want := removed.Load()+r.evicted.Load(), int32(1+churners*rounds); got != want {
+		t.Errorf("%d members left (removed or evicted), want each of the %d exactly once", got, want)
+	}
+}
+
+// TestPublishSharesPerBusyShard runs the real worker path: members spread
+// round-robin, a descriptor is shared only with shards that have members,
+// every Share is matched by one Done, and first items precede deliveries.
+func TestPublishSharesPerBusyShard(t *testing.T) {
+	r := newRig(4, 8, 8)
+	defer r.Stop()
+	r.Publish(desc{id: 0})
+	if got := r.shares.Load(); got != 0 {
+		t.Fatalf("empty group shared a descriptor %d times", got)
+	}
+
+	var order []int
+	var mu sync.Mutex
+	first := &item{desc: -1}
+	rec := &conn{}
+	r.hooks.Send = func(c *conn, it *item) error {
+		if c == rec {
+			mu.Lock()
+			order = append(order, it.desc)
+			mu.Unlock()
+		}
+		c.sent.Add(1)
+		return nil
+	}
+	r.Attach(rec, struct{}{}, first)
+	r.Publish(desc{id: 1})
+	waitFor(t, "delivery to the only member", func() bool { return rec.sent.Load() == 2 })
+	if got := r.shares.Load(); got != 1 {
+		t.Errorf("descriptor shared with %d shards, want only the one with a member", got)
+	}
+	mu.Lock()
+	if len(order) != 2 || order[0] != -1 || order[1] != 1 {
+		t.Errorf("writer saw %v, want the first item then the delivery", order)
+	}
+	mu.Unlock()
+
+	conns := []*conn{rec}
+	for i := 0; i < 7; i++ {
+		c := &conn{}
+		conns = append(conns, c)
+		r.Attach(c, struct{}{})
+	}
+	for i, sh := range r.shards {
+		if got := sh.n.Load(); got != 2 {
+			t.Errorf("shard %d has %d members, want 2 (round-robin)", i, got)
+		}
+	}
+	r.Publish(desc{id: 2, only: conns[3]})
+	waitFor(t, "every share to be done", func() bool { return r.dones.Load() == 5 })
+	if got := r.shares.Load(); got != 5 {
+		t.Errorf("%d shares after publishing to 4 busy shards, want 5 in total", got)
+	}
+	r.mu.Lock()
+	tally := r.tally
+	r.mu.Unlock()
+	if want := (Tally{Admitted: 2, Skipped: 7}); tally != want {
+		t.Errorf("tally %+v, want %+v", tally, want)
+	}
+}
+
+// TestWriterStopsOnSendError: a failed Send ends the writer; the member
+// stays attached (its owner removes it when the connection's read side
+// notices) and what piles up behind it is discarded, not leaked.
+func TestWriterStopsOnSendError(t *testing.T) {
+	r := newRig(1, 4, 8)
+	defer r.Stop()
+	c := &conn{}
+	r.hooks.Send = func(_ *conn, it *item) error {
+		it.sent.Add(1)
+		return errors.New("broken pipe")
+	}
+	r.Attach(c, struct{}{})
+	r.deliverN(t, 0, 1, nil)
+	waitFor(t, "the first send to fail", func() bool { return r.items[0].sent.Load() == 1 })
+	r.deliverN(t, 1, 3, nil)
+	if !r.Remove(c) {
+		t.Fatal("member with a dead writer was no longer attached")
+	}
+	if sent, _ := r.settle(t); sent != 1 {
+		t.Errorf("%d items sent after the first failed, want 1", sent)
+	}
+	if got := c.closes.Load(); got != 1 {
+		t.Errorf("failed connection closed %d times, want 1", got)
+	}
+}

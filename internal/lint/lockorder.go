@@ -20,7 +20,7 @@ import (
 // cannot see.
 //
 // Locks are keyed by class, not instance: a struct-field mutex is named
-// "pkg.Type.field" (service.hub.mu, chat.chatShard.mu) and a
+// "pkg.Type.field" (service.hub.mu, fanout.shard.mu) and a
 // package-level mutex "pkg.var", so the report reads as the named
 // hierarchy the code was designed around. Within one function a
 // may-held CFG dataflow (the lockio machinery) tracks which classes are

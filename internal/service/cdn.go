@@ -451,13 +451,11 @@ func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 		seg: seg,
 		src: src,
 		rep: hls.NewReplica(hls.ReplicaConfig{
-			Source:             src,
-			Window:             seg.WindowSize(),
-			TargetDuration:     seg.Target(),
-			MaxConcurrentFills: p.svc.cfg.CDNFillConcurrency,
-			FillTimeout:        p.svc.cfg.CDNFillTimeout,
-			FillAttempts:       p.svc.cfg.CDNFillAttempts,
-			Enqueue:            p.fill.Enqueue,
+			Source:         src,
+			Window:         seg.WindowSize(),
+			TargetDuration: seg.Target(),
+			FillAttempts:   p.svc.cfg.CDNFillAttempts,
+			Enqueue:        p.fill.Enqueue,
 		}),
 	}
 }
@@ -701,18 +699,9 @@ func (p *cdnPOP) stats() POPSnapshot {
 		st.OriginFills += ts.OriginFills
 	}
 	if st.FillCap == 0 {
-		st.FillCap = effectiveFillCap(p.svc.cfg.CDNFillConcurrency)
+		st.FillCap = hls.DefaultFillConcurrency
 	}
 	return st
-}
-
-// effectiveFillCap resolves the configured per-broadcast fill concurrency
-// cap to the value replicas actually run with.
-func effectiveFillCap(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	return hls.DefaultFillConcurrency
 }
 
 // defaultPOPRegions is the placement order when the config names none:
@@ -766,10 +755,7 @@ func (s *Service) wireCDNTopology() {
 	for _, p := range s.cdn {
 		pLoc := p.region.Bounds.Center()
 		originRTT := geo.LinkRTT(pLoc, originLoc)
-		p.originLink = &netem.Link{
-			RTT:       time.Duration(float64(originRTT) * scale),
-			Bandwidth: s.cfg.CDNLinkBandwidth,
-		}
+		p.originLink = &netem.Link{RTT: time.Duration(float64(originRTT) * scale)}
 		p.originHTTP = p.originLink.Client()
 		type candidate struct {
 			pop *cdnPOP
@@ -792,10 +778,7 @@ func (s *Service) wireCDNTopology() {
 			return cands[i].pop.index < cands[j].pop.index
 		})
 		for _, c := range cands {
-			link := &netem.Link{
-				RTT:       time.Duration(float64(c.rtt) * scale),
-				Bandwidth: s.cfg.CDNLinkBandwidth,
-			}
+			link := &netem.Link{RTT: time.Duration(float64(c.rtt) * scale)}
 			p.peers = append(p.peers, popPeer{
 				pop:     c.pop,
 				link:    link,

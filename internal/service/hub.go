@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"periscope/internal/aac"
 	"periscope/internal/avc"
 	"periscope/internal/broadcastmodel"
+	"periscope/internal/fanout"
 	"periscope/internal/flv"
 	"periscope/internal/hls"
 	"periscope/internal/media"
@@ -63,11 +63,12 @@ func (ing *ingestServer) OnMedia(c *rtmp.ServerConn, msg rtmp.Message) {
 	}
 }
 
-// OnClose detaches viewers.
+// OnClose detaches viewers; a no-op for one the delivery path already
+// evicted as hopeless.
 func (ing *ingestServer) OnClose(c *rtmp.ServerConn) {
 	if c.Playing {
 		if h := ing.svc.hubFor(c.StreamName); h != nil {
-			h.removeViewer(c)
+			h.fan.Remove(c)
 		}
 	}
 }
@@ -109,30 +110,15 @@ const viewerQueueDepth = 256
 // to penalize this many times — it is not keeping up at all.
 const viewerMaxDrops = 4096
 
-// shardQueueDepth bounds each fan-out shard's descriptor queue. Shard
-// workers never block (viewer enqueue is drop-oldest), so the queue only
-// absorbs scheduling jitter between the publisher and the workers.
+// shardQueueDepth bounds each fan-out shard's descriptor queue.
 const shardQueueDepth = 256
 
 // feedQueueDepth bounds the HLS feed queue. The feed must not drop (TS
 // continuity), so the publisher blocks if the muxer falls this far behind.
 const feedQueueDepth = 256
 
-// maxFanoutShards caps the per-hub worker count; past this, per-shard
-// batches are large enough that more workers only add wakeup overhead.
+// maxFanoutShards caps the per-hub fan-out worker count.
 const maxFanoutShards = 16
-
-// fanoutShardCount picks K for a production hub: one worker per core.
-func fanoutShardCount() int {
-	k := runtime.GOMAXPROCS(0)
-	if k < 1 {
-		k = 1
-	}
-	if k > maxFanoutShards {
-		k = maxFanoutShards
-	}
-	return k
-}
 
 // outMsg is one queued media message for a viewer. ref is nil for
 // hub-owned buffers (cached sequence headers); otherwise the queue slot
@@ -150,99 +136,10 @@ func (m outMsg) release() {
 	}
 }
 
-// viewerState tracks one attached RTMP viewer. Media is enqueued on a
-// bounded channel and written by a dedicated goroutine, so a slow or
-// stalled viewer socket never blocks the shard's fan-out loop.
-type viewerState struct {
-	conn  *rtmp.ServerConn
-	shard *fanoutShard
-	ch    chan outMsg
-	quit  chan struct{}
-	once  sync.Once
-	// waiting is true until the next keyframe; streams always start
-	// decodable, which costs up to a GOP of join delay, as real relays do.
-	// It is owned by the shard's delivery path (guarded by shard.mu).
-	waiting bool
-	// needSeq is set when the drop-oldest policy may have evicted the
-	// queued sequence headers; they are re-sent at the next resync.
-	needSeq bool
-	// dropped counts messages discarded by the drop-oldest policy.
-	dropped int
-}
-
-// enqueue offers a message to the viewer's queue without ever blocking.
-// When the queue is full the oldest entry is dropped (and its payload
-// reference released) to make room; it reports whether anything was
-// dropped. If the message still cannot be queued, its reference is
-// released here, so the caller's handoff is unconditional.
-func (v *viewerState) enqueue(m outMsg) bool {
-	select {
-	case v.ch <- m:
-		return false
-	default:
-	}
-	select {
-	case old := <-v.ch:
-		old.release()
-	default:
-	}
-	select {
-	case v.ch <- m:
-	default:
-		m.release()
-	}
-	return true
-}
-
-// stop wakes the sender goroutine for shutdown; it is idempotent.
-func (v *viewerState) stop() {
-	v.once.Do(func() { close(v.quit) })
-}
-
-// drain releases every payload reference still sitting in the queue. It
-// is called after the viewer can no longer be enqueued to (sender exit,
-// removal from its shard), and is safe to run concurrently with a late
-// consumer.
-func (v *viewerState) drain() {
-	for {
-		select {
-		case m := <-v.ch:
-			m.release()
-		default:
-			return
-		}
-	}
-}
-
-// run drains the queue onto the viewer's connection. A write error closes
-// the connection; the viewer's read loop then triggers OnClose and the
-// hub removes it.
-func (v *viewerState) run() {
-	defer v.drain()
-	for {
-		select {
-		case <-v.quit:
-			return
-		case m := <-v.ch:
-			var err error
-			switch m.typeID {
-			case rtmp.TypeVideo:
-				err = v.conn.SendVideo(m.timestamp, m.payload)
-			case rtmp.TypeAudio:
-				err = v.conn.SendAudio(m.timestamp, m.payload)
-			}
-			m.release()
-			if err != nil {
-				v.conn.Close()
-				return
-			}
-		}
-	}
-}
-
 // shardMsg is the per-shard fan-out descriptor: the publisher parses the
 // FLV tag header once and publishes one of these to every shard instead
-// of touching any viewer itself.
+// of touching any viewer itself. Each shard it is handed to holds one
+// payload reference until it has walked its viewers.
 type shardMsg struct {
 	typeID     uint8
 	timestamp  uint32
@@ -250,175 +147,57 @@ type shardMsg struct {
 	sp         *rtmp.SharedPayload
 }
 
-// fanoutShard owns a disjoint subset of a hub's viewers. In sharded mode
-// a dedicated worker delivers descriptors from ch, so K shards spread the
-// per-viewer enqueue work across K cores; in serial mode (baseline,
-// deterministic tests) deliver runs inline on the publisher goroutine.
-// Viewer resync state (waiting/needSeq/dropped) is only touched under mu
-// by whichever goroutine is delivering, so it needs no extra locking.
-type fanoutShard struct {
-	h    *hub
-	ch   chan shardMsg
-	quit chan struct{}
-	// nviewers mirrors len(viewers) so the publisher can skip empty
-	// shards without taking mu: most simulated broadcasts have 0-1
-	// viewers, and an idle hub must not pay K retains and worker wakeups
-	// per message. A viewer attaching in the skip window only misses
-	// messages it would have skipped anyway (it waits for a keyframe).
-	nviewers atomic.Int32
-
-	mu      sync.Mutex
-	viewers []*viewerState
-	stopped bool
+// viewer is the resync state of one attached RTMP viewer, owned by the
+// fan-out delivery path (admit).
+type viewer struct {
+	// started flips at the first keyframe: streams always start decodable,
+	// which costs up to a GOP of join delay, as real relays do.
+	started bool
+	// syncedAt is the viewer's drop count at its last keyframe. A drop since
+	// then may have taken video (or the queued sequence headers), leaving
+	// the decoder mid-GOP: the viewer is held until the next keyframe and
+	// its headers are re-sent there.
+	syncedAt int
 }
 
-// attach registers v and queues the current sequence headers so they
-// always precede media. It reports false when the shard has stopped.
-func (sh *fanoutShard) attach(v *viewerState) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.stopped {
-		return false
-	}
-	if hd := sh.h.seqHdrs.Load(); hd != nil {
-		if hd.video != nil {
-			v.enqueue(outMsg{typeID: rtmp.TypeVideo, payload: hd.video})
+// admit is the hub's delivery policy: no media before a keyframe, and
+// after drops the sequence headers again before the keyframe that restarts
+// playback. Each admitted viewer's queue slot takes one payload reference.
+func (h *hub) admit(m *fanout.Member[*rtmp.ServerConn, viewer, outMsg], d shardMsg) (outMsg, bool) {
+	if resync := m.Drops() != m.State.syncedAt; resync || !m.State.started {
+		if !d.isVideoKey {
+			return outMsg{}, false
 		}
-		if hd.audio != nil {
-			v.enqueue(outMsg{typeID: rtmp.TypeAudio, payload: hd.audio})
-		}
-	}
-	sh.viewers = append(sh.viewers, v)
-	sh.nviewers.Store(int32(len(sh.viewers)))
-	return true
-}
-
-// remove detaches v; afterwards no delivery can enqueue to it, so the
-// caller may drain its queue.
-func (sh *fanoutShard) remove(v *viewerState) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, w := range sh.viewers {
-		if w == v {
-			last := len(sh.viewers) - 1
-			sh.viewers[i] = sh.viewers[last]
-			sh.viewers[last] = nil
-			sh.viewers = sh.viewers[:last]
-			sh.nviewers.Store(int32(len(sh.viewers)))
-			return
-		}
-	}
-}
-
-// publish hands one descriptor (and one payload reference) to the shard
-// worker. After shutdown the reference is dropped instead. A send that
-// races shutdown can strand a reference in the channel; the buffer is
-// then reclaimed by GC rather than the pool, which is harmless.
-func (sh *fanoutShard) publish(m shardMsg) {
-	select {
-	case sh.ch <- m:
-	case <-sh.quit:
-		m.sp.Release()
-	}
-}
-
-// run is the shard worker loop.
-func (sh *fanoutShard) run() {
-	for {
-		select {
-		case <-sh.quit:
-			sh.drainCh()
-			return
-		case m := <-sh.ch:
-			sh.deliver(m)
-			m.sp.Release()
-		}
-	}
-}
-
-func (sh *fanoutShard) drainCh() {
-	for {
-		select {
-		case m := <-sh.ch:
-			m.sp.Release()
-		default:
-			return
-		}
-	}
-}
-
-// deliver fans one message out to this shard's viewers. The caller keeps
-// its payload reference; deliver takes one per viewer queue.
-func (sh *fanoutShard) deliver(m shardMsg) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := 0; i < len(sh.viewers); i++ {
-		v := sh.viewers[i]
-		if v.waiting {
-			if !m.isVideoKey {
-				continue
+		if resync {
+			for _, hd := range h.seqHdrs.Load().msgs() {
+				m.Push(hd)
 			}
-			if v.needSeq {
-				// Drops may have evicted the queued sequence headers; the
-				// stream is undecodable without them, so re-send before
-				// the keyframe that restarts playback.
-				if hd := sh.h.seqHdrs.Load(); hd != nil {
-					if hd.video != nil {
-						v.enqueue(outMsg{typeID: rtmp.TypeVideo, payload: hd.video})
-					}
-					if hd.audio != nil {
-						v.enqueue(outMsg{typeID: rtmp.TypeAudio, payload: hd.audio})
-					}
-				}
-				v.needSeq = false
-				// Count only drop-induced resyncs (needSeq is set by the
-				// drop path), not every viewer's initial join sync — the
-				// metric reads as drop-recovery churn in the snapshot.
-				sh.h.stats.resyncs.Add(1)
-			}
-			v.waiting = false
+			// Count only drop-induced resyncs, not every viewer's initial
+			// join sync — the metric reads as drop-recovery churn in the
+			// snapshot.
+			h.stats.resyncs.Add(1)
 		}
-		m.sp.Retain()
-		if v.enqueue(outMsg{typeID: m.typeID, timestamp: m.timestamp, payload: m.sp.Bytes(), ref: m.sp}) {
-			v.dropped++
-			sh.h.stats.drops.Add(1)
-			// A dropped message may have been video (or the sequence
-			// headers), leaving the decoder mid-GOP: hold this viewer
-			// until the next keyframe and refresh its headers there.
-			v.waiting = true
-			v.needSeq = true
-			if v.dropped >= viewerMaxDrops {
-				// Hopeless consumer: disconnect exactly once and remove it
-				// from the shard so no later message can close it again.
-				last := len(sh.viewers) - 1
-				sh.viewers[i] = sh.viewers[last]
-				sh.viewers[last] = nil
-				sh.viewers = sh.viewers[:last]
-				sh.nviewers.Store(int32(len(sh.viewers)))
-				i--
-				v.conn.Close()
-				v.stop()
-				v.drain()
-				sh.h.forget(v.conn)
-				sh.h.stats.hopeless.Add(1)
-			}
-		}
+		m.State = viewer{started: true, syncedAt: m.Drops()}
 	}
+	d.sp.Retain()
+	return outMsg{typeID: d.typeID, timestamp: d.timestamp, payload: d.sp.Bytes(), ref: d.sp}, true
 }
 
-// stopShard detaches and stops every viewer, then stops the worker.
-func (sh *fanoutShard) stopShard() {
-	sh.mu.Lock()
-	sh.stopped = true
-	viewers := sh.viewers
-	sh.viewers = nil
-	sh.nviewers.Store(0)
-	sh.mu.Unlock()
-	close(sh.quit)
-	for _, v := range viewers {
-		v.stop()
-		v.drain()
+// sendMedia writes one queued message to the viewer. On a write error the
+// core closes the connection; the viewer's read loop then triggers OnClose
+// and the hub removes it.
+func sendMedia(c *rtmp.ServerConn, m outMsg) error {
+	defer m.release()
+	if m.typeID == rtmp.TypeAudio {
+		return c.SendAudio(m.timestamp, m.payload)
 	}
+	return c.SendVideo(m.timestamp, m.payload)
+}
+
+// done drops the shard's payload reference and accounts its drops.
+func (h *hub) done(d shardMsg, t fanout.Tally) {
+	d.sp.Release()
+	h.stats.drops.Add(int64(t.Dropped))
 }
 
 // seqHeaders is an immutable snapshot of the cached FLV sequence headers,
@@ -427,6 +206,19 @@ func (sh *fanoutShard) stopShard() {
 type seqHeaders struct {
 	video []byte // AVC sequence header tag data
 	audio []byte // AAC sequence header tag data
+}
+
+// msgs returns the cached headers as queue items, video first; queued
+// ahead of media they make the stream decodable. Safe on a nil snapshot.
+func (hd *seqHeaders) msgs() []outMsg {
+	var out []outMsg
+	if hd != nil && hd.video != nil {
+		out = append(out, outMsg{typeID: rtmp.TypeVideo, payload: hd.video})
+	}
+	if hd != nil && hd.audio != nil {
+		out = append(out, outMsg{typeID: rtmp.TypeAudio, payload: hd.audio})
+	}
+	return out
 }
 
 // feedMsg carries one media message (and one payload reference) to the
@@ -485,16 +277,13 @@ func (f *hlsFeed) drainCh() {
 }
 
 // hub is the per-broadcast distribution pipeline: the publisher's read
-// loop parses each message once and publishes a descriptor to K fan-out
-// shards (and the HLS feed), instead of walking every viewer inline.
+// loop parses each message once and publishes a descriptor to the RTMP
+// fan-out group (and the HLS feed), instead of walking every viewer inline.
 type hub struct {
 	svc *Service
 	b   *broadcastmodel.Broadcast
 
-	shards []*fanoutShard
-	// serial delivers inline on the publisher goroutine — the
-	// pre-sharding baseline, kept for benchmarks and deterministic tests.
-	serial bool
+	fan *fanout.Group[*rtmp.ServerConn, viewer, shardMsg, outMsg]
 
 	seqHdrs atomic.Pointer[seqHeaders]
 	seg     atomic.Pointer[hls.Segmenter]
@@ -510,8 +299,6 @@ type hub struct {
 	stats deliveryCounters
 
 	mu      sync.Mutex
-	byConn  map[*rtmp.ServerConn]*viewerState
-	next    int // round-robin attach cursor
 	stopCh  chan struct{}
 	stopped bool
 	pub     *rtmp.Client
@@ -519,29 +306,21 @@ type hub struct {
 }
 
 func newHub(s *Service, b *broadcastmodel.Broadcast) *hub {
-	return newFanoutHub(s, b, fanoutShardCount(), false)
+	return newFanoutHub(s, b, fanout.DefaultShards(maxFanoutShards))
 }
 
-// newFanoutHub builds a hub with an explicit shard count; serial mode
-// skips the workers and delivers synchronously.
-func newFanoutHub(s *Service, b *broadcastmodel.Broadcast, shards int, serial bool) *hub {
-	if shards < 1 {
-		shards = 1
-	}
-	h := &hub{
-		svc:    s,
-		b:      b,
-		serial: serial,
-		byConn: map[*rtmp.ServerConn]*viewerState{},
-		stopCh: make(chan struct{}),
-	}
-	for i := 0; i < shards; i++ {
-		sh := &fanoutShard{h: h, ch: make(chan shardMsg, shardQueueDepth), quit: make(chan struct{})}
-		h.shards = append(h.shards, sh)
-		if !serial {
-			go sh.run()
-		}
-	}
+// newFanoutHub builds a hub with an explicit shard count.
+func newFanoutHub(s *Service, b *broadcastmodel.Broadcast, shards int) *hub {
+	h := &hub{svc: s, b: b, stopCh: make(chan struct{})}
+	h.fan = fanout.New(shards, shardQueueDepth, viewerQueueDepth, viewerMaxDrops,
+		fanout.Hooks[*rtmp.ServerConn, viewer, shardMsg, outMsg]{
+			Share:   func(d shardMsg) { d.sp.Retain() },
+			Done:    h.done,
+			Admit:   h.admit,
+			Send:    sendMedia,
+			Discard: outMsg.release,
+			Evicted: func(*rtmp.ServerConn) { h.stats.hopeless.Add(1) },
+		})
 	return h
 }
 
@@ -644,76 +423,17 @@ func (h *hub) produce(cli *rtmp.Client, enc *media.Encoder, rng *rand.Rand) {
 	}
 }
 
-// addViewer attaches an RTMP viewer to the next shard round-robin; it
-// receives the sequence headers immediately and media from the next
-// keyframe.
+// addViewer attaches an RTMP viewer; it receives the sequence headers
+// immediately and media from the next keyframe. A hub that has stopped
+// refuses it.
 func (h *hub) addViewer(c *rtmp.ServerConn) {
-	v := &viewerState{
-		conn:    c,
-		ch:      make(chan outMsg, viewerQueueDepth),
-		quit:    make(chan struct{}),
-		waiting: true,
-	}
-	h.mu.Lock()
-	if h.stopped {
-		// Racing hub.stop(): nothing will ever stop a viewer attached
-		// now, so refuse it instead of leaking its sender goroutine.
-		h.mu.Unlock()
+	if !h.fan.Attach(c, viewer{}, h.seqHdrs.Load().msgs()...) {
 		c.Close()
-		return
 	}
-	sh := h.shards[h.next%len(h.shards)]
-	h.next++
-	v.shard = sh
-	h.byConn[c] = v
-	h.mu.Unlock()
-	if !sh.attach(v) {
-		// The shard stopped between the checks; undo the registration.
-		h.forget(c)
-		c.Close()
-		return
-	}
-	go v.run()
 }
 
-// removeViewer detaches c's viewer (OnClose). It is a no-op when the
-// delivery path already removed the viewer as hopeless.
-func (h *hub) removeViewer(c *rtmp.ServerConn) {
-	h.mu.Lock()
-	v := h.byConn[c]
-	delete(h.byConn, c)
-	h.mu.Unlock()
-	if v == nil {
-		return
-	}
-	v.shard.remove(v)
-	v.stop()
-	// Nothing can enqueue after remove, so the queue drains exactly once
-	// here (the sender goroutine may race a last consume — both release).
-	v.drain()
-}
-
-// forget drops the conn→viewer registration without touching the shard
-// (used by the delivery path, which edits its own viewer list).
-func (h *hub) forget(c *rtmp.ServerConn) {
-	h.mu.Lock()
-	delete(h.byConn, c)
-	h.mu.Unlock()
-}
-
-// ViewerCount reports attached RTMP viewers (tests).
-func (h *hub) ViewerCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.byConn)
-}
-
-// viewerFor returns the live viewer state for c (tests).
-func (h *hub) viewerFor(c *rtmp.ServerConn) *viewerState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.byConn[c]
-}
+// ViewerCount reports attached RTMP viewers.
+func (h *hub) ViewerCount() int { return h.fan.Len() }
 
 // cacheSeqHeader snapshots a sequence-header tag for late joiners. The
 // pooled payload will be recycled after fan-out, so the cache keeps its
@@ -755,26 +475,12 @@ func (h *hub) onMedia(msg rtmp.Message) {
 	}
 
 	sp := rtmp.SharePayload(msg.Payload)
-	m := shardMsg{typeID: msg.TypeID, timestamp: msg.Timestamp, isVideoKey: isVideoKey, sp: sp}
-	for _, sh := range h.shards {
-		if sh.nviewers.Load() == 0 {
-			continue
-		}
-		if h.serial {
-			sh.deliver(m)
-		} else {
-			sp.Retain()
-			sh.publish(m)
-		}
-	}
-	if seg := h.seg.Load(); seg != nil {
-		if f := h.feed.Load(); f != nil {
-			sp.Retain()
-			f.publish(feedMsg{typeID: msg.TypeID, timestamp: msg.Timestamp, vt: vt, sp: sp})
-		} else {
-			feedSegmenter(seg, msg.TypeID, msg.Timestamp, msg.Payload, vt)
-			h.maybeWarmAfterFirstSegment(seg)
-		}
+	h.fan.Publish(shardMsg{typeID: msg.TypeID, timestamp: msg.Timestamp, isVideoKey: isVideoKey, sp: sp})
+	// enableHLS publishes the feed before the segmenter, so a visible
+	// segmenter implies a visible feed.
+	if h.seg.Load() != nil {
+		sp.Retain()
+		h.feed.Load().publish(feedMsg{typeID: msg.TypeID, timestamp: msg.Timestamp, vt: vt, sp: sp})
 	}
 	sp.Release()
 }
@@ -857,13 +563,11 @@ func (h *hub) enableHLS() error {
 			pop.warm(h.b.ID)
 		}
 	}
-	if !h.serial {
-		f := &hlsFeed{h: h, ch: make(chan feedMsg, feedQueueDepth), quit: make(chan struct{})}
-		// Publish the feed before the segmenter: onMedia loads them in the
-		// opposite order, so a visible segmenter implies a visible feed.
-		h.feed.Store(f)
-		go f.run()
-	}
+	f := &hlsFeed{h: h, ch: make(chan feedMsg, feedQueueDepth), quit: make(chan struct{})}
+	// Publish the feed before the segmenter: onMedia loads them in the
+	// opposite order, so a visible segmenter implies a visible feed.
+	h.feed.Store(f)
+	go f.run()
 	h.seg.Store(seg)
 	return nil
 }
@@ -873,7 +577,7 @@ func (h *hub) Segmenter() *hls.Segmenter {
 	return h.seg.Load()
 }
 
-// stop tears the pipeline down: publisher, shards (stopping and draining
+// stop tears the pipeline down: publisher, fan-out (stopping and draining
 // every viewer), HLS feed, segmenter. The chat room is NOT closed here —
 // Service.EndBroadcast closes it after the CDN linger, so members can
 // keep chatting while HLS viewers drain the final window.
@@ -886,9 +590,7 @@ func (h *hub) stop() {
 	h.stopped = true
 	close(h.stopCh)
 	h.mu.Unlock()
-	for _, sh := range h.shards {
-		sh.stopShard()
-	}
+	h.fan.Stop()
 	if f := h.feed.Load(); f != nil {
 		close(f.quit)
 	}

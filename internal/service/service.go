@@ -39,7 +39,6 @@ import (
 	"periscope/internal/broadcastmodel"
 	"periscope/internal/chat"
 	"periscope/internal/geo"
-	"periscope/internal/hls"
 )
 
 // Config tunes the assembled service.
@@ -67,17 +66,6 @@ type Config struct {
 	// negative disables modelled latency entirely (tests, benchmarks) —
 	// the fill hierarchy is kept either way.
 	CDNLinkRTTScale float64
-	// CDNLinkBandwidth caps each fill link in bits per second (0 = no
-	// cap).
-	CDNLinkBandwidth float64
-	// CDNFillConcurrency caps one broadcast's concurrent upstream segment
-	// fetches per replica (see hls.ReplicaConfig.MaxConcurrentFills);
-	// 0 uses hls.DefaultFillConcurrency.
-	CDNFillConcurrency int
-	// CDNFillTimeout is the overall per-fill budget at each replica
-	// (attempts + backoff); 0 uses the hls default of 5 s. Tests and the
-	// outage scenario shrink it so failover happens on a player timescale.
-	CDNFillTimeout time.Duration
 	// CDNFillAttempts is the per-fill retry budget inside the
 	// single-flight (see hls.ReplicaConfig.FillAttempts); 0 uses
 	// hls.DefaultFillAttempts.
@@ -117,7 +105,6 @@ func DefaultConfig() Config {
 		CDNPOPs:             2,
 		CDNOriginRegion:     "us-east",
 		CDNLinkRTTScale:     1,
-		CDNFillConcurrency:  hls.DefaultFillConcurrency,
 		CDNUnregisterLinger: 15 * time.Second,
 		APIRateLimit:        2,
 		APIBurst:            6,
