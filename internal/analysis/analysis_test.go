@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"periscope/internal/crawler"
+	"periscope/internal/hls"
 	"periscope/internal/mediaanalysis"
 	"periscope/internal/player"
 	"periscope/internal/service"
@@ -165,16 +166,20 @@ func TestDeliveryTableRenders(t *testing.T) {
 		Origin:   service.OriginSnapshot{Region: "us-east", Broadcasts: 2, Requests: 30, Bytes: 1 << 20, PlaylistRequests: 10, SegmentRequests: 20},
 		POPs: []service.POPSnapshot{{
 			Index: 0, Region: "us-west", Requests: 500, Bytes: 5 << 20, Broadcasts: 2, CachedSegments: 8,
-			Fills: 20, FillBytes: 1 << 20, SingleFlightHits: 480,
-			PeerFills: 14, PeerFillBytes: 700_000, PeerMisses: 2, PeerSkips: 3, OriginFills: 6,
+			FillStats: hls.FillStats{
+				Fills: 20, FillBytes: 1 << 20, SingleFlightHits: 480,
+				PeerFills: 14, PeerFillBytes: 700_000, PeerMisses: 2, PeerSkips: 3, OriginFills: 6,
+				Warmups: 2, FillCapWaits: 5,
+				PlaylistRefreshes: 10, StaleServes: 3, Evictions: 6,
+				FillRetries: 8, NegativeHits: 5,
+			},
 			PeerRequests: 9, PeerServes: 7, PeerBytesOut: 350_000,
-			Warmups: 2, FillCapWaits: 5, FillCap: 4,
-			PlaylistRefreshes: 10, StaleServes: 3, Evictions: 6,
+			FillCap:        4,
 			MaxPlaylistAge: 1700 * time.Millisecond,
 			Health:         "degraded", FillErrorRate: 0.25,
 			OriginBreaker: "half-open", PeerBreakersOpen: 1,
 			BreakerTrips: 2, BreakerRejects: 40,
-			FillRetries: 8, NegativeHits: 5, Reroutes: 11,
+			Reroutes: 11,
 		}},
 	}
 	out := DeliveryTable(snap).Render()

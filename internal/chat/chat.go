@@ -139,7 +139,7 @@ func syntheticText(rng *rand.Rand) string {
 
 // Stats is the server-wide interaction-plane snapshot: gauges for the
 // current state plus cumulative counters that stay monotonic across room
-// close (closed rooms fold into an aggregate).
+// close (rooms count into the server's block).
 type Stats struct {
 	// Gauges.
 	Rooms          int // rooms currently open
@@ -163,13 +163,13 @@ type Stats struct {
 // Server hosts chat rooms at /chat/{broadcastID}, heart taps at
 // /hearts/{broadcastID}, and profile pictures at /avatars/{user}.jpg.
 type Server struct {
-	mu    sync.Mutex
-	rooms map[string]*Room
-	// closed holds the folded counters of every room closed so far, so
-	// server-level totals never go backwards when a room dies.
-	closed      Stats
+	mu          sync.Mutex
+	rooms       map[string]*Room
 	roomsOpened int64
 	roomsClosed int64
+	// counters is the block every room of this server counts into, so
+	// server-level totals never go backwards when a room dies.
+	counters roomCounters
 	// AvatarMinKB/AvatarMaxKB bound the synthetic profile-picture sizes;
 	// "the precise effect on traffic depends on … the format and
 	// resolution of profile pictures" (§5.1).
@@ -192,7 +192,7 @@ func (s *Server) Room(id string, cfg RoomConfig) *Room {
 		r.ending.Store(false)
 		return r
 	}
-	r := NewRoom(id, cfg)
+	r := newRoom(id, cfg, &s.counters)
 	s.rooms[id] = r
 	s.roomsOpened++
 	return r
@@ -205,14 +205,26 @@ func (s *Server) Lookup(id string) *Room {
 	return s.rooms[id]
 }
 
-// CloseRoom shuts a room down (broadcast ended) and folds its counters
-// into the server aggregate.
+// CloseRoom shuts a room down (broadcast ended).
 func (s *Server) CloseRoom(id string) {
 	s.mu.Lock()
-	r := s.rooms[id]
-	delete(s.rooms, id)
+	r := s.unlistLocked(id)
 	s.mu.Unlock()
-	s.closeAndFold(r)
+	if r != nil {
+		r.Close()
+	}
+}
+
+// unlistLocked removes the room for id from the map and counts the close
+// (caller holds s.mu); the caller closes the returned room, if any,
+// outside the lock — Room.Close disconnects every member.
+func (s *Server) unlistLocked(id string) *Room {
+	r := s.rooms[id]
+	if r != nil {
+		delete(s.rooms, id)
+		s.roomsClosed++
+	}
+	return r
 }
 
 // BeginClose marks the room for id as ending and returns it (nil when no
@@ -237,14 +249,13 @@ func (s *Server) CloseRoomIf(id string, want *Room) {
 		return
 	}
 	s.mu.Lock()
-	r := s.rooms[id]
-	if r != want || !r.ending.Load() {
+	if r := s.rooms[id]; r != want || !r.ending.Load() {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.rooms, id)
+	s.unlistLocked(id)
 	s.mu.Unlock()
-	s.closeAndFold(r)
+	want.Close()
 }
 
 // Close shuts every room down (service shutdown).
@@ -252,29 +263,18 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	rooms := s.rooms
 	s.rooms = map[string]*Room{}
+	s.roomsClosed += int64(len(rooms))
 	s.mu.Unlock()
 	for _, r := range rooms {
-		s.closeAndFold(r)
+		r.Close()
 	}
 }
 
-func (s *Server) closeAndFold(r *Room) {
-	if r == nil {
-		return
-	}
-	r.Close()
-	s.mu.Lock()
-	r.counters.addTo(&s.closed)
-	s.roomsClosed++
-	s.mu.Unlock()
-}
-
-// Snapshot sums live rooms and the closed-room aggregate. Cumulative
-// counters are monotonic across room close; gauges reflect only open
-// rooms.
+// Snapshot reads the server's counter block and sums the gauges over the
+// open rooms.
 func (s *Server) Snapshot() Stats {
+	st := s.counters.load()
 	s.mu.Lock()
-	st := s.closed
 	st.RoomsOpened = s.roomsOpened
 	st.RoomsClosed = s.roomsClosed
 	rooms := make([]*Room, 0, len(s.rooms))
@@ -284,7 +284,9 @@ func (s *Server) Snapshot() Stats {
 	s.mu.Unlock()
 	st.Rooms = len(rooms)
 	for _, r := range rooms {
-		r.addTo(&st)
+		st.Members += r.Members()
+		queued, _ := r.fan.QueueDepth()
+		st.SendQueueDepth += queued
 	}
 	return st
 }

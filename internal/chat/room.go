@@ -48,9 +48,11 @@ const (
 	shardQueueDepth = 256
 )
 
-// roomCounters are one room's cumulative interaction-plane metrics. They
-// fold into the server aggregate when the room closes, so server-level
-// totals are monotonic across room churn.
+// roomCounters are the cumulative interaction-plane metrics. The block
+// lives in the longest-lived object that reports it: a Server owns one
+// that all of its rooms count into, so server-level totals are monotonic
+// across room churn with nothing to copy when a room closes; a
+// stand-alone room (NewRoom) has its own.
 type roomCounters struct {
 	membersJoined   atomic.Int64 // total joins (not current members)
 	messagesIn      atomic.Int64 // chat messages accepted into the room
@@ -63,16 +65,19 @@ type roomCounters struct {
 	sampledOut      atomic.Int64 // deliveries skipped by visibility sampling
 }
 
-func (c *roomCounters) addTo(st *Stats) {
-	st.MembersJoined += c.membersJoined.Load()
-	st.MessagesIn += c.messagesIn.Load()
-	st.MessagesOut += c.messagesOut.Load()
-	st.HeartTaps += c.heartTaps.Load()
-	st.HeartDeltas += c.heartDeltas.Load()
-	st.PresenceUpdates += c.presenceUpdates.Load()
-	st.Drops += c.drops.Load()
-	st.HopelessDisconnects += c.hopeless.Load()
-	st.SampledOut += c.sampledOut.Load()
+// load copies the block into the counter fields of a Stats.
+func (c *roomCounters) load() Stats {
+	return Stats{
+		MembersJoined:       c.membersJoined.Load(),
+		MessagesIn:          c.messagesIn.Load(),
+		MessagesOut:         c.messagesOut.Load(),
+		HeartTaps:           c.heartTaps.Load(),
+		HeartDeltas:         c.heartDeltas.Load(),
+		PresenceUpdates:     c.presenceUpdates.Load(),
+		Drops:               c.drops.Load(),
+		HopelessDisconnects: c.hopeless.Load(),
+		SampledOut:          c.sampledOut.Load(),
+	}
 }
 
 // roomMsg is the per-shard fan-out descriptor: the broadcaster marshals
@@ -114,11 +119,16 @@ func admit(m *fanout.Member[MemberConn, chatMember, frame], d roomMsg) (frame, b
 }
 
 // done accounts one shard's delivery of one message: one add per counter
-// per batch, not per member.
+// per batch, not per member, and none for the counters the batch left
+// alone — the block is shared by every room of the server.
 func (r *Room) done(_ roomMsg, t fanout.Tally) {
 	r.counters.messagesOut.Add(int64(t.Admitted))
-	r.counters.sampledOut.Add(int64(t.Skipped))
-	r.counters.drops.Add(int64(t.Dropped))
+	if t.Skipped != 0 {
+		r.counters.sampledOut.Add(int64(t.Skipped))
+	}
+	if t.Dropped != 0 {
+		r.counters.drops.Add(int64(t.Dropped))
+	}
 }
 
 // evicted accounts a member disconnected for never draining its queue.
@@ -144,8 +154,9 @@ type Room struct {
 	// ending marks a room whose broadcast has ended but whose close is
 	// deferred past the CDN linger; a relaunch during the linger clears it,
 	// cancelling the stale deferred close.
-	ending   atomic.Bool
-	counters roomCounters
+	ending atomic.Bool
+	// counters is the block the room counts into: its server's, or its own.
+	counters *roomCounters
 
 	mu      sync.Mutex
 	joined  int
@@ -154,9 +165,15 @@ type Room struct {
 	saltRng *rand.Rand
 }
 
-// NewRoom creates a room, starts its fan-out workers and control loop,
-// and starts the simulated chatter loop if the config has any chatters.
+// NewRoom creates a stand-alone room counting into its own block, starts
+// its fan-out workers and control loop, and starts the simulated chatter
+// loop if the config has any chatters.
 func NewRoom(id string, cfg RoomConfig) *Room {
+	return newRoom(id, cfg, new(roomCounters))
+}
+
+// newRoom creates a room counting into the given block.
+func newRoom(id string, cfg RoomConfig, counters *roomCounters) *Room {
 	if cfg.FanoutShards <= 0 {
 		cfg.FanoutShards = fanout.DefaultShards(DefaultFanoutShardCap)
 	}
@@ -179,10 +196,11 @@ func NewRoom(id string, cfg RoomConfig) *Room {
 		cfg.JoinCap = DefaultJoinCap
 	}
 	r := &Room{
-		ID:      id,
-		cfg:     cfg,
-		stopCh:  make(chan struct{}),
-		saltRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6a09e667)),
+		ID:       id,
+		cfg:      cfg,
+		counters: counters,
+		stopCh:   make(chan struct{}),
+		saltRng:  rand.New(rand.NewSource(cfg.Seed ^ 0x6a09e667)),
 	}
 	r.fan = fanout.New(cfg.FanoutShards, shardQueueDepth, cfg.SendQueueDepth, cfg.HopelessDrops,
 		fanout.Hooks[MemberConn, chatMember, roomMsg, frame]{
@@ -373,14 +391,6 @@ func (r *Room) Joined() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.joined
-}
-
-// addTo folds the room's counters (and gauges) into st.
-func (r *Room) addTo(st *Stats) {
-	r.counters.addTo(st)
-	st.Members += r.Members()
-	queued, _ := r.fan.QueueDepth()
-	st.SendQueueDepth += queued
 }
 
 // Close stops the chatter and control loops, then stops and disconnects

@@ -3,7 +3,6 @@ package hls
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,17 +32,11 @@ type TieredSource struct {
 	// Defaults to DefaultProbeTimeout.
 	ProbeTimeout time.Duration
 
-	// PeerFills counts segments served by a peer (origin egress avoided);
-	// PeerFillBytes their volume; PeerMisses the probes that came back
-	// empty or failed. PeerSkips counts probes skipped in O(1) because
-	// the peer's circuit breaker was open — no timeout was risked.
-	// OriginFills counts segment fetches that fell through to the origin
-	// (successful or not).
-	PeerFills     atomic.Int64
-	PeerFillBytes atomic.Int64
-	PeerMisses    atomic.Int64
-	PeerSkips     atomic.Int64
-	OriginFills   atomic.Int64
+	// Counters is the block the tier's peer/origin outcomes count into —
+	// the parent's when a longer-lived owner such as a POP reports for many
+	// sources. Nil counts into the source's own block.
+	Counters *FillCounters
+	own      FillCounters
 }
 
 // DefaultProbeTimeout bounds one cache-only peer probe. A probe is a
@@ -66,6 +59,7 @@ func (t *TieredSource) FetchSegment(ctx context.Context, seq int) ([]byte, error
 	if probeMax <= 0 {
 		probeMax = DefaultProbeTimeout
 	}
+	c := t.counters()
 	for i, p := range t.Peers {
 		per := probeMax
 		if deadline, ok := ctx.Deadline(); ok {
@@ -83,35 +77,29 @@ func (t *TieredSource) FetchSegment(ctx context.Context, seq int) ([]byte, error
 		data, err := p.FetchSegment(pctx, seq)
 		cancel()
 		if err == nil {
-			t.PeerFills.Add(1)
-			t.PeerFillBytes.Add(int64(len(data)))
+			c.PeerFills.Add(1)
+			c.PeerFillBytes.Add(int64(len(data)))
 			return data, nil
 		}
 		if errors.Is(err, ErrBreakerOpen) {
-			t.PeerSkips.Add(1)
+			c.PeerSkips.Add(1)
 		} else {
-			t.PeerMisses.Add(1)
+			c.PeerMisses.Add(1)
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 	}
-	t.OriginFills.Add(1)
+	c.OriginFills.Add(1)
 	return t.Origin.FetchSegment(ctx, seq)
 }
 
-// Stats returns a point-in-time copy of the tier counters.
-func (t *TieredSource) Stats() TieredStats {
-	return TieredStats{
-		PeerFills:     t.PeerFills.Load(),
-		PeerFillBytes: t.PeerFillBytes.Load(),
-		PeerMisses:    t.PeerMisses.Load(),
-		PeerSkips:     t.PeerSkips.Load(),
-		OriginFills:   t.OriginFills.Load(),
+func (t *TieredSource) counters() *FillCounters {
+	if t.Counters != nil {
+		return t.Counters
 	}
+	return &t.own
 }
 
-// TieredStats is a snapshot of one TieredSource's counters.
-type TieredStats struct {
-	PeerFills, PeerFillBytes, PeerMisses, PeerSkips, OriginFills int64
-}
+// Stats returns a point-in-time copy of the block the tier counts into.
+func (t *TieredSource) Stats() FillStats { return t.counters().Load() }

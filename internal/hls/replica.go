@@ -170,18 +170,11 @@ type ReplicaConfig struct {
 	// Defaults to TargetDuration/2, the staleness bound a polling player
 	// effectively sees through a CDN edge.
 	PlaylistTTL time.Duration
-	// FillTimeout bounds each background origin fetch. Defaults to 5 s.
-	// It is the overall budget for one fill operation — attempts,
-	// backoff and all.
-	FillTimeout time.Duration
 	// FillAttempts caps upstream attempts inside one single-flight fill:
 	// a transient failure is retried (with backoff) instead of being
 	// published to every coalesced waiter. Defaults to
 	// DefaultFillAttempts; 404s and other 4xx are terminal.
 	FillAttempts int
-	// AttemptTimeout bounds each individual attempt, carved from the
-	// FillTimeout budget. Defaults to FillTimeout/FillAttempts.
-	AttemptTimeout time.Duration
 	// RetryBackoff is the base of the jittered doubling backoff between
 	// attempts. Defaults to 50 ms.
 	RetryBackoff time.Duration
@@ -198,6 +191,10 @@ type ReplicaConfig struct {
 	// Enqueue runs a background job (the POP's FillWorker); when nil the
 	// replica spawns a goroutine per job.
 	Enqueue func(func()) bool
+	// Counters is the block the replica counts into — the parent's when a
+	// longer-lived owner such as a POP reports for many replicas. Nil
+	// gives the replica its own block.
+	Counters *FillCounters
 	// Now is the clock, injectable for deterministic staleness tests.
 	Now func() time.Time
 }
@@ -216,16 +213,17 @@ type fillResult struct {
 // window slides with the origin's, and playlists are served
 // stale-while-revalidate.
 type Replica struct {
-	src            SegmentSource
-	keep           int
-	ttl            time.Duration
-	fillTimeout    time.Duration
-	attempts       int
-	attemptTimeout time.Duration
-	backoff        time.Duration
-	negTTL         time.Duration
-	enqueue        func(func()) bool
-	now            func() time.Time
+	src      SegmentSource
+	keep     int
+	ttl      time.Duration
+	attempts int
+	backoff  time.Duration
+	negTTL   time.Duration
+	enqueue  func(func()) bool
+	now      func() time.Time
+	// c is the cumulative counter block: the replica's own, or its
+	// parent's (shared with sibling replicas).
+	c *FillCounters
 	// fillSem bounds concurrent upstream segment fetches (the
 	// per-broadcast fill concurrency cap).
 	fillSem chan struct{}
@@ -242,21 +240,6 @@ type Replica struct {
 	plInflight   *fillResult // cold-cache synchronous fetch
 	plRefreshing bool        // async revalidation scheduled/running
 	final        bool        // playlist carried #EXT-X-ENDLIST
-
-	// Counters (atomic: read by snapshots while requests are in flight).
-	fills             atomic.Int64
-	fillBytes         atomic.Int64
-	fillErrors        atomic.Int64
-	singleFlightHits  atomic.Int64
-	playlistRefreshes atomic.Int64
-	playlistBytes     atomic.Int64
-	staleServes       atomic.Int64
-	evictions         atomic.Int64
-	prefetchDropped   atomic.Int64
-	fillCapWaits      atomic.Int64
-	warmups           atomic.Int64
-	fillRetries       atomic.Int64
-	negativeHits      atomic.Int64
 }
 
 // negEntry is one negative-cache record: the error a recent fill ended
@@ -274,6 +257,11 @@ const DefaultFillConcurrency = 4
 // single-flight.
 const DefaultFillAttempts = 3
 
+// fillTimeout is the overall budget of one fill operation — attempts,
+// backoff and all — and bounds each background origin fetch. Each attempt
+// gets an equal share of it.
+const fillTimeout = 5 * time.Second
+
 // NewReplica builds an edge replica pulling from cfg.Source.
 func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.Window <= 0 {
@@ -284,9 +272,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	}
 	if cfg.PlaylistTTL <= 0 {
 		cfg.PlaylistTTL = cfg.TargetDuration / 2
-	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = 5 * time.Second
 	}
 	if cfg.Enqueue == nil {
 		cfg.Enqueue = func(job func()) bool { go job(); return true }
@@ -300,68 +285,40 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.FillAttempts <= 0 {
 		cfg.FillAttempts = DefaultFillAttempts
 	}
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = cfg.FillTimeout / time.Duration(cfg.FillAttempts)
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	if cfg.NegativeTTL <= 0 {
 		cfg.NegativeTTL = cfg.TargetDuration / 4
 	}
+	if cfg.Counters == nil {
+		cfg.Counters = new(FillCounters)
+	}
 	return &Replica{
-		src:            cfg.Source,
-		keep:           cfg.Window + 2, // parity with Segmenter.maxKeep
-		ttl:            cfg.PlaylistTTL,
-		fillTimeout:    cfg.FillTimeout,
-		attempts:       cfg.FillAttempts,
-		attemptTimeout: cfg.AttemptTimeout,
-		backoff:        cfg.RetryBackoff,
-		negTTL:         cfg.NegativeTTL,
-		enqueue:        cfg.Enqueue,
-		now:            cfg.Now,
-		fillSem:        make(chan struct{}, cfg.MaxConcurrentFills),
-		segs:           map[int][]byte{},
-		maxSeq:         -1,
-		inflight:       map[int]*fillResult{},
-		negCache:       map[int]negEntry{},
+		src:      cfg.Source,
+		keep:     cfg.Window + 2, // parity with Segmenter.maxKeep
+		ttl:      cfg.PlaylistTTL,
+		attempts: cfg.FillAttempts,
+		backoff:  cfg.RetryBackoff,
+		negTTL:   cfg.NegativeTTL,
+		enqueue:  cfg.Enqueue,
+		now:      cfg.Now,
+		c:        cfg.Counters,
+		fillSem:  make(chan struct{}, cfg.MaxConcurrentFills),
+		segs:     map[int][]byte{},
+		maxSeq:   -1,
+		inflight: map[int]*fillResult{},
+		negCache: map[int]negEntry{},
 	}
 }
 
-// ReplicaStats is a point-in-time copy of a replica's fill counters.
+// ReplicaStats is a point-in-time view of a replica: the counters of the
+// block it counts into (its parent's totals when it shares one) and its
+// own gauges.
 type ReplicaStats struct {
-	// Fills is the number of origin segment fetches; FillBytes their
-	// payload volume; FillErrors the failed ones (including expired-404s).
-	Fills, FillBytes, FillErrors int64
-	// SingleFlightHits counts requests that coalesced onto an already
-	// in-flight origin fetch instead of issuing their own.
-	SingleFlightHits int64
-	// PlaylistRefreshes counts origin playlist fetches (cold fills and
-	// revalidations); PlaylistBytes their volume.
-	PlaylistRefreshes, PlaylistBytes int64
-	// StaleServes counts playlist responses served past the TTL while a
-	// revalidation was pending — the stale-while-revalidate path.
-	StaleServes int64
-	// Evictions counts segments dropped by the sliding cache window.
-	Evictions int64
-	// PrefetchDropped counts background jobs the fill queue rejected or
-	// the fill concurrency cap skipped.
-	PrefetchDropped int64
-	// FillCapWaits counts demand fills that found the per-broadcast fill
-	// concurrency cap saturated and had to queue — a non-zero value is the
-	// observable signature of a capped hot broadcast. FillCap echoes the
-	// configured cap.
-	FillCapWaits int64
-	FillCap      int
-	// Warmups counts promotion warm-ups scheduled for this replica.
-	Warmups int64
-	// FillRetries counts extra upstream attempts spent on transient fill
-	// failures inside the single-flight — Fills still counts operations,
-	// not attempts, so Fills stays comparable across PRs.
-	FillRetries int64
-	// NegativeHits counts requests answered from the negative cache
-	// without touching upstream.
-	NegativeHits int64
+	FillStats
+	// FillCap echoes the configured per-broadcast fill concurrency cap.
+	FillCap int
 	// CachedSegments is the current cache occupancy.
 	CachedSegments int
 	// PlaylistAge is the time since the cached playlist was fetched from
@@ -371,24 +328,9 @@ type ReplicaStats struct {
 	Final bool
 }
 
-// Stats snapshots the replica's counters.
+// Stats snapshots the replica's counters and gauges.
 func (r *Replica) Stats() ReplicaStats {
-	st := ReplicaStats{
-		Fills:             r.fills.Load(),
-		FillBytes:         r.fillBytes.Load(),
-		FillErrors:        r.fillErrors.Load(),
-		SingleFlightHits:  r.singleFlightHits.Load(),
-		PlaylistRefreshes: r.playlistRefreshes.Load(),
-		PlaylistBytes:     r.playlistBytes.Load(),
-		StaleServes:       r.staleServes.Load(),
-		Evictions:         r.evictions.Load(),
-		PrefetchDropped:   r.prefetchDropped.Load(),
-		FillCapWaits:      r.fillCapWaits.Load(),
-		FillCap:           cap(r.fillSem),
-		Warmups:           r.warmups.Load(),
-		FillRetries:       r.fillRetries.Load(),
-		NegativeHits:      r.negativeHits.Load(),
-	}
+	st := ReplicaStats{FillStats: r.c.Load(), FillCap: cap(r.fillSem)}
 	r.mu.Lock()
 	st.CachedSegments = len(r.segs)
 	st.Final = r.final
@@ -456,7 +398,7 @@ func upstreamStatus(w http.ResponseWriter, err error) {
 // Segment returns the segment's bytes, serving from cache when present
 // and otherwise filling from origin exactly once no matter how many
 // viewers ask concurrently. The fill itself runs detached from any single
-// requester's context (bounded by FillTimeout): one viewer disconnecting
+// requester's context (bounded by fillTimeout): one viewer disconnecting
 // must not fail the fetch for every coalesced waiter.
 func (r *Replica) Segment(ctx context.Context, seq int) ([]byte, error) {
 	r.mu.Lock()
@@ -467,7 +409,7 @@ func (r *Replica) Segment(ctx context.Context, seq int) ([]byte, error) {
 	if e, ok := r.negCache[seq]; ok {
 		if r.now().Before(e.until) {
 			r.mu.Unlock()
-			r.negativeHits.Add(1)
+			r.c.NegativeHits.Add(1)
 			return nil, e.err
 		}
 		delete(r.negCache, seq)
@@ -475,7 +417,7 @@ func (r *Replica) Segment(ctx context.Context, seq int) ([]byte, error) {
 	f, ok := r.inflight[seq]
 	if ok {
 		r.mu.Unlock()
-		r.singleFlightHits.Add(1)
+		r.c.SingleFlightHits.Add(1)
 	} else {
 		f = &fillResult{done: make(chan struct{})}
 		r.inflight[seq] = f
@@ -496,7 +438,7 @@ func (r *Replica) acquireFill() {
 	select {
 	case r.fillSem <- struct{}{}:
 	default:
-		r.fillCapWaits.Add(1)
+		r.c.FillCapWaits.Add(1)
 		r.fillSem <- struct{}{}
 	}
 }
@@ -515,7 +457,7 @@ func (r *Replica) fillSegment(seq int, f *fillResult) {
 // fillSegmentReserved runs the upstream fetch with a fill-cap slot already
 // held, publishes the result, and releases the slot. The attempt budget
 // lives inside the single flight: a transient attempt failure is retried
-// with jittered backoff (within the overall FillTimeout) before anything
+// with jittered backoff (within the overall fillTimeout) before anything
 // is published, so one lost request no longer fails every coalesced
 // waiter. A fill that still ends in error seeds the negative cache.
 func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
@@ -526,11 +468,11 @@ func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 		data, aerr = r.src.FetchSegment(ctx, seq)
 		return aerr
 	})
-	r.fills.Add(1)
+	r.c.Fills.Add(1)
 	if err != nil {
-		r.fillErrors.Add(1)
+		r.c.FillErrors.Add(1)
 	} else {
-		r.fillBytes.Add(int64(len(data)))
+		r.c.FillBytes.Add(int64(len(data)))
 	}
 
 	r.mu.Lock()
@@ -538,7 +480,9 @@ func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 	if err == nil {
 		r.storeSegLocked(seq, data)
 	} else if r.negTTL > 0 {
-		r.negCache[seq] = negEntry{err: err, until: r.now().Add(r.negTTL)}
+		now := r.now()
+		r.sweepNegLocked(now)
+		r.negCache[seq] = negEntry{err: err, until: now.Add(r.negTTL)}
 	}
 	r.mu.Unlock()
 	f.data, f.err = data, err
@@ -546,21 +490,18 @@ func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 }
 
 // fillWithRetries runs one fill operation: up to r.attempts calls of do,
-// each bounded by AttemptTimeout carved from the overall FillTimeout
-// budget, with jittered doubling backoff between attempts. Terminal
-// errors (4xx — the upstream answered) short-circuit.
+// each bounded by an equal share of the overall fillTimeout budget, with
+// jittered doubling backoff between attempts. Terminal errors (4xx — the
+// upstream answered) short-circuit.
 func (r *Replica) fillWithRetries(do func(ctx context.Context) error) error {
-	deadline := time.Now().Add(r.fillTimeout)
+	deadline := time.Now().Add(fillTimeout)
 	var err error
 	for attempt := 0; attempt < r.attempts; attempt++ {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			break
 		}
-		per := r.attemptTimeout
-		if per > remaining {
-			per = remaining
-		}
+		per := min(fillTimeout/time.Duration(r.attempts), remaining)
 		ctx, cancel := context.WithTimeout(context.Background(), per)
 		err = do(ctx)
 		cancel()
@@ -571,7 +512,7 @@ func (r *Replica) fillWithRetries(do func(ctx context.Context) error) error {
 		if wait >= time.Until(deadline) {
 			break
 		}
-		r.fillRetries.Add(1)
+		r.c.FillRetries.Add(1)
 		time.Sleep(wait)
 	}
 	return err
@@ -604,7 +545,7 @@ func jitteredBackoff(base time.Duration, attempt int) time.Duration {
 func (r *Replica) storeSegLocked(seq int, data []byte) {
 	if seq <= r.maxSeq-r.keep {
 		// Already outside the window (a very late fill); do not resurrect.
-		r.evictions.Add(1)
+		r.c.Evictions.Add(1)
 		return
 	}
 	r.segs[seq] = data
@@ -618,7 +559,22 @@ func (r *Replica) evictLocked() {
 	for k := range r.segs {
 		if k <= r.maxSeq-r.keep {
 			delete(r.segs, k)
-			r.evictions.Add(1)
+			r.c.Evictions.Add(1)
+		}
+	}
+	r.sweepNegLocked(r.now())
+}
+
+// sweepNegLocked drops expired negative-cache entries. A lookup only
+// retires the entry of the sequence being asked for again, and the
+// entries are mostly 404s for sequences behind the window that nobody
+// asks for twice: without the sweep (when the window slides and before
+// every insert) a client walking old sequence numbers grows the map by
+// one entry per sequence for as long as the replica lives.
+func (r *Replica) sweepNegLocked(now time.Time) {
+	for k, e := range r.negCache {
+		if !now.Before(e.until) {
+			delete(r.negCache, k)
 		}
 	}
 }
@@ -649,7 +605,7 @@ func (r *Replica) WarmUp() bool {
 		if !r.final {
 			scheduled = r.scheduleRefreshLocked()
 			if scheduled {
-				r.warmups.Add(1)
+				r.c.Warmups.Add(1)
 			}
 		}
 		r.mu.Unlock()
@@ -657,16 +613,16 @@ func (r *Replica) WarmUp() bool {
 	}
 	r.mu.Unlock()
 	accepted := r.enqueue(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), r.fillTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
 		defer cancel()
 		// Cold single-flight playlist fetch; its success path prefetches
 		// every listed segment.
 		r.Playlist(ctx)
 	})
 	if accepted {
-		r.warmups.Add(1)
+		r.c.Warmups.Add(1)
 	} else {
-		r.prefetchDropped.Add(1)
+		r.c.PrefetchDropped.Add(1)
 	}
 	return accepted
 }
@@ -681,7 +637,7 @@ func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 	if r.plRaw != nil {
 		raw, pl := r.plRaw, r.pl
 		if !r.final && r.now().Sub(r.plFetched) > r.ttl {
-			r.staleServes.Add(1)
+			r.c.StaleServes.Add(1)
 			r.scheduleRefreshLocked()
 		}
 		r.mu.Unlock()
@@ -690,7 +646,7 @@ func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 	f := r.plInflight
 	if f != nil {
 		r.mu.Unlock()
-		r.singleFlightHits.Add(1)
+		r.c.SingleFlightHits.Add(1)
 	} else {
 		f = &fillResult{done: make(chan struct{})}
 		r.plInflight = f
@@ -731,15 +687,15 @@ func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 // fetchPlaylist pulls and parses the origin playlist, counting the fill.
 func (r *Replica) fetchPlaylist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 	raw, err := r.src.FetchPlaylist(ctx)
-	r.playlistRefreshes.Add(1)
+	r.c.PlaylistRefreshes.Add(1)
 	if err != nil {
-		r.fillErrors.Add(1)
+		r.c.FillErrors.Add(1)
 		return nil, MediaPlaylist{}, err
 	}
-	r.playlistBytes.Add(int64(len(raw)))
+	r.c.PlaylistBytes.Add(int64(len(raw)))
 	pl, err := ParseMediaPlaylist(raw)
 	if err != nil {
-		r.fillErrors.Add(1)
+		r.c.FillErrors.Add(1)
 		return nil, MediaPlaylist{}, err
 	}
 	return raw, pl, nil
@@ -788,7 +744,7 @@ func (r *Replica) prefetchSegment(seq int) {
 	case r.fillSem <- struct{}{}:
 	default:
 		r.mu.Unlock()
-		r.prefetchDropped.Add(1)
+		r.c.PrefetchDropped.Add(1)
 		return
 	}
 	f := &fillResult{done: make(chan struct{})}
@@ -808,7 +764,7 @@ func (r *Replica) scheduleRefreshLocked() bool {
 	}
 	r.plRefreshing = true
 	accepted := r.enqueue(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), r.fillTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
 		defer cancel()
 		raw, pl, err := r.fetchPlaylist(ctx)
 		r.mu.Lock()
@@ -823,7 +779,7 @@ func (r *Replica) scheduleRefreshLocked() bool {
 	})
 	if !accepted {
 		r.plRefreshing = false
-		r.prefetchDropped.Add(1)
+		r.c.PrefetchDropped.Add(1)
 	}
 	return accepted
 }
@@ -843,7 +799,7 @@ func (r *Replica) prefetch(pl MediaPlaylist) {
 		}
 		accepted := r.enqueue(func() { r.prefetchSegment(seq) })
 		if !accepted {
-			r.prefetchDropped.Add(1)
+			r.c.PrefetchDropped.Add(1)
 		}
 	}
 }

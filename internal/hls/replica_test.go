@@ -337,6 +337,68 @@ func TestNegativeCacheShieldsUpstream(t *testing.T) {
 	}
 }
 
+// TestNegativeCacheIsSwept is the unbounded-map regression: a client
+// walking distinct sequences that all 404 (old sequence numbers on a long
+// broadcast) must not leave one negative entry behind per sequence
+// forever. Entries past NegativeTTL go on the next insert and when the
+// window slides.
+func TestNegativeCacheIsSwept(t *testing.T) {
+	src := newFakeSource()
+	clock := time.Unix(5000, 0)
+	var clockMu sync.Mutex
+	now := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return clock
+	}
+	advance := func(d time.Duration) {
+		clockMu.Lock()
+		clock = clock.Add(d)
+		clockMu.Unlock()
+	}
+	negLen := func(rep *Replica) int {
+		rep.mu.Lock()
+		defer rep.mu.Unlock()
+		return len(rep.negCache)
+	}
+	q := &jobQueue{}
+	rep := NewReplica(ReplicaConfig{
+		Source:       src,
+		Window:       4,
+		Enqueue:      q.enqueue,
+		FillAttempts: 1,
+		NegativeTTL:  time.Second,
+		Now:          now,
+	})
+
+	const walked = 200
+	for seq := 0; seq < walked; seq++ {
+		if _, err := rep.Segment(context.Background(), seq); err == nil {
+			t.Fatalf("segment %d: want 404", seq)
+		}
+	}
+	if got := negLen(rep); got != walked {
+		t.Fatalf("negative entries inside the TTL = %d, want %d", got, walked)
+	}
+	// One more miss past the TTL: the insert sweeps the expired entries.
+	advance(2 * time.Second)
+	if _, err := rep.Segment(context.Background(), walked); err == nil {
+		t.Fatal("want 404")
+	}
+	if got := negLen(rep); got != 1 {
+		t.Errorf("negative entries after the TTL = %d, want 1 (the fresh one)", got)
+	}
+	// With no further miss, the sliding window sweeps the rest.
+	advance(2 * time.Second)
+	src.setSegment(walked+1, bytes.Repeat([]byte{0x47}, 188))
+	if _, err := rep.Segment(context.Background(), walked+1); err != nil {
+		t.Fatal(err)
+	}
+	if got := negLen(rep); got != 0 {
+		t.Errorf("negative entries after the window slid = %d, want 0", got)
+	}
+}
+
 // TestReplicaFillSurvivesInitiatorDisconnect pins the detached-fill
 // property: the viewer whose request started a single-flight fill
 // disconnecting must not fail the fetch for the coalesced waiters.

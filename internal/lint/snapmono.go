@@ -12,13 +12,15 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// SnapMonoAnalyzer enforces the "counters never dip under churn"
-// invariant from PRs 4–7: a counter field that folds into a snapshot
-// aggregate must only ever accumulate. A retired POP, a closed chat
-// room, an unregistered replica all fold their totals into an aggregate
-// precisely so that Service.Snapshot stays monotonic; one stray
-// `c.fills = 0` on teardown silently un-counts history and every
-// monotonicity test downstream starts flaking.
+// SnapMonoAnalyzer enforces the "counters never dip" invariant from
+// PRs 4–7: a counter field that is read into a snapshot must only ever
+// accumulate. The counters live in blocks owned by the longest-lived
+// object that reports them (a POP's hls.FillCounters, the service's
+// delivery counters, a chat server's room counters) and short-lived
+// children count into them, so churn cannot make Service.Snapshot go
+// backwards — but one stray `c.fills = 0` or Store(0) on such a shared
+// block silently un-counts history and every monotonicity test
+// downstream starts flaking.
 //
 // A field is classified as a monotonic counter when all three hold:
 //

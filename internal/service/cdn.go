@@ -224,11 +224,12 @@ type cdnPOP struct {
 
 	mu       sync.RWMutex
 	replicas map[string]popReplica
-	// retired accumulates the cumulative counters of replicas that have
-	// been unregistered (broadcast churn) or replaced (relaunch), so the
-	// POP's snapshot metrics stay monotonic however many broadcasts come
-	// and go. Guarded by mu.
-	retired retiredReplicaStats
+
+	// fills is the POP's cumulative fill counter block. Every replica and
+	// tiered source the POP registers counts into it, so the totals are
+	// monotonic across broadcast churn and relaunch by construction, and
+	// steering reads them without touching a replica.
+	fills hls.FillCounters
 
 	// Requests and Bytes count traffic served to viewers. PeerRequests
 	// counts probes arriving from peer POPs, PeerServes the ones answered
@@ -239,40 +240,6 @@ type cdnPOP struct {
 	PeerRequests atomic.Int64
 	PeerServes   atomic.Int64
 	PeerBytesOut atomic.Int64
-}
-
-// retiredReplicaStats holds the counter-typed (not gauge-typed) fields of
-// departed replicas' stats.
-type retiredReplicaStats struct {
-	fills, fillBytes, fillErrors, singleFlightHits    int64
-	peerFills, peerFillBytes, peerMisses, originFills int64
-	warmups, fillCapWaits                             int64
-	playlistRefreshes, staleServes, evictions         int64
-	fillRetries, negativeHits, peerSkips              int64
-}
-
-// foldRetiredLocked absorbs a departing replica's counters (caller holds
-// p.mu).
-func (p *cdnPOP) foldRetiredLocked(e popReplica) {
-	rs := e.rep.Stats()
-	ts := e.src.Stats()
-	r := &p.retired
-	r.fills += rs.Fills
-	r.fillBytes += rs.FillBytes
-	r.fillErrors += rs.FillErrors
-	r.singleFlightHits += rs.SingleFlightHits
-	r.warmups += rs.Warmups
-	r.fillCapWaits += rs.FillCapWaits
-	r.playlistRefreshes += rs.PlaylistRefreshes
-	r.staleServes += rs.StaleServes
-	r.evictions += rs.Evictions
-	r.peerFills += ts.PeerFills
-	r.peerFillBytes += ts.PeerFillBytes
-	r.peerMisses += ts.PeerMisses
-	r.peerSkips += ts.PeerSkips
-	r.originFills += ts.OriginFills
-	r.fillRetries += rs.FillRetries
-	r.negativeHits += rs.NegativeHits
 }
 
 // popPeer is one fill candidate of a POP: a peer POP, the shaped link to
@@ -287,12 +254,10 @@ type popPeer struct {
 
 // popReplica pairs an edge replica with the origin segmenter it was
 // registered for, so conditional unregistration (end-linger timers) can
-// tell an ended broadcast's replica from a re-registered live one, and
-// with its tiered fill source for the peer/origin split in stats.
+// tell an ended broadcast's replica from a re-registered live one.
 type popReplica struct {
 	seg *hls.Segmenter
 	rep *hls.Replica
-	src *hls.TieredSource
 }
 
 // POPHealth is the steering-facing health state of one POP.
@@ -365,8 +330,9 @@ func (t *healthTracker) sample(now time.Time, fills, errors int64) float64 {
 
 // health classifies the POP for steering: blackholed is down; an open or
 // probing origin breaker, or a high windowed fill error rate, is
-// degraded. Breaker state is a pair of atomic loads, so the demand-path
-// steering check is cheap.
+// degraded. Breaker state and the fill totals are a few atomic loads and
+// the sampler's own mutex — no POP lock, no replica — so the demand-path
+// steering check costs the same however many broadcasts the POP carries.
 func (p *cdnPOP) health() POPHealth {
 	if p.blackhole.Load() {
 		return HealthDown
@@ -380,18 +346,9 @@ func (p *cdnPOP) health() POPHealth {
 	return HealthOK
 }
 
-// fillErrorRate samples the POP-wide windowed fill error rate across
-// live and retired replicas.
+// fillErrorRate samples the POP-wide windowed fill error rate.
 func (p *cdnPOP) fillErrorRate() float64 {
-	p.mu.RLock()
-	fills, errs := p.retired.fills, p.retired.fillErrors
-	for _, e := range p.replicas {
-		rs := e.rep.Stats()
-		fills += rs.Fills
-		errs += rs.FillErrors
-	}
-	p.mu.RUnlock()
-	return p.healthT.sample(time.Now(), fills, errs)
+	return p.healthT.sample(time.Now(), p.fills.Fills.Load(), p.fills.FillErrors.Load())
 }
 
 func newCDNPOP(svc *Service, index int, region geo.Region) (*cdnPOP, error) {
@@ -420,17 +377,13 @@ func (p *cdnPOP) baseURL() string { return "http://" + p.ln.Addr().String() }
 // Re-registering the same segmenter keeps the warm replica; a different
 // segmenter (broadcast re-went live during a linger) replaces it with a
 // cold one. The replica's cache window and playlist TTL derive from the
-// origin segmenter's parameters; its fill concurrency cap from the
-// service config.
+// origin segmenter's parameters; its fill concurrency cap is the hls
+// default.
 func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if cur, ok := p.replicas[id]; ok {
-		if cur.seg == seg {
-			return
-		}
-		// Replacing an ended replica (relaunch): keep its counters.
-		p.foldRetiredLocked(cur)
+	if cur, ok := p.replicas[id]; ok && cur.seg == seg {
+		return
 	}
 	// Every upstream is gated by the breaker of its link: a dead origin
 	// path or peer trips once per POP and every broadcast's fills skip it
@@ -439,7 +392,7 @@ func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 	if p.originBreaker != nil {
 		origin = &hls.BreakerSource{Source: origin, Breaker: p.originBreaker}
 	}
-	src := &hls.TieredSource{Origin: origin}
+	src := &hls.TieredSource{Origin: origin, Counters: &p.fills}
 	for _, pr := range p.peers {
 		var peer hls.SegmentSource = &hls.FillClient{BaseURL: pr.pop.baseURL() + "/peer/" + id, HTTP: pr.client}
 		if pr.breaker != nil {
@@ -449,13 +402,13 @@ func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 	}
 	p.replicas[id] = popReplica{
 		seg: seg,
-		src: src,
 		rep: hls.NewReplica(hls.ReplicaConfig{
 			Source:         src,
 			Window:         seg.WindowSize(),
 			TargetDuration: seg.Target(),
 			FillAttempts:   p.svc.cfg.CDNFillAttempts,
 			Enqueue:        p.fill.Enqueue,
+			Counters:       &p.fills,
 		}),
 	}
 }
@@ -490,14 +443,11 @@ func (p *cdnPOP) isClusterAnchor() bool {
 }
 
 // unregister drops the broadcast's replica (and its cached segments) —
-// but only if it still serves seg; nil unregisters unconditionally. The
-// replica's counters fold into the POP's retired aggregate so snapshot
-// metrics stay cumulative across broadcast churn.
+// but only if it still serves seg; nil unregisters unconditionally.
 func (p *cdnPOP) unregister(id string, seg *hls.Segmenter) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cur, ok := p.replicas[id]; ok && (seg == nil || cur.seg == seg) {
-		p.foldRetiredLocked(cur)
 		delete(p.replicas, id)
 	}
 }
@@ -615,18 +565,23 @@ func (s *Service) SetPOPOriginFault(i int, p netem.FaultProfile) {
 	}
 }
 
-// stats aggregates the POP's counters and its replicas' fill metrics.
+// stats reads the POP's counters; only the gauges (cache occupancy,
+// playlist lag) walk the replicas.
 func (p *cdnPOP) stats() POPSnapshot {
 	st := POPSnapshot{
-		Index:        p.index,
-		Region:       p.region.Name,
-		Requests:     p.Requests.Load(),
-		Bytes:        p.Bytes.Load(),
-		PeerRequests: p.PeerRequests.Load(),
-		PeerServes:   p.PeerServes.Load(),
-		PeerBytesOut: p.PeerBytesOut.Load(),
-		Health:       p.health().String(),
-		Reroutes:     p.reroutes.Load(),
+		FillStats:        p.fills.Load(),
+		Index:            p.index,
+		Region:           p.region.Name,
+		Requests:         p.Requests.Load(),
+		Bytes:            p.Bytes.Load(),
+		PeerRequests:     p.PeerRequests.Load(),
+		PeerServes:       p.PeerServes.Load(),
+		PeerBytesOut:     p.PeerBytesOut.Load(),
+		Health:           p.health().String(),
+		FillErrorRate:    p.fillErrorRate(),
+		Reroutes:         p.reroutes.Load(),
+		FillCap:          hls.DefaultFillConcurrency,
+		FillQueueDropped: p.fill.Dropped.Load(),
 	}
 	if p.originBreaker != nil {
 		st.OriginBreaker = p.originBreaker.State().String()
@@ -643,64 +598,14 @@ func (p *cdnPOP) stats() POPSnapshot {
 			st.PeerBreakersOpen++
 		}
 	}
-	st.FillErrorRate = p.fillErrorRate()
 	p.mu.RLock()
-	entries := make([]popReplica, 0, len(p.replicas))
+	st.Broadcasts = len(p.replicas)
 	for _, e := range p.replicas {
-		entries = append(entries, e)
-	}
-	// Departed replicas' counters: churned broadcasts must not make the
-	// cumulative fill metrics dip.
-	ret := p.retired
-	p.mu.RUnlock()
-	st.Fills = ret.fills
-	st.FillBytes = ret.fillBytes
-	st.FillErrors = ret.fillErrors
-	st.SingleFlightHits = ret.singleFlightHits
-	st.Warmups = ret.warmups
-	st.FillCapWaits = ret.fillCapWaits
-	st.PlaylistRefreshes = ret.playlistRefreshes
-	st.StaleServes = ret.staleServes
-	st.Evictions = ret.evictions
-	st.PeerFills = ret.peerFills
-	st.PeerFillBytes = ret.peerFillBytes
-	st.PeerMisses = ret.peerMisses
-	st.PeerSkips = ret.peerSkips
-	st.OriginFills = ret.originFills
-	st.FillRetries = ret.fillRetries
-	st.NegativeHits = ret.negativeHits
-	st.Broadcasts = len(entries)
-	st.FillQueueDropped = p.fill.Dropped.Load()
-	for _, e := range entries {
 		rs := e.rep.Stats()
-		st.Fills += rs.Fills
-		st.FillBytes += rs.FillBytes
-		st.FillErrors += rs.FillErrors
-		st.SingleFlightHits += rs.SingleFlightHits
-		st.PlaylistRefreshes += rs.PlaylistRefreshes
-		st.StaleServes += rs.StaleServes
-		st.Evictions += rs.Evictions
 		st.CachedSegments += rs.CachedSegments
-		st.Warmups += rs.Warmups
-		st.FillCapWaits += rs.FillCapWaits
-		if rs.FillCap > st.FillCap {
-			st.FillCap = rs.FillCap
-		}
-		if rs.PlaylistAge > st.MaxPlaylistAge {
-			st.MaxPlaylistAge = rs.PlaylistAge
-		}
-		st.FillRetries += rs.FillRetries
-		st.NegativeHits += rs.NegativeHits
-		ts := e.src.Stats()
-		st.PeerFills += ts.PeerFills
-		st.PeerFillBytes += ts.PeerFillBytes
-		st.PeerMisses += ts.PeerMisses
-		st.PeerSkips += ts.PeerSkips
-		st.OriginFills += ts.OriginFills
+		st.MaxPlaylistAge = max(st.MaxPlaylistAge, rs.PlaylistAge)
 	}
-	if st.FillCap == 0 {
-		st.FillCap = hls.DefaultFillConcurrency
-	}
+	p.mu.RUnlock()
 	return st
 }
 

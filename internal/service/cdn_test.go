@@ -405,12 +405,10 @@ func TestSnapshotSurfacesFillAndDeliveryMetrics(t *testing.T) {
 	rec = httptest.NewRecorder()
 	pop.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/hls/cast/"+pl.Segments[0].URI, nil))
 
-	// Fold in some fan-out counters via the ended-hub aggregate.
-	var c deliveryCounters
-	c.drops.Add(7)
-	c.resyncs.Add(3)
-	c.hopeless.Add(1)
-	svc.endedDelivery.add(&c)
+	// Seed the service-owned block every hub counts into.
+	svc.delivery.drops.Add(7)
+	svc.delivery.resyncs.Add(3)
+	svc.delivery.hopeless.Add(1)
 
 	snap := svc.Snapshot()
 	if snap.Origin.Broadcasts != 1 || snap.Origin.SegmentRequests == 0 {

@@ -1,16 +1,49 @@
 package service
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"periscope/internal/api"
 	"periscope/internal/chat"
+	"periscope/internal/websocket"
 )
 
+// slowCloseMember is a chat member whose Close parks until released: it
+// holds the room's teardown open between "unlisted at the server" and
+// "closed", the window in which a fold-on-close aggregate used to show
+// the room's counters in neither place.
+type slowCloseMember struct {
+	once             sync.Once
+	closing, release chan struct{}
+}
+
+func (m *slowCloseMember) WritePrepared(*websocket.PreparedMessage) error { return nil }
+
+func (m *slowCloseMember) Close() error {
+	m.once.Do(func() { close(m.closing) })
+	<-m.release
+	return nil
+}
+
+// chatCounterDips lists the cumulative chat.Stats fields (the int64 ones;
+// gauges are ints) that read lower in after than in before.
+func chatCounterDips(before, after chat.Stats) []string {
+	var dips []string
+	b, a := reflect.ValueOf(before), reflect.ValueOf(after)
+	for i := 0; i < b.NumField(); i++ {
+		if b.Field(i).Kind() == reflect.Int64 && a.Field(i).Int() < b.Field(i).Int() {
+			dips = append(dips, b.Type().Field(i).Name)
+		}
+	}
+	return dips
+}
+
 // TestEndBroadcastClosesChatRoom is the chat-room leak regression: ending
-// a broadcast must close its room (no linger here) and fold the room's
-// counters into the chat server aggregate, monotonically.
+// a broadcast must close its room (no linger here), and the chat counters
+// must read monotonically before, during and after the close.
 func TestEndBroadcastClosesChatRoom(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PopConfig.TargetConcurrent = 120
@@ -31,6 +64,10 @@ func TestEndBroadcastClosesChatRoom(t *testing.T) {
 	if room == nil {
 		t.Fatal("no chat room after AccessVideo")
 	}
+	slow := &slowCloseMember{closing: make(chan struct{}), release: make(chan struct{})}
+	if _, ok := room.Join(slow); !ok {
+		t.Fatal("join refused")
+	}
 	room.Heart(9)
 	room.Broadcast(chat.Message{User: "u", Text: "pre-end"})
 	before := svc.Snapshot().Chat
@@ -38,7 +75,19 @@ func TestEndBroadcastClosesChatRoom(t *testing.T) {
 		t.Fatalf("chat snapshot shows no rooms before end: %+v", before)
 	}
 
-	svc.EndBroadcast(b.ID)
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		svc.EndBroadcast(b.ID)
+	}()
+	// The room is unlisted and mid-Close, held there by the slow member.
+	<-slow.closing
+	during := svc.Snapshot().Chat
+	close(slow.release)
+	<-ended
+	if dips := chatCounterDips(before, during); len(dips) > 0 {
+		t.Errorf("chat counters %v dipped while the room was closing:\nbefore %+v\nduring %+v", dips, before, during)
+	}
 
 	if svc.Chat.Lookup(b.ID) != nil {
 		t.Error("chat room still registered after EndBroadcast with no linger")
@@ -48,11 +97,10 @@ func TestEndBroadcastClosesChatRoom(t *testing.T) {
 		t.Errorf("RoomsClosed = %d, want %d", after.RoomsClosed, before.RoomsClosed+1)
 	}
 	if after.HeartTaps < 9 {
-		t.Errorf("room's heart taps lost in the fold: HeartTaps = %d", after.HeartTaps)
+		t.Errorf("room's heart taps lost with the room: HeartTaps = %d", after.HeartTaps)
 	}
-	if after.MessagesIn < before.MessagesIn || after.MembersJoined < before.MembersJoined ||
-		after.HeartTaps < before.HeartTaps {
-		t.Errorf("chat counters dipped across room close:\nbefore %+v\nafter  %+v", before, after)
+	if dips := chatCounterDips(during, after); len(dips) > 0 {
+		t.Errorf("chat counters %v dipped across room close:\nduring %+v\nafter  %+v", dips, during, after)
 	}
 }
 

@@ -80,7 +80,7 @@ func interframeTag(size int) []byte {
 }
 
 func benchHub() *hub {
-	return newHub(nil, &broadcastmodel.Broadcast{ID: "bench"})
+	return newHub(&Service{}, &broadcastmodel.Broadcast{ID: "bench"})
 }
 
 // pushMedia feeds one tag through the hub the way the ingest read loop
@@ -148,7 +148,7 @@ func TestSlowViewerDoesNotStallOthers(t *testing.T) {
 // queue/drop/eviction arithmetic itself is pinned deterministically in
 // internal/fanout.)
 func TestHopelessViewerClosedOnce(t *testing.T) {
-	h := newFanoutHub(nil, &broadcastmodel.Broadcast{ID: "hopeless"}, 1)
+	h := newFanoutHub(&Service{}, &broadcastmodel.Broadcast{ID: "hopeless"}, 1)
 	defer h.stop()
 
 	stalled := &stallConn{unblock: make(chan struct{})}
@@ -223,7 +223,7 @@ func (v *pipeViewer) readUntil(t *testing.T, ts uint32) []rtmp.Message {
 // before a keyframe, and after drops the headers are re-sent ahead of the
 // keyframe that restarts playback.
 func TestKeyframeResyncAcrossShards(t *testing.T) {
-	h := newFanoutHub(nil, &broadcastmodel.Broadcast{ID: "resync"}, 4)
+	h := newFanoutHub(&Service{}, &broadcastmodel.Broadcast{ID: "resync"}, 4)
 	defer h.stop()
 	hd := &seqHeaders{video: keyframeTag(16), audio: []byte{0xAF, 0x00}}
 	h.seqHdrs.Store(hd)
@@ -302,7 +302,7 @@ func TestKeyframeResyncAcrossShards(t *testing.T) {
 // workers. Run under -race it validates the locking of the shard viewer
 // lists and the payload refcount handoffs.
 func TestViewerChurnDuringShardedFanout(t *testing.T) {
-	h := newFanoutHub(nil, &broadcastmodel.Broadcast{ID: "churn"}, 4)
+	h := newFanoutHub(&Service{}, &broadcastmodel.Broadcast{ID: "churn"}, 4)
 	h.seqHdrs.Store(&seqHeaders{video: keyframeTag(16), audio: []byte{0xAF, 0x00}})
 
 	stop := make(chan struct{})

@@ -194,10 +194,14 @@ func sendMedia(c *rtmp.ServerConn, m outMsg) error {
 	return c.SendVideo(m.timestamp, m.payload)
 }
 
-// done drops the shard's payload reference and accounts its drops.
+// done drops the shard's payload reference and accounts its drops. The
+// block is service-wide, so the common no-drop batch must not write it:
+// every shard of every broadcast would bounce one cache line per message.
 func (h *hub) done(d shardMsg, t fanout.Tally) {
 	d.sp.Release()
-	h.stats.drops.Add(int64(t.Dropped))
+	if t.Dropped != 0 {
+		h.stats.drops.Add(int64(t.Dropped))
+	}
 }
 
 // seqHeaders is an immutable snapshot of the cached FLV sequence headers,
@@ -293,10 +297,9 @@ type hub struct {
 	// an empty window, so there was nothing to prefetch yet.
 	warmedWindow atomic.Bool
 
-	// stats are the shard-level delivery counters (drops, resyncs,
-	// hopeless disconnects), folded into the service aggregate when the
-	// broadcast ends.
-	stats deliveryCounters
+	// stats is the service's block of shard-level delivery counters
+	// (drops, resyncs, hopeless disconnects).
+	stats *deliveryCounters
 
 	mu      sync.Mutex
 	stopCh  chan struct{}
@@ -311,7 +314,7 @@ func newHub(s *Service, b *broadcastmodel.Broadcast) *hub {
 
 // newFanoutHub builds a hub with an explicit shard count.
 func newFanoutHub(s *Service, b *broadcastmodel.Broadcast, shards int) *hub {
-	h := &hub{svc: s, b: b, stopCh: make(chan struct{})}
+	h := &hub{svc: s, b: b, stats: &s.delivery, stopCh: make(chan struct{})}
 	h.fan = fanout.New(shards, shardQueueDepth, viewerQueueDepth, viewerMaxDrops,
 		fanout.Hooks[*rtmp.ServerConn, viewer, shardMsg, outMsg]{
 			Share:   func(d shardMsg) { d.sp.Retain() },

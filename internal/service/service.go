@@ -137,9 +137,9 @@ type Service struct {
 	churnStop chan struct{}
 	churnDone chan struct{}
 
-	// endedDelivery accumulates the shard-level fan-out counters of hubs
-	// whose broadcasts have ended, so the snapshot stays cumulative.
-	endedDelivery deliveryCounters
+	// delivery is the service-lifetime block of fan-out counters every hub
+	// counts into.
+	delivery deliveryCounters
 
 	// mu guards hubs and done. It is an RWMutex because hubFor runs on
 	// every media message: routing takes the read side only, so it never
@@ -147,11 +147,7 @@ type Service struct {
 	// writes (hub creation, shutdown).
 	mu   sync.RWMutex
 	hubs map[string]*hub // broadcast ID -> live pipeline
-	// ending holds hubs removed from hubs but whose delivery counters are
-	// not yet folded into endedDelivery (EndBroadcast's stop window), so
-	// Snapshot neither misses nor double-counts them.
-	ending map[*hub]struct{}
-	done   bool
+	done bool
 
 	// timerMu guards the pending CDN unregister timers (broadcast-end
 	// linger); a fired timer removes its own entry, Close stops the rest.
@@ -377,7 +373,7 @@ func (s *Service) Close() {
 		s.chatHTTP.Close()
 	}
 	// Linger timers are already stopped, so no deferred room close will
-	// fire: close every room (and fold its counters) here.
+	// fire: close every room here.
 	if s.Chat != nil {
 		s.Chat.Close()
 	}
@@ -385,36 +381,22 @@ func (s *Service) Close() {
 
 // EndBroadcast ends a live broadcast's pipeline: the hub stops (finishing
 // the segmenter, so origin and edge playlists go final with
-// #EXT-X-ENDLIST), its fan-out counters fold into the service aggregate,
-// and — after CDNUnregisterLinger, so current viewers can fetch the final
-// playlist and drain the last window — the broadcast is unregistered from
-// the origin tier and every POP, and its chat room closes (folding its
-// interaction counters into the chat server aggregate). Without this,
-// ended broadcasts would pin their segmenters in the CDN maps — and their
-// chat rooms in the chat server — forever.
+// #EXT-X-ENDLIST) and — after CDNUnregisterLinger, so current viewers can
+// fetch the final playlist and drain the last window — the broadcast is
+// unregistered from the origin tier and every POP, and its chat room
+// closes. Without this, ended broadcasts would pin their segmenters in
+// the CDN maps — and their chat rooms in the chat server — forever. The
+// hub, the replicas and the room all count into blocks their parents own,
+// so nothing is copied on the way out.
 func (s *Service) EndBroadcast(id string) {
 	s.mu.Lock()
 	h := s.hubs[id]
 	delete(s.hubs, id)
-	if h != nil {
-		// Park the hub in the ending set until its counters have settled:
-		// Snapshot reads hubs, ending, and endedDelivery under one lock,
-		// so the cumulative counters neither dip nor double-count across
-		// the stop window.
-		if s.ending == nil {
-			s.ending = map[*hub]struct{}{}
-		}
-		s.ending[h] = struct{}{}
-	}
 	s.mu.Unlock()
 	if h == nil {
 		return
 	}
 	h.stop()
-	s.mu.Lock()
-	s.endedDelivery.add(&h.stats)
-	delete(s.ending, h)
-	s.mu.Unlock()
 	// Chat-room teardown rides the same linger as CDN unregistration, so
 	// viewers draining the final window can keep chatting. BeginClose marks
 	// the room ending; a relaunch during the linger (AccessVideo reusing
@@ -525,11 +507,15 @@ func (s *Service) AccessVideo(id string) (api.AccessVideoResponse, error) {
 // the preferred POP — "viewers steered away from here".
 func (s *Service) selectPOP(id string) *cdnPOP {
 	preferred := s.cdn[int(fnv32(id))%len(s.cdn)]
-	if len(s.cdn) == 1 || preferred.health() == HealthOK {
+	if len(s.cdn) == 1 {
+		return preferred
+	}
+	health := preferred.health()
+	if health == HealthOK {
 		return preferred
 	}
 	var degraded *cdnPOP
-	if preferred.health() == HealthDegraded {
+	if health == HealthDegraded {
 		// A degraded POP keeps its viewers unless someone healthy exists:
 		// locality still beats a farther degraded edge.
 		degraded = preferred

@@ -5,23 +5,17 @@ import (
 	"time"
 
 	"periscope/internal/chat"
+	"periscope/internal/hls"
 )
 
-// deliveryCounters are the shard-level fan-out metrics of one hub: how
-// often the drop-oldest policy fired, how many keyframe resyncs it forced,
-// and how many hopeless viewers were disconnected.
+// deliveryCounters are the shard-level fan-out metrics: how often the
+// drop-oldest policy fired, how many keyframe resyncs it forced, and how
+// many hopeless viewers were disconnected. The Service owns the block and
+// every hub counts into it, so the totals outlive the broadcasts.
 type deliveryCounters struct {
 	drops    atomic.Int64
 	resyncs  atomic.Int64
 	hopeless atomic.Int64
-}
-
-// add accumulates other into c (used when an ended hub's totals fold into
-// the service-lifetime aggregate).
-func (c *deliveryCounters) add(other *deliveryCounters) {
-	c.drops.Add(other.drops.Load())
-	c.resyncs.Add(other.resyncs.Load())
-	c.hopeless.Add(other.hopeless.Load())
 }
 
 // DeliverySnapshot aggregates the RTMP fan-out plane across all hubs that
@@ -65,17 +59,11 @@ type POPSnapshot struct {
 	// Broadcasts is the number of registered replicas; CachedSegments the
 	// total edge cache occupancy across them.
 	Broadcasts, CachedSegments int
-	// Fills counts upstream segment fetches (peer or origin), FillBytes
-	// their volume, FillErrors the failed ones. SingleFlightHits counts
-	// viewer requests that coalesced onto an in-flight fill instead of
-	// going upstream.
-	Fills, FillBytes, FillErrors, SingleFlightHits int64
-	// PeerFills counts segments this POP obtained from a nearer peer
-	// instead of the origin (the origin-offload path), PeerFillBytes
-	// their volume, PeerMisses the peer probes that came back empty;
-	// PeerSkips the probes answered in O(1) by an open peer breaker;
-	// OriginFills the fetches that fell through to the origin.
-	PeerFills, PeerFillBytes, PeerMisses, PeerSkips, OriginFills int64
+	// FillStats are the POP's cumulative fill counters (upstream fetches
+	// split by peer/origin, coalesced requests, playlist revalidations and
+	// stale serves, evictions, warm-ups, retries, negative hits), counted
+	// by every replica the POP has ever carried.
+	hls.FillStats
 	// Health is the POP's steering state ("ok", "degraded", "down");
 	// FillErrorRate the windowed fill error rate behind it.
 	Health        string
@@ -89,28 +77,19 @@ type POPSnapshot struct {
 	PeerBreakersOpen int
 	BreakerTrips     int64
 	BreakerRejects   int64
-	// FillRetries counts extra upstream attempts spent recovering
-	// transient fill failures; NegativeHits requests answered from the
-	// negative cache; Reroutes viewers steered away because this
-	// (hash-preferred) POP was unhealthy.
-	FillRetries, NegativeHits, Reroutes int64
+	// Reroutes counts viewers steered away because this (hash-preferred)
+	// POP was unhealthy.
+	Reroutes int64
 	// PeerRequests counts fill probes arriving from peer POPs, PeerServes
 	// the ones answered from cache, PeerBytesOut their volume — this
 	// POP's contribution as a fill source for its cluster.
 	PeerRequests, PeerServes, PeerBytesOut int64
-	// Warmups counts promotion warm-ups scheduled on this POP's replicas.
-	Warmups int64
-	// FillCapWaits counts demand fills that queued on a broadcast's fill
-	// concurrency cap (FillCap, the configured per-broadcast limit): a
-	// saturated cap is observable here, not silent.
-	FillCapWaits int64
-	FillCap      int
-	// PlaylistRefreshes counts origin playlist fetches; StaleServes the
-	// playlist responses served past the TTL while revalidating
-	// (stale-while-revalidate); Evictions the segments aged out of the
-	// sliding edge cache; FillQueueDropped the background jobs rejected by
-	// the POP's fill queue.
-	PlaylistRefreshes, StaleServes, Evictions, FillQueueDropped int64
+	// FillCap is the per-broadcast fill concurrency limit FillCapWaits
+	// queues on: a saturated cap is observable, not silent.
+	FillCap int
+	// FillQueueDropped counts the background jobs rejected by the POP's
+	// fill queue.
+	FillQueueDropped int64
 	// MaxPlaylistAge is the oldest live playlist currently cached at this
 	// edge — the POP's worst-case playlist lag at snapshot time.
 	MaxPlaylistAge time.Duration
@@ -130,28 +109,15 @@ type Snapshot struct {
 func (s *Service) Snapshot() Snapshot {
 	var snap Snapshot
 
-	// One critical section for the fan-out counters: EndBroadcast moves a
-	// hub from hubs → ending → endedDelivery under the write lock, so
-	// reading all three together keeps the cumulative counters monotonic
-	// (no dip while a hub stops, no double count after the fold).
 	s.mu.RLock()
 	snap.Delivery.LiveHubs = len(s.hubs)
-	snap.Delivery.Drops = s.endedDelivery.drops.Load()
-	snap.Delivery.Resyncs = s.endedDelivery.resyncs.Load()
-	snap.Delivery.HopelessDisconnects = s.endedDelivery.hopeless.Load()
-	addHub := func(h *hub) {
-		snap.Delivery.Viewers += h.ViewerCount()
-		snap.Delivery.Drops += h.stats.drops.Load()
-		snap.Delivery.Resyncs += h.stats.resyncs.Load()
-		snap.Delivery.HopelessDisconnects += h.stats.hopeless.Load()
-	}
 	for _, h := range s.hubs {
-		addHub(h)
-	}
-	for h := range s.ending {
-		addHub(h)
+		snap.Delivery.Viewers += h.ViewerCount()
 	}
 	s.mu.RUnlock()
+	snap.Delivery.Drops = s.delivery.drops.Load()
+	snap.Delivery.Resyncs = s.delivery.resyncs.Load()
+	snap.Delivery.HopelessDisconnects = s.delivery.hopeless.Load()
 
 	if s.origin != nil {
 		live, replays := s.origin.counts()

@@ -322,9 +322,24 @@ func TestPromotionWarmsClusterAnchorsOnly(t *testing.T) {
 	}
 }
 
-// TestSnapshotFillCountersSurviveUnregister: a churned broadcast's fill
-// and peer counters fold into the POP's retired aggregate, so cumulative
-// snapshot metrics never dip as broadcasts come and go.
+// gatedTransport parks every request at a gate: entered gets one token
+// per request that arrived, release lets them all through.
+type gatedTransport struct {
+	http.RoundTripper
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.RoundTripper.RoundTrip(req)
+}
+
+// TestSnapshotFillCountersSurviveUnregister: replicas count into their
+// POP's block, so cumulative snapshot metrics never dip as broadcasts
+// come and go — and a fill still in flight when its replica is
+// unregistered is counted when it lands, not lost with the replica.
 func TestSnapshotFillCountersSurviveUnregister(t *testing.T) {
 	svc, pops := newTestTopology(t, "us-west", "us-west")
 	seg := buildSegments(6*time.Second, 800*time.Millisecond, 0, true)
@@ -353,6 +368,75 @@ func TestSnapshotFillCountersSurviveUnregister(t *testing.T) {
 	}
 	if after0.Broadcasts != 0 || after0.CachedSegments != 0 {
 		t.Errorf("gauges should drop with the replica: %+v", after0)
+	}
+
+	// Unregister with a fill in flight: hold the anchor's origin fetch at
+	// a gate, drop the replica, then let the fetch complete.
+	gate := gatedTransport{
+		RoundTripper: pops[0].originHTTP.Transport,
+		entered:      make(chan struct{}, 1),
+		release:      make(chan struct{}),
+	}
+	t.Cleanup(pops[0].originHTTP.CloseIdleConnections) // the wrapper hides it from pop.close
+	pops[0].originHTTP = &http.Client{Transport: gate}
+	pops[0].register("cast", seg)
+	fetched := make(chan *httptest.ResponseRecorder)
+	go func() {
+		rec := httptest.NewRecorder()
+		pops[0].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/hls/cast/"+pl.Segments[1].URI, nil))
+		fetched <- rec
+	}()
+	<-gate.entered
+	pops[0].unregister("cast", nil)
+	close(gate.release)
+	rec := <-fetched
+	if rec.Code != http.StatusOK {
+		t.Fatalf("segment status %d", rec.Code)
+	}
+	late := pops[0].stats()
+	if late.Fills != after0.Fills+1 || late.FillBytes != after0.FillBytes+int64(rec.Body.Len()) {
+		t.Errorf("fill in flight at unregister lost: fills %d → %d, fill bytes %d → %d (segment is %d bytes)",
+			after0.Fills, late.Fills, after0.FillBytes, late.FillBytes, rec.Body.Len())
+	}
+}
+
+// TestSteeringTouchesNoReplica pins the O(1) health check: selectPOP and
+// POPHealthStates read each POP's own counter block and sampler, so they
+// complete with every POP's replica map write-locked — they cannot be
+// taking the POP lock or walking the replicas, however many there are.
+func TestSteeringTouchesNoReplica(t *testing.T) {
+	svc, pops := newTestTopology(t, "us-west", "us-west", "eu-west")
+	seg := buildSegments(2*time.Second, 800*time.Millisecond, 0, true)
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("cast-%d", i)
+		pops[0].register(ids[i], seg)
+	}
+	// Degrade one POP so steering walks a failover order too.
+	pops[1].blackhole.Store(true)
+
+	for _, pop := range pops {
+		pop.mu.Lock()
+	}
+	steered := make(chan struct{})
+	go func() {
+		defer close(steered)
+		for _, id := range ids {
+			svc.selectPOP(id)
+		}
+		svc.POPHealthStates()
+	}()
+	select {
+	case <-steered:
+	case <-time.After(5 * time.Second):
+		t.Error("steering blocked on a POP lock: health() is not O(1)")
+	}
+	for _, pop := range pops {
+		pop.mu.Unlock()
+	}
+	<-steered
+	if got := pops[1].reroutes.Load(); got == 0 {
+		t.Error("no viewer was steered off the blackholed POP: the failover walk never ran")
 	}
 }
 
