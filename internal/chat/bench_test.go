@@ -70,8 +70,8 @@ func BenchmarkChatRoomBroadcast(b *testing.B) {
 			r := benchRoom(b, members)
 			defer r.Close()
 			m := Message{User: "user0001", Text: "hello from finland!", SentUnixNano: 1}
-			// Warm-up: the first broadcasts pay for member-goroutine
-			// start-up; steady state is what the gate tracks.
+			// Warm-up: the first broadcast starts the shards' writers;
+			// steady state is what the gate tracks.
 			for i := 0; i < 3; i++ {
 				r.Broadcast(m)
 			}

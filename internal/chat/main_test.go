@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain enforces the runtime half of the gostop contract: room
-// shards, control loops, generators and member writers must all exit
+// shards, control loops, generators and shard writers must all exit
 // when their room closes.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)

@@ -5,10 +5,14 @@
 // A publisher hands one descriptor to each of K shard workers, so its
 // inline cost is O(shards), not O(members). Each worker walks its disjoint
 // subset of members and offers every admitted member a queue item on a
-// bounded async queue drained by that member's own writer goroutine: a slow
-// or stalled socket never blocks its shard-mates. A full queue drops its
-// oldest item (drop-oldest never blocks), and a member penalised that way
-// too often is hopeless — evicted exactly once. What differs between the
+// bounded ring. A member with something to send waits on its shard's ready
+// queue for one of a small elastic pool of writers, so a message wakes
+// O(writers) goroutines, not O(members), and goroutines do not scale with
+// the audience. When members wait and no writer has come back for one
+// within stallAfter, the shard adds a writer: a slow or stalled socket
+// holds one writer, never its shard-mates. A full ring drops its oldest
+// item (drop-oldest never blocks), and a member penalised that way too
+// often is hopeless — evicted exactly once. What differs between the
 // planes (which members see a message, what a queue slot holds, how it is
 // written and released) is supplied as Hooks bound at construction; nothing
 // here knows which plane it serves.
@@ -19,11 +23,13 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Hooks are the plane-specific halves of delivery. All six are required.
-// Admit and Discard can run under a shard lock and must not block or call
-// back into the Group; the others run with no lock held.
+// Admit and Discard can run under a shard lock (Discard under a member's
+// too) and must not block or call back into the Group; the others run with
+// no lock held.
 type Hooks[K Conn, S, D, Q any] struct {
 	// Share is called once for each shard a published descriptor is handed
 	// to, before the handoff; Done is called exactly once for each Share
@@ -38,9 +44,10 @@ type Hooks[K Conn, S, D, Q any] struct {
 	// ok=false skips the member. It owns m.State and may m.Push items that
 	// must precede the returned one.
 	Admit func(m *Member[K, S, Q], d D) (q Q, ok bool)
-	// Send writes one item to the member's connection from its writer
-	// goroutine and consumes the item. An error closes the connection and
-	// ends the writer; the owner's read side then notices and Removes it.
+	// Send writes one item to the member's connection from a shard writer
+	// and consumes the item; at most one Send runs for a member at a time,
+	// in queue order. An error closes the connection and retires the
+	// member's queue; the owner's read side then notices and Removes it.
 	Send func(key K, q Q) error
 	// Discard consumes an item that will never be sent (dropped as oldest,
 	// or still queued when its member detached). Every queued item goes to
@@ -66,6 +73,14 @@ type Tally struct {
 	Dropped  int // drop-oldest penalties among the admitted
 }
 
+// A member is owned by at most one party at a time, which is what keeps
+// Send single-threaded and in order per member without a goroutine each.
+const (
+	idle    uint8 = iota // nothing queued, on no chain
+	ready                // items queued, chained for a writer
+	sending              // a writer is draining it; new items need no wakeup
+)
+
 // Member is one attached connection: its bounded queue plus the caller's
 // per-member state.
 type Member[K Conn, S, Q any] struct {
@@ -74,10 +89,20 @@ type Member[K Conn, S, Q any] struct {
 	// calls for one member are serialised by its shard lock.
 	State S
 
-	ch      chan Q // closed by whoever detaches the member from its shard
-	shard   int
-	drops   int // guarded by the shard lock
-	discard func(Q)
+	shard int
+	drops int // guarded by the shard lock
+	pool  *pool[K, S, Q]
+	// next links the member into the one chain it is on while ready; it
+	// belongs to whoever holds that chain's lock.
+	next *Member[K, S, Q]
+
+	// mu is where the delivery walk and the writer meet, so a counted drop
+	// discards exactly one item. It is a leaf: nothing is acquired under it.
+	mu    sync.Mutex
+	ring  []Q // fixed; the queue is the n items from ring[head] on (mod len)
+	head  int
+	n     int
+	state uint8
 }
 
 // Drops reports how many drop-oldest penalties the member has taken. Like
@@ -85,57 +110,249 @@ type Member[K Conn, S, Q any] struct {
 func (m *Member[K, S, Q]) Drops() int { return m.drops }
 
 // Push offers q to the member's queue without ever blocking. When the
-// queue is full the oldest entry is discarded to make room, and Push
-// reports true. If q still cannot be queued it is discarded, so the
-// caller's handoff is unconditional. Outside the core only Admit may call
-// it (the shard lock serialises producers); it does not count a penalty.
+// queue is full exactly the oldest entry is discarded to make room, and
+// Push reports true. Outside the core only Admit may call it (the shard
+// lock serialises producers); it does not count a penalty.
 func (m *Member[K, S, Q]) Push(q Q) (dropped bool) {
-	select {
-	case m.ch <- q:
-		return false
-	default:
+	m.mu.Lock()
+	if dropped = m.n == len(m.ring); dropped {
+		m.pool.discard(m.pop())
 	}
-	select {
-	case old := <-m.ch:
-		m.discard(old)
-	default:
+	i := m.head + m.n
+	if i >= len(m.ring) {
+		i -= len(m.ring)
 	}
-	select {
-	case m.ch <- q:
-	default:
-		m.discard(q)
+	m.ring[i] = q
+	m.n++
+	wake := m.state == idle
+	if wake {
+		m.state = ready
 	}
-	return true
+	m.mu.Unlock()
+	if wake {
+		m.pool.woken.push(m)
+	}
+	return dropped
 }
 
-// drain discards everything queued right now. It is safe against a late
-// consume by the writer: each item is received by exactly one of them.
-func (m *Member[K, S, Q]) drain() {
-	for {
-		select {
-		case q, ok := <-m.ch:
-			if !ok {
-				return
-			}
-			m.discard(q)
-		default:
-			return
+// pop takes the oldest item off a non-empty queue; the caller holds mu.
+func (m *Member[K, S, Q]) pop() Q {
+	var zero Q
+	q := m.ring[m.head]
+	m.ring[m.head] = zero
+	if m.head++; m.head == len(m.ring) {
+		m.head = 0
+	}
+	m.n--
+	return q
+}
+
+// purge discards everything queued right now. Whoever took the member out
+// of its shard calls it: every Push runs under the shard lock on a listed
+// member, so nothing is queued afterwards. An item a writer has already
+// popped is sent, not discarded — each goes to exactly one of the two.
+func (m *Member[K, S, Q]) purge() {
+	m.mu.Lock()
+	for m.n > 0 {
+		m.pool.discard(m.pop())
+	}
+	m.mu.Unlock()
+}
+
+// chain is an intrusive FIFO of ready members: appending one walk's worth
+// of members to the ready queue is O(1) and allocates nothing, however
+// large the shard.
+type chain[K Conn, S, Q any] struct{ head, tail *Member[K, S, Q] }
+
+func (c *chain[K, S, Q]) push(m *Member[K, S, Q]) {
+	if c.tail == nil {
+		c.head = m
+	} else {
+		c.tail.next = m
+	}
+	c.tail = m
+}
+
+func (c *chain[K, S, Q]) pop() *Member[K, S, Q] {
+	m := c.head
+	if m == nil {
+		return nil
+	}
+	if c.head = m.next; c.head == nil {
+		c.tail = nil
+	}
+	m.next = nil
+	return m
+}
+
+// take moves everything on o to the end of c.
+func (c *chain[K, S, Q]) take(o *chain[K, S, Q]) {
+	if o.head == nil {
+		return
+	}
+	if c.tail == nil {
+		c.head = o.head
+	} else {
+		c.tail.next = o.head
+	}
+	c.tail = o.tail
+	*o = chain[K, S, Q]{}
+}
+
+const (
+	// idleWriters is how many writers a shard keeps parked. One: a shard is
+	// one core's worth of delivery, and a second would only split its batch.
+	idleWriters = 1
+	// stallAfter is how long members may wait with no writer coming back
+	// for one before the shard adds a writer. Far above a healthy socket
+	// write (microseconds), far below a media frame interval (33 ms).
+	stallAfter = time.Millisecond
+)
+
+// pool is the sending half of a shard: the queue of members with something
+// to send and the writers that drain them. It starts no goroutine and no
+// timer until a member is first ready.
+type pool[K Conn, S, Q any] struct {
+	send    func(K, Q) error
+	discard func(Q)
+
+	// woken collects the members one delivery walk (or Attach) turned from
+	// idle to ready, so they reach the ready queue under one lock and wake
+	// a writer once per descriptor. Guarded by the shard lock.
+	woken chain[K, S, Q]
+
+	mu      sync.Mutex // the ready-queue lock; a leaf under the shard lock
+	wake    sync.Cond  // parked writers wait here
+	ready   chain[K, S, Q]
+	writers int // running, parked or not
+	parked  int
+	stopped bool
+	// turns counts members handed to writers. The watchdog reads it as
+	// progress: a writer stuck in Send, or busy with one deep queue, takes
+	// no turn, and then its shard-mates must not wait for it.
+	turns uint64
+	seen  uint64      // turns at the watchdog's last look
+	timer *time.Timer // the watchdog; armed only while members wait
+	armed bool
+}
+
+// flush moves the woken members to the ready queue and makes sure a writer
+// will come for them. The caller holds the shard lock.
+func (p *pool[K, S, Q]) flush() {
+	if p.woken.head == nil {
+		return
+	}
+	p.mu.Lock()
+	p.ready.take(&p.woken)
+	switch {
+	case p.parked > 0:
+		p.wake.Signal()
+	case p.writers == 0:
+		p.writers++
+		go p.write()
+	}
+	if !p.armed {
+		p.armed = true
+		p.seen = p.turns
+		if p.timer == nil {
+			p.timer = time.AfterFunc(stallAfter, p.watch)
+		} else {
+			p.timer.Reset(stallAfter)
 		}
 	}
+	p.mu.Unlock()
 }
 
-// stop ends the member's writer and discards its queue. Only whoever took
-// the member out of its shard calls it: every Push runs under the shard
-// lock on a listed member, so nothing can send on the closed channel.
-func (m *Member[K, S, Q]) stop() {
-	close(m.ch)
-	m.drain()
+// watch is the isolation rule. It runs stallAfter after members started
+// waiting and again while they still are: if no writer has taken a turn
+// since its last look, every writer is held by a socket, so it adds one.
+// A newly stalled socket therefore delays its shard-mates by at most
+// ~2×stallAfter, once, and holds one goroutine for as long as it blocks.
+func (p *pool[K, S, Q]) watch() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stopped || p.ready.head == nil {
+		p.armed = false
+		return
+	}
+	// A parked writer here has been signalled and is on its way.
+	if p.turns == p.seen && p.parked == 0 {
+		p.writers++
+		go p.write()
+	}
+	p.seen = p.turns
+	p.timer.Reset(stallAfter)
+}
+
+// write is one writer: it takes a ready member, owns it until its queue is
+// empty, and comes back for the next.
+func (p *pool[K, S, Q]) write() {
+	for m := p.next(); m != nil; m = p.next() {
+		p.drain(m)
+	}
+}
+
+// next parks until a member is ready and returns it, or returns nil when
+// the writer should exit: the pool has stopped, or the queue is empty and
+// enough writers are parked already (the pool grew past a stall that has
+// since cleared).
+func (p *pool[K, S, Q]) next() *Member[K, S, Q] {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.stopped {
+		if m := p.ready.pop(); m != nil {
+			p.turns++
+			return m
+		}
+		if p.parked >= idleWriters {
+			break
+		}
+		p.parked++
+		p.wake.Wait()
+		p.parked--
+	}
+	p.writers--
+	return nil
+}
+
+// drain sends m's queue in order until it is empty.
+func (p *pool[K, S, Q]) drain(m *Member[K, S, Q]) {
+	m.mu.Lock()
+	m.state = sending
+	for m.n > 0 {
+		q := m.pop()
+		m.mu.Unlock()
+		if p.send(m.Key, q) != nil {
+			m.Key.Close()
+			// The member stays attached and stays in the sending state, so
+			// no writer takes it again: what piles up behind the failed
+			// connection is discarded here and when its owner removes it.
+			m.purge()
+			return
+		}
+		m.mu.Lock()
+	}
+	m.state = idle
+	m.mu.Unlock()
+}
+
+// stop ends the writers (one stuck in Send exits when its connection is
+// closed) and the watchdog.
+func (p *pool[K, S, Q]) stop() {
+	p.mu.Lock()
+	p.stopped = true
+	p.ready = chain[K, S, Q]{}
+	if p.timer != nil {
+		p.timer.Stop()
+	}
+	p.mu.Unlock()
+	p.wake.Broadcast()
 }
 
 // shard owns a disjoint subset of the members and the queue of descriptors
 // its worker has yet to deliver. Its member list is the single arbiter
 // between Remove, hopeless eviction and Stop: whoever takes a member out of
-// it (under mu) stops that member, nobody else does.
+// it (under mu) purges that member's queue, nobody else does.
 type shard[K Conn, S, D, Q any] struct {
 	ch chan D
 	// n mirrors len(members) so Publish can skip an empty shard without
@@ -147,6 +364,8 @@ type shard[K Conn, S, D, Q any] struct {
 	mu      sync.Mutex
 	members []*Member[K, S, Q]
 	stopped bool
+
+	pool pool[K, S, Q]
 }
 
 // removeAt swap-deletes members[i]; the caller holds mu.
@@ -195,23 +414,21 @@ func New[K Conn, S, D, Q any](shards, shardDepth, memberDepth, hopeless int, hoo
 	}
 	for i := 0; i < max(1, shards); i++ {
 		sh := &shard[K, S, D, Q]{ch: make(chan D, shardDepth)}
+		sh.pool.send, sh.pool.discard = hooks.Send, hooks.Discard
+		sh.pool.wake.L = &sh.pool.mu
 		g.shards = append(g.shards, sh)
 		go g.work(sh)
 	}
 	return g
 }
 
-// Attach registers a member on the next shard round-robin, queues first
-// ahead of anything a delivery can offer it, and starts its writer. Once
-// the Group has stopped it reports false instead, with no goroutine
-// started and first discarded: the handoff of first is unconditional.
+// Attach registers a member on the next shard round-robin and queues first
+// ahead of anything a delivery can offer it. It starts no goroutine of the
+// member's own: first reaches the connection through the shard's writers.
+// Once the Group has stopped it reports false instead, with first
+// discarded: the handoff of first is unconditional.
 func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
-	m := &Member[K, S, Q]{
-		Key:     key,
-		State:   state,
-		ch:      make(chan Q, g.memberDepth),
-		discard: g.hooks.Discard,
-	}
+	m := &Member[K, S, Q]{Key: key, State: state, ring: make([]Q, g.memberDepth)}
 	g.mu.Lock()
 	m.shard = g.next % len(g.shards)
 	g.next++
@@ -219,6 +436,7 @@ func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
 	g.mu.Unlock()
 
 	sh := g.shards[m.shard]
+	m.pool = &sh.pool
 	sh.mu.Lock()
 	if sh.stopped {
 		// Nothing would ever stop a member attached now, so undo the
@@ -227,17 +445,17 @@ func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
 		sh.mu.Unlock()
 		g.forget(m)
 		for _, q := range first {
-			m.discard(q)
+			g.hooks.Discard(q)
 		}
 		return false
 	}
 	for _, q := range first {
 		m.Push(q)
 	}
+	sh.pool.flush()
 	sh.members = append(sh.members, m)
 	sh.n.Store(int32(len(sh.members)))
 	sh.mu.Unlock()
-	go g.write(m)
 	return true
 }
 
@@ -260,7 +478,7 @@ func (g *Group[K, S, D, Q]) Remove(key K) bool {
 	}
 	sh.mu.Unlock()
 	if i >= 0 {
-		m.stop()
+		m.purge()
 	}
 	return i >= 0
 }
@@ -345,29 +563,15 @@ func (g *Group[K, S, D, Q]) deliver(sh *shard[K, S, D, Q], d D) {
 			evicted = append(evicted, m)
 		}
 	}
+	sh.pool.flush()
 	sh.mu.Unlock()
 	for _, m := range evicted {
-		m.stop()
+		m.purge()
 		g.forget(m)
 		m.Key.Close()
 		g.hooks.Evicted(m.Key)
 	}
 	g.hooks.Done(d, t)
-}
-
-// write drains the member's queue onto its connection until the member is
-// detached (a plain receive: the queue's close is the stop signal, so the
-// per-item cost is one channel operation, not a two-way select).
-func (g *Group[K, S, D, Q]) write(m *Member[K, S, Q]) {
-	for q := range m.ch {
-		if g.hooks.Send(m.Key, q) != nil {
-			m.Key.Close()
-			// Still attached: what piles up behind the failed connection
-			// is discarded when its owner removes the member.
-			m.drain()
-			return
-		}
-	}
 }
 
 // QueueDepth reports what is queued right now: items across all member queues,
@@ -378,15 +582,17 @@ func (g *Group[K, S, D, Q]) QueueDepth() (items, descriptors int) {
 		descriptors += len(sh.ch)
 		sh.mu.Lock()
 		for _, m := range sh.members {
-			items += len(m.ch)
+			m.mu.Lock()
+			items += m.n
+			m.mu.Unlock()
 		}
 		sh.mu.Unlock()
 	}
 	return items, descriptors
 }
 
-// Stop refuses further attaches, detaches every member (stopping its
-// writer and discarding its queue), stops the workers, and returns the
+// Stop refuses further attaches, detaches every member (discarding its
+// queue), stops the workers, the writers and the watchdogs, and returns the
 // keys it detached so the caller can disconnect them. Idempotent.
 func (g *Group[K, S, D, Q]) Stop() []K {
 	g.mu.Lock()
@@ -406,9 +612,10 @@ func (g *Group[K, S, D, Q]) Stop() []K {
 		sh.n.Store(0)
 		sh.mu.Unlock()
 		for _, m := range members {
-			m.stop()
+			m.purge()
 			keys = append(keys, m.Key)
 		}
+		sh.pool.stop()
 	}
 	close(g.quit)
 	return keys

@@ -2,6 +2,7 @@ package fanout
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"periscope/internal/leakcheck"
 )
 
-// TestMain enforces that every shard worker and member writer a test
+// TestMain enforces that every shard worker and shard writer a test
 // started has exited by the end of the binary: Stop, Remove and eviction
 // must each leave no goroutine behind.
 func TestMain(m *testing.M) {
@@ -20,7 +21,10 @@ func TestMain(m *testing.M) {
 // item is a counting queue item: the ledger checks that each one ends up
 // sent or discarded exactly once.
 type item struct {
-	desc      int
+	desc int
+	// seq is the item's place in its member's queue order: 0 for one handed
+	// to Attach, then 1, 2, … in the order Admit built them.
+	seq       int64
 	sent      atomic.Int32
 	discarded atomic.Int32
 }
@@ -32,6 +36,10 @@ type conn struct {
 	entered chan struct{} // signalled when a stalled Send begins
 	sent    atomic.Int32
 	closes  atomic.Int32
+	// inSend and next police the writer pool's ownership rule on every
+	// test: one Send at a time per member, in queue order (drops leave gaps).
+	inSend atomic.Int32
+	next   atomic.Int64 // lowest seq the next Send may carry
 }
 
 // Close is what the core calls on a failed Send or an eviction.
@@ -52,7 +60,11 @@ type desc struct {
 
 // rig is a Group over counting hooks.
 type rig struct {
-	*Group[*conn, struct{}, desc, *item]
+	*Group[*conn, int, desc, *item]
+
+	// send is what the Send hook runs; a test replaces it before attaching
+	// the members it is for.
+	send func(*conn, *item) error
 
 	mu      sync.Mutex
 	items   []*item
@@ -60,11 +72,15 @@ type rig struct {
 	shares  atomic.Int32
 	dones   atomic.Int32
 	evicted atomic.Int32
+	// misorder counts Sends that overlapped another Send for the same
+	// member or ran out of queue order.
+	misorder atomic.Int32
 }
 
 func newRig(shards, memberDepth, hopeless int) *rig {
 	r := &rig{}
-	r.Group = New(shards, 16, memberDepth, hopeless, Hooks[*conn, struct{}, desc, *item]{
+	r.send = r.stallableSend
+	r.Group = New(shards, 16, memberDepth, hopeless, Hooks[*conn, int, desc, *item]{
 		Share: func(desc) { r.shares.Add(1) },
 		Done: func(_ desc, t Tally) {
 			r.dones.Add(1)
@@ -74,28 +90,39 @@ func newRig(shards, memberDepth, hopeless int) *rig {
 			r.tally.Dropped += t.Dropped
 			r.mu.Unlock()
 		},
-		Admit: func(m *Member[*conn, struct{}, *item], d desc) (*item, bool) {
+		Admit: func(m *Member[*conn, int, *item], d desc) (*item, bool) {
 			if d.only != nil && d.only != m.Key {
 				return nil, false
 			}
-			return r.newItem(d.id), true
+			it := r.newItem(d.id)
+			m.State++
+			it.seq = int64(m.State)
+			return it, true
 		},
-		Send: func(c *conn, it *item) error {
-			if c.stall != nil {
-				select {
-				case c.entered <- struct{}{}:
-				default:
-				}
-				<-c.stall
-			}
-			it.sent.Add(1)
-			c.sent.Add(1)
-			return nil
-		},
+		Send:    func(c *conn, it *item) error { return r.send(c, it) },
 		Discard: func(it *item) { it.discarded.Add(1) },
 		Evicted: func(*conn) { r.evicted.Add(1) },
 	})
 	return r
+}
+
+// stallableSend counts the item as sent, after waiting for a stalled conn
+// to be released.
+func (r *rig) stallableSend(c *conn, it *item) error {
+	if c.inSend.Add(1) != 1 || c.next.Swap(it.seq+1) > it.seq {
+		r.misorder.Add(1)
+	}
+	defer c.inSend.Add(-1)
+	if c.stall != nil {
+		select {
+		case c.entered <- struct{}{}:
+		default:
+		}
+		<-c.stall
+	}
+	it.sent.Add(1)
+	c.sent.Add(1)
+	return nil
 }
 
 func (r *rig) newItem(desc int) *item {
@@ -152,6 +179,9 @@ func (r *rig) settle(t *testing.T) (sent, discarded int) {
 		sent += s
 		discarded += d
 	}
+	if n := r.misorder.Load(); n != 0 {
+		t.Errorf("%d Sends overlapped another Send to their member or ran out of queue order", n)
+	}
 	return sent, discarded
 }
 
@@ -167,8 +197,8 @@ func TestPushDropOldest(t *testing.T) {
 	} {
 		var discarded []int
 		m := &Member[*conn, struct{}, int]{
-			ch:      make(chan int, tc.depth),
-			discard: func(q int) { discarded = append(discarded, q) },
+			ring: make([]int, tc.depth),
+			pool: &pool[*conn, struct{}, int]{discard: func(q int) { discarded = append(discarded, q) }},
 		}
 		for i := 0; i < tc.pushes; i++ {
 			if got, want := m.Push(i), i >= tc.depth; got != want {
@@ -185,7 +215,7 @@ func TestPushDropOldest(t *testing.T) {
 			}
 		}
 		for want := over; want < tc.pushes; want++ {
-			if got := <-m.ch; got != want {
+			if got := m.pop(); got != want {
 				t.Errorf("depth %d: queue holds %d where %d expected", tc.depth, got, want)
 			}
 		}
@@ -230,7 +260,7 @@ func TestExactlyOnceAcrossDetach(t *testing.T) {
 				if r.Stop() != nil {
 					t.Error("second Stop detached members again")
 				}
-				if r.Attach(&conn{}, struct{}{}) {
+				if r.Attach(&conn{}, 0) {
 					t.Error("Attach after Stop was accepted")
 				}
 			}},
@@ -239,7 +269,7 @@ func TestExactlyOnceAcrossDetach(t *testing.T) {
 			r := newRig(1, depth, hopeless)
 			defer r.Stop()
 			stalled, healthy := stalledConn(), &conn{}
-			if !r.Attach(stalled, struct{}{}) || !r.Attach(healthy, struct{}{}) {
+			if !r.Attach(stalled, 0) || !r.Attach(healthy, 0) {
 				t.Fatal("attach refused")
 			}
 			// The stalled writer takes one item and blocks; the next depth
@@ -284,6 +314,144 @@ func TestExactlyOnceAcrossDetach(t *testing.T) {
 	}
 }
 
+// TestDropIsExactlyOneDiscard floods a one-slot queue whose writer is
+// draining it at full speed, so drop-oldest keeps racing the writer's pop.
+// The two meet under the member lock: with nobody detached, the discarded
+// items are exactly the counted drops and everything else was sent.
+func TestDropIsExactlyOneDiscard(t *testing.T) {
+	r := newRig(1, 1, 1<<30)
+	defer r.Stop()
+	r.Attach(&conn{}, 0)
+	const deliveries = 50_000
+	r.deliverN(t, 0, deliveries, nil)
+	sent, discarded := r.settle(t)
+	r.mu.Lock()
+	tally := r.tally
+	r.mu.Unlock()
+	if tally.Dropped == 0 {
+		t.Fatal("the flood never overflowed the queue: nothing was tested")
+	}
+	if discarded != tally.Dropped || sent+discarded != deliveries {
+		t.Errorf("%d admitted: sent %d, discarded %d, %d counted drops; want discarded == drops and the rest sent",
+			deliveries, sent, discarded, tally.Dropped)
+	}
+}
+
+// poolState reads a shard's writer bookkeeping.
+func poolState(r *rig, shard int) (writers, parked int) {
+	p := &r.shards[shard].pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.writers, p.parked
+}
+
+// TestStalledMemberHoldsOneWriter is the isolation rule on the real worker
+// path. A member whose Send blocks forever is first in line on a shard of
+// healthy members: the watchdog must give them another writer within a few
+// stallAfter — once, later messages find that writer parked — while the
+// stalled member keeps taking drop-oldest penalties until it is evicted.
+// It costs one goroutine while it blocks and none afterwards.
+func TestStalledMemberHoldsOneWriter(t *testing.T) {
+	const depth, hopeless, healthyN = 4, 8, 64
+	// Generous: scheduling noise under -race on a loaded box, not the rule.
+	const bound = 500 * stallAfter
+	r := newRig(1, depth, hopeless)
+	defer r.Stop()
+	stalled := stalledConn()
+	r.Attach(stalled, 0)
+	healthy := make([]*conn, healthyN)
+	for i := range healthy {
+		healthy[i] = &conn{}
+		r.Attach(healthy[i], 0)
+	}
+	publish := func(id int) time.Duration {
+		start := time.Now()
+		r.Publish(desc{id: id})
+		for _, c := range healthy {
+			waitFor(t, "a healthy shard-mate of the stalled member", func() bool { return int(c.sent.Load()) == id+1 })
+		}
+		return time.Since(start)
+	}
+	if d := publish(0); d > bound {
+		t.Errorf("first message reached the stalled member's shard-mates after %v, want under %v", d, bound)
+	}
+	<-stalled.entered
+	// One writer is inside the stalled Send, the one the watchdog added is
+	// parked: later messages pay no stall delay, so even the slowest of
+	// them stays far under what a watchdog round per message would cost.
+	total := 1 + depth + hopeless
+	var slowest time.Duration
+	for id := 1; id < total; id++ {
+		slowest = max(slowest, publish(id))
+	}
+	if slowest > bound {
+		t.Errorf("a later message took %v to reach the healthy members, want under %v", slowest, bound)
+	}
+	waitFor(t, "the stalled member's eviction", func() bool { return r.evicted.Load() == 1 })
+	if got := stalled.closes.Load(); got != 1 {
+		t.Errorf("evicted connection closed %d times, want 1", got)
+	}
+	if w, _ := poolState(r, 0); w != 2 {
+		t.Errorf("%d writers while one socket blocks, want 2: the blocked one and one for everybody else", w)
+	}
+	r.mu.Lock()
+	tally := r.tally
+	r.mu.Unlock()
+	if want := (Tally{Admitted: total * (healthyN + 1), Dropped: hopeless}); tally != want {
+		t.Errorf("tally %+v, want %+v", tally, want)
+	}
+	close(stalled.stall)
+	waitFor(t, "the surplus writer to exit", func() bool { w, p := poolState(r, 0); return w == 1 && p == 1 })
+	// Of the stalled member's items only the one in flight is sent.
+	if sent, discarded := r.settle(t); sent != total*healthyN+1 || discarded != total-1 {
+		t.Errorf("sent %d discarded %d, want %d and %d", sent, discarded, total*healthyN+1, total-1)
+	}
+}
+
+// TestGoroutinesDoNotScaleWithMembers: a group costs its K shard workers
+// until a member has something to send, and O(K) goroutines however many
+// members it serves.
+func TestGoroutinesDoNotScaleWithMembers(t *testing.T) {
+	const shards, members = 4, 10_000
+	// Earlier tests' writers may still be exiting: wait for a quiet count.
+	base := runtime.NumGoroutine()
+	waitFor(t, "the goroutine count to settle", func() bool {
+		time.Sleep(10 * time.Millisecond)
+		prev := base
+		base = runtime.NumGoroutine()
+		return base == prev
+	})
+	r := newRig(shards, 4, 8)
+	defer r.Stop()
+	r.Publish(desc{id: 0})
+	if got := runtime.NumGoroutine() - base; got != shards {
+		t.Errorf("a group nobody attached to runs %d goroutines, want its %d shard workers", got, shards)
+	}
+	conns := make([]*conn, members)
+	for i := range conns {
+		conns[i] = &conn{}
+		r.Attach(conns[i], 0)
+	}
+	if got := runtime.NumGoroutine() - base; got != shards {
+		t.Errorf("%d goroutines after attaching %d idle members, want %d: Attach starts none", got, members, shards)
+	}
+	peak := 0
+	for id := 0; id < 3; id++ {
+		r.Publish(desc{id: id + 1})
+		peak = max(peak, runtime.NumGoroutine()-base)
+		for _, c := range conns {
+			waitFor(t, "every member to be sent the message", func() bool { return int(c.sent.Load()) == id+1 })
+		}
+		peak = max(peak, runtime.NumGoroutine()-base)
+	}
+	// K workers and K parked writers; a loaded box may let the watchdog add
+	// a writer per shard, and its own callback is briefly a goroutine.
+	if limit := 4 * shards; peak > limit {
+		t.Errorf("%d goroutines serving %d members, want at most %d (O(shards))", peak, members, limit)
+	}
+	r.settle(t)
+}
+
 // TestEvictionRacesRemove: a hopeless eviction and a concurrent Remove of
 // the same member have a single arbiter. Exactly one of them detaches it —
 // either Evicted fires or Remove reports true, never both, never neither.
@@ -291,7 +459,7 @@ func TestEvictionRacesRemove(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		r := newRig(1, 1, 1)
 		c := stalledConn()
-		r.Attach(c, struct{}{})
+		r.Attach(c, 0)
 		r.deliverN(t, 0, 1, nil)
 		<-c.entered
 		r.deliverN(t, 1, 1, nil) // queue full: the next delivery evicts
@@ -330,7 +498,7 @@ func TestAttachRacesStop(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for j := 0; j < 50; j++ {
-					if r.Attach(&conn{}, struct{}{}, r.newItem(-1)) {
+					if r.Attach(&conn{}, 0, r.newItem(-1)) {
 						accepted.Add(1)
 					}
 				}
@@ -350,15 +518,15 @@ func TestAttachRacesStop(t *testing.T) {
 }
 
 // TestChurnLedger runs the real worker path under churn: publishers race
-// attaches, removes and evictions (a member's queue is closed the moment it
-// is detached, so a late Push would panic). Afterwards every member has left
-// exactly once — evicted or removed, never both — every item ever queued has
-// been sent or discarded exactly once, and every share is done.
+// attaches, removes and evictions. Afterwards every member has left exactly
+// once — evicted or removed, never both — every item ever queued has been
+// sent or discarded exactly once, no member saw two Sends at once or out of
+// queue order (the rig polices that on every Send), and every share is done.
 func TestChurnLedger(t *testing.T) {
 	const churners, rounds = 4, 200
 	r := newRig(4, 2, 3)
 	stalled := stalledConn() // never drains: evicted as hopeless mid-run
-	r.Attach(stalled, struct{}{})
+	r.Attach(stalled, 0)
 
 	var pub, churn sync.WaitGroup
 	var removed atomic.Int32
@@ -383,7 +551,7 @@ func TestChurnLedger(t *testing.T) {
 			defer churn.Done()
 			for i := 0; i < rounds; i++ {
 				c := &conn{}
-				r.Attach(c, struct{}{}, r.newItem(-1))
+				r.Attach(c, 0, r.newItem(-1))
 				time.Sleep(50 * time.Microsecond)
 				// A flooded member may have been evicted meanwhile.
 				if r.Remove(c) {
@@ -401,9 +569,18 @@ func TestChurnLedger(t *testing.T) {
 	if keys := r.Stop(); len(keys) != 0 {
 		t.Errorf("Stop detached %d members after all were removed or evicted", len(keys))
 	}
-	r.settle(t)
+	sent, discarded := r.settle(t)
 	if got, want := removed.Load()+r.evicted.Load(), int32(1+churners*rounds); got != want {
 		t.Errorf("%d members left (removed or evicted), want each of the %d exactly once", got, want)
+	}
+	// Conservation is exact: what was admitted (plus the item handed to
+	// each Attach) is what was sent or discarded, and a counted drop is one
+	// discarded item, so the tally never claims more drops than discards.
+	if admitted := r.tally.Admitted + churners*rounds; sent+discarded != admitted {
+		t.Errorf("sent %d + discarded %d != %d admitted", sent, discarded, admitted)
+	}
+	if r.tally.Dropped > discarded {
+		t.Errorf("tally counts %d drops but only %d items were discarded", r.tally.Dropped, discarded)
 	}
 }
 
@@ -422,7 +599,7 @@ func TestPublishSharesPerBusyShard(t *testing.T) {
 	var mu sync.Mutex
 	first := &item{desc: -1}
 	rec := &conn{}
-	r.hooks.Send = func(c *conn, it *item) error {
+	r.send = func(c *conn, it *item) error {
 		if c == rec {
 			mu.Lock()
 			order = append(order, it.desc)
@@ -431,7 +608,7 @@ func TestPublishSharesPerBusyShard(t *testing.T) {
 		c.sent.Add(1)
 		return nil
 	}
-	r.Attach(rec, struct{}{}, first)
+	r.Attach(rec, 0, first)
 	r.Publish(desc{id: 1})
 	waitFor(t, "delivery to the only member", func() bool { return rec.sent.Load() == 2 })
 	if got := r.shares.Load(); got != 1 {
@@ -447,7 +624,7 @@ func TestPublishSharesPerBusyShard(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		c := &conn{}
 		conns = append(conns, c)
-		r.Attach(c, struct{}{})
+		r.Attach(c, 0)
 	}
 	for i, sh := range r.shards {
 		if got := sh.n.Load(); got != 2 {
@@ -474,11 +651,11 @@ func TestWriterStopsOnSendError(t *testing.T) {
 	r := newRig(1, 4, 8)
 	defer r.Stop()
 	c := &conn{}
-	r.hooks.Send = func(_ *conn, it *item) error {
+	r.send = func(_ *conn, it *item) error {
 		it.sent.Add(1)
 		return errors.New("broken pipe")
 	}
-	r.Attach(c, struct{}{})
+	r.Attach(c, 0)
 	r.deliverN(t, 0, 1, nil)
 	waitFor(t, "the first send to fail", func() bool { return r.items[0].sent.Load() == 1 })
 	r.deliverN(t, 1, 3, nil)

@@ -66,16 +66,35 @@ func TestPlaylistURIWithoutEXTINF(t *testing.T) {
 	}
 }
 
+// TestSegmentName: the parser accepts exactly the names SegmentName mints
+// — "seg", six or more ASCII digits, ".ts" — and nothing the old Sscanf
+// let through (signs, spaces, short or trailing forms).
 func TestSegmentName(t *testing.T) {
-	if SegmentName(42) != "seg000042.ts" {
-		t.Errorf("name = %s", SegmentName(42))
+	for _, tc := range []struct {
+		seq  int
+		name string
+	}{
+		{0, "seg000000.ts"},
+		{42, "seg000042.ts"},
+		{999_999, "seg999999.ts"},
+		{1_000_000, "seg1000000.ts"},
+		{1_234_567, "seg1234567.ts"},
+	} {
+		if got := SegmentName(tc.seq); got != tc.name {
+			t.Errorf("SegmentName(%d) = %q, want %q", tc.seq, got, tc.name)
+		}
+		if got, err := ParseSegmentName(tc.name); err != nil || got != tc.seq {
+			t.Errorf("ParseSegmentName(%q) = %d, %v; want %d", tc.name, got, err, tc.seq)
+		}
 	}
-	seq, err := ParseSegmentName("seg000042.ts")
-	if err != nil || seq != 42 {
-		t.Errorf("seq = %d err = %v", seq, err)
-	}
-	if _, err := ParseSegmentName("bogus"); err == nil {
-		t.Error("want error for bogus name")
+	for _, bad := range []string{
+		"bogus", "", "seg.ts", "seg-00001.ts", "seg+00001.ts", "seg 1.ts", "seg1.ts", "seg00001.ts",
+		"seg000042.tsx", "seg000042.ts/../x", "seg000042", "xseg000042.ts", "seg00004a.ts",
+		"seg0000000000000000000042.ts", // would overflow
+	} {
+		if seq, err := ParseSegmentName(bad); err == nil {
+			t.Errorf("ParseSegmentName(%q) = %d, want an error", bad, seq)
+		}
 	}
 }
 

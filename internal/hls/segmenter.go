@@ -3,6 +3,8 @@ package hls
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -203,13 +205,39 @@ func (s *Segmenter) MaxKeep() int { return s.maxKeep }
 // Target returns the target segment duration.
 func (s *Segmenter) Target() time.Duration { return s.target }
 
-// SegmentName formats the canonical URI for a sequence number.
-func SegmentName(seq int) string { return fmt.Sprintf("seg%06d.ts", seq) }
+// SegmentName formats the canonical URI for a sequence number (which is
+// never negative): "seg", the number zero-padded to six digits, ".ts".
+func SegmentName(seq int) string {
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(seq), 10)
+	b := make([]byte, 0, len("seg000000.ts")+len(num))
+	b = append(b, "seg"...)
+	for pad := len(num); pad < 6; pad++ {
+		b = append(b, '0')
+	}
+	b = append(b, num...)
+	b = append(b, ".ts"...)
+	return string(b)
+}
 
-// ParseSegmentName recovers the sequence number from a URI.
+// ParseSegmentName recovers the sequence number from a URI. It accepts
+// exactly what SegmentName produces — "seg", six or more ASCII digits,
+// ".ts" — so a name the origin never minted is refused at the edge instead
+// of going upstream as a fill.
 func ParseSegmentName(uri string) (int, error) {
-	var seq int
-	if _, err := fmt.Sscanf(uri, "seg%06d.ts", &seq); err != nil {
+	digits, ok := strings.CutPrefix(uri, "seg")
+	if ok {
+		digits, ok = strings.CutSuffix(digits, ".ts")
+	}
+	// 18 digits cannot overflow an int64.
+	ok = ok && len(digits) >= 6 && len(digits) <= 18
+	seq := 0
+	for i := 0; ok && i < len(digits); i++ {
+		c := digits[i]
+		ok = '0' <= c && c <= '9'
+		seq = seq*10 + int(c-'0')
+	}
+	if !ok {
 		return 0, fmt.Errorf("hls: bad segment name %q", uri)
 	}
 	return seq, nil

@@ -19,6 +19,7 @@ import (
 	"net/url"
 	"strings"
 	"sync/atomic"
+	"time"
 )
 
 // rfc6455GUID is the magic GUID concatenated with the key in the handshake.
@@ -160,22 +161,7 @@ type PreparedMessage struct {
 // PrepareMessage frames payload once for repeated unmasked writes. The
 // payload is retained (not copied) — callers must not mutate it afterwards.
 func PrepareMessage(opcode int, payload []byte) *PreparedMessage {
-	hdr := make([]byte, 0, 10)
-	hdr = append(hdr, 0x80|byte(opcode))
-	switch {
-	case len(payload) < 126:
-		hdr = append(hdr, byte(len(payload)))
-	case len(payload) <= 0xFFFF:
-		hdr = append(hdr, 126)
-		hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(payload)))
-	default:
-		hdr = append(hdr, 127)
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(payload)))
-	}
-	frame := make([]byte, 0, len(hdr)+len(payload))
-	frame = append(frame, hdr...)
-	frame = append(frame, payload...)
-	return &PreparedMessage{opcode: opcode, payload: payload, frame: frame}
+	return &PreparedMessage{opcode: opcode, payload: payload, frame: newFrame(opcode, payload, false)}
 }
 
 // Payload returns the prepared message's payload. Shared — callers must
@@ -191,9 +177,7 @@ func (c *Conn) WritePrepared(pm *PreparedMessage) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	n, err := c.nc.Write(pm.frame)
-	c.BytesWritten.Add(int64(n))
-	return err
+	return c.write(pm.frame)
 }
 
 // WriteMessage sends one unfragmented message with the given opcode.
@@ -201,39 +185,56 @@ func (c *Conn) WriteMessage(opcode int, payload []byte) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	hdr := make([]byte, 0, 14)
-	hdr = append(hdr, 0x80|byte(opcode))
-	maskBit := byte(0)
-	if c.client {
-		maskBit = 0x80
-	}
+	return c.writeFrame(opcode, payload)
+}
+
+// newFrame builds one unfragmented frame, header and payload in a single
+// exactly-sized buffer; a client's is masked with a fresh random key.
+func newFrame(opcode int, payload []byte, client bool) []byte {
+	var hdr [14]byte // two bytes, up to a 64-bit length, a masking key
+	hdr[0] = 0x80 | byte(opcode)
+	n := 2
 	switch {
 	case len(payload) < 126:
-		hdr = append(hdr, maskBit|byte(len(payload)))
+		hdr[1] = byte(len(payload))
 	case len(payload) <= 0xFFFF:
-		hdr = append(hdr, maskBit|126)
-		hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(payload)))
+		hdr[1] = 126
+		binary.BigEndian.PutUint16(hdr[2:], uint16(len(payload)))
+		n = 4
 	default:
-		hdr = append(hdr, maskBit|127)
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(payload)))
+		hdr[1] = 127
+		binary.BigEndian.PutUint64(hdr[2:], uint64(len(payload)))
+		n = 10
 	}
-	body := payload
-	if c.client {
-		var mask [4]byte
-		if _, err := rand.Read(mask[:]); err != nil {
-			return err
+	if client {
+		hdr[1] |= 0x80
+		rand.Read(hdr[n : n+4]) // never fails: crypto/rand aborts the process instead
+		n += 4
+	}
+	frame := make([]byte, n+len(payload))
+	copy(frame, hdr[:n])
+	body := frame[n:]
+	copy(body, payload)
+	if client {
+		mask := hdr[n-4 : n]
+		for i := range body {
+			body[i] ^= mask[i&3]
 		}
-		hdr = append(hdr, mask[:]...)
-		body = make([]byte, len(payload))
-		for i, b := range payload {
-			body[i] = b ^ mask[i&3]
-		}
 	}
-	if _, err := c.nc.Write(hdr); err != nil {
-		return err
-	}
-	n, err := c.nc.Write(body)
-	c.BytesWritten.Add(int64(len(hdr) + n))
+	return frame
+}
+
+// writeFrame hands a whole frame to the transport in one Write. The read
+// loop (pong, close echo) and a writer share the connection with no lock
+// between them: net.Conn serialises whole Writes, so frames never
+// interleave as long as each is exactly one.
+func (c *Conn) writeFrame(opcode int, payload []byte) error {
+	return c.write(newFrame(opcode, payload, c.client))
+}
+
+func (c *Conn) write(frame []byte) error {
+	n, err := c.nc.Write(frame)
+	c.BytesWritten.Add(int64(n))
 	return err
 }
 
@@ -252,7 +253,7 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 		}
 		switch op {
 		case OpPing:
-			if err := c.WriteMessage(OpPong, data); err != nil {
+			if err := c.writeFrame(OpPong, data); err != nil {
 				return 0, nil, err
 			}
 			continue
@@ -261,8 +262,7 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 		case OpClose:
 			c.closed.Store(true)
 			// Echo the close frame best-effort, then report closed.
-			frameHdr := []byte{0x80 | OpClose, 0}
-			c.nc.Write(frameHdr)
+			c.writeFrame(OpClose, nil)
 			return 0, nil, ErrClosed
 		case OpContinuation:
 			if msgOp == 0 {
@@ -331,19 +331,17 @@ func (c *Conn) readFrame() (fin bool, opcode int, payload []byte, err error) {
 	return fin, opcode, payload, nil
 }
 
-// Close sends a close frame and closes the transport.
+// closeGrace bounds how long Close waits to get its close frame out. A
+// Write blocked on a peer that has stopped reading holds the transport's
+// write lock: Close is what releases that writer (a fan-out eviction
+// relies on it), so it must not queue behind it without a deadline.
+const closeGrace = 50 * time.Millisecond
+
+// Close sends a close frame, best-effort, and closes the transport.
 func (c *Conn) Close() error {
 	if c.closed.CompareAndSwap(false, true) {
-		c.writeRaw(0x80|OpClose, nil)
+		c.nc.SetWriteDeadline(time.Now().Add(closeGrace))
+		c.writeFrame(OpClose, nil)
 	}
 	return c.nc.Close()
-}
-
-func (c *Conn) writeRaw(b0 byte, payload []byte) {
-	hdr := []byte{b0, byte(len(payload))}
-	if c.client {
-		hdr[1] |= 0x80
-		hdr = append(hdr, 0, 0, 0, 0)
-	}
-	c.nc.Write(append(hdr, payload...))
 }

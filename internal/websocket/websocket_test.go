@@ -1,12 +1,15 @@
 package websocket
 
 import (
+	"bufio"
 	"bytes"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAcceptKeyRFCExample(t *testing.T) {
@@ -177,5 +180,123 @@ func TestTrafficAccounting(t *testing.T) {
 func TestDialRejectsHTTPURL(t *testing.T) {
 	if _, err := Dial("http://example.com", nil); err == nil {
 		t.Error("want error for non-ws scheme")
+	}
+}
+
+// recConn records every transport Write and serves Reads from a script.
+type recConn struct {
+	net.Conn
+	in     bytes.Reader
+	writes [][]byte
+}
+
+func (c *recConn) Read(b []byte) (int, error)       { return c.in.Read(b) }
+func (c *recConn) Close() error                     { return nil }
+func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *recConn) Write(b []byte) (int, error) {
+	c.writes = append(c.writes, bytes.Clone(b))
+	return len(b), nil
+}
+
+// shortFrame hand-builds a frame with a payload under 126 bytes; a masked
+// one uses the all-zero key, which leaves the payload as it is.
+func shortFrame(op int, payload string, masked bool) []byte {
+	f := []byte{0x80 | byte(op), byte(len(payload))}
+	if masked {
+		f[1] |= 0x80
+		f = append(f, 0, 0, 0, 0)
+	}
+	return append(f, payload...)
+}
+
+// TestFrameIsOneTransportWrite: the read loop answers pings and close
+// frames on the connection a fan-out writer is sending on, with no lock
+// between them; frames stay whole only because each is exactly one
+// transport Write. Every way of sending a frame, in both roles, must
+// produce one Write that parses back as exactly that frame.
+func TestFrameIsOneTransportWrite(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 70_000)
+	for _, client := range []bool{false, true} {
+		rec := &recConn{}
+		c := &Conn{nc: rec, br: bufio.NewReader(rec), client: client}
+		// What the peer sends: a ping, then a close. Its frames are masked
+		// iff it is the client.
+		rec.in.Reset(append(shortFrame(OpPing, "beat", !client), shortFrame(OpClose, "", !client)...))
+
+		type sent struct {
+			op      int
+			payload []byte
+		}
+		var want []sent
+		for _, payload := range [][]byte{[]byte("hello"), big[:300], big} {
+			if err := c.WriteMessage(OpText, payload); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, sent{OpText, payload})
+		}
+		if err := c.WritePrepared(PrepareMessage(OpBinary, []byte("shared"))); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, sent{OpBinary, []byte("shared")})
+		// The read loop answers the ping, echoes the close and reports it.
+		if _, _, err := c.ReadMessage(); err != ErrClosed {
+			t.Fatalf("client=%v: ReadMessage = %v, want ErrClosed after the peer's close", client, err)
+		}
+		want = append(want, sent{OpPong, []byte("beat")}, sent{OpClose, nil})
+
+		if len(rec.writes) != len(want) {
+			t.Fatalf("client=%v: %d frames took %d transport writes", client, len(want), len(rec.writes))
+		}
+		for i, w := range rec.writes {
+			peer := &Conn{br: bufio.NewReader(bytes.NewReader(w))}
+			fin, op, payload, err := peer.readFrame()
+			if err != nil || !fin || op != want[i].op || !bytes.Equal(payload, want[i].payload) {
+				t.Errorf("client=%v: write %d is not frame %d (op %d, %d bytes): fin=%v op=%d len=%d err=%v",
+					client, i, i, want[i].op, len(want[i].payload), fin, op, len(payload), err)
+			}
+			if peer.br.Buffered() != 0 {
+				t.Errorf("client=%v: write %d carries %d bytes past its frame", client, i, peer.br.Buffered())
+			}
+			if masked := w[1]&0x80 != 0; masked != client {
+				t.Errorf("client=%v: write %d masked=%v", client, i, masked)
+			}
+		}
+
+		// Close on an open connection is one whole close frame too.
+		rec = &recConn{}
+		c = &Conn{nc: rec, br: bufio.NewReader(rec), client: client}
+		c.Close()
+		c.Close()
+		if len(rec.writes) != 1 || rec.writes[0][0] != 0x80|OpClose {
+			t.Errorf("client=%v: two Closes wrote %d frames, want one close frame", client, len(rec.writes))
+		}
+	}
+}
+
+// TestCloseReleasesBlockedWriter: a write to a peer that has stopped
+// reading blocks holding the transport's write lock. Close — which is how
+// the fan-out core evicts a hopeless member — must neither wait behind it
+// for ever nor leave it blocked.
+func TestCloseReleasesBlockedWriter(t *testing.T) {
+	server, peer := net.Pipe() // synchronous: nobody reads, so a Write blocks
+	defer peer.Close()
+	c := &Conn{nc: server, br: bufio.NewReader(server)}
+	wrote := make(chan error, 1)
+	go func() { wrote <- c.WritePrepared(PrepareMessage(OpText, []byte("never read"))) }()
+	time.Sleep(10 * time.Millisecond) // let the write block first; either order must work
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is stuck behind the blocked write")
+	}
+	select {
+	case err := <-wrote:
+		if err == nil {
+			t.Error("the write nobody read reported success")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the blocked write outlived Close")
 	}
 }
