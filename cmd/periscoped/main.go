@@ -45,8 +45,7 @@ func runScenario(name string) {
 func main() {
 	concurrent := flag.Int("broadcasts", 300, "steady-state number of live broadcasts")
 	threshold := flag.Int("hls-threshold", 100, "viewer count beyond which HLS is used")
-	pops := flag.Int("pops", 2, "number of CDN edge POPs (placed round-robin over regions)")
-	popRegions := flag.String("pop-regions", "", "comma-separated POP regions (e.g. us-west,us-west,eu-west); overrides -pops")
+	popRegions := flag.String("pop-regions", "us-west,eu-west", "comma-separated CDN edge POP regions, one POP each (e.g. us-west,us-west,eu-west)")
 	churn := flag.Duration("churn", 2*time.Second, "population churn tick (0 freezes the population)")
 	statsEvery := flag.Duration("stats", time.Minute, "delivery snapshot print interval (0 disables)")
 	outageRegion := flag.String("outage-region", "", "run a scheduled outage drill: blackhole every POP in this region (e.g. us-west)")
@@ -63,12 +62,9 @@ func main() {
 	cfg := periscope.DefaultTestbedConfig()
 	cfg.PopConfig.TargetConcurrent = *concurrent
 	cfg.HLSViewerThreshold = *threshold
-	cfg.CDNPOPs = *pops
-	if *popRegions != "" {
-		for _, name := range strings.Split(*popRegions, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				cfg.CDNPOPRegions = append(cfg.CDNPOPRegions, name)
-			}
+	for _, name := range strings.Split(*popRegions, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			cfg.CDNPOPRegions = append(cfg.CDNPOPRegions, name)
 		}
 	}
 	cfg.ChurnInterval = *churn

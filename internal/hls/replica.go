@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,60 +338,6 @@ func (r *Replica) Stats() ReplicaStats {
 	}
 	r.mu.Unlock()
 	return st
-}
-
-// ServeHTTP serves "playlist.m3u8" and "segNNNNNN.ts" paths (any prefix)
-// from the edge cache, filling from origin as needed.
-func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	path := req.URL.Path
-	base := path[strings.LastIndexByte(path, '/')+1:]
-	switch {
-	case base == "playlist.m3u8":
-		raw, pl, err := r.Playlist(req.Context())
-		if err != nil {
-			upstreamStatus(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/vnd.apple.mpegurl")
-		if pl.Ended {
-			w.Header().Set("Cache-Control", "max-age=86400, immutable")
-		} else {
-			w.Header().Set("Cache-Control", "max-age=1")
-		}
-		w.Write(raw)
-	case strings.HasPrefix(base, "seg") && strings.HasSuffix(base, ".ts"):
-		seq, err := ParseSegmentName(base)
-		if err != nil {
-			http.Error(w, "bad segment name", http.StatusBadRequest)
-			return
-		}
-		data, err := r.Segment(req.Context(), seq)
-		if err != nil {
-			upstreamStatus(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "video/MP2T")
-		w.Header().Set("Cache-Control", "max-age=3600")
-		w.Write(data)
-	default:
-		http.NotFound(w, req)
-	}
-}
-
-// upstreamStatus maps a fill error onto the edge response: origin 404s
-// (expired or unknown) pass through, an open breaker is a 503 (the edge
-// knows its upstream is down and wants the viewer to fail over rather
-// than retry here), everything else is a bad gateway.
-func upstreamStatus(w http.ResponseWriter, err error) {
-	if ue, ok := err.(*UpstreamError); ok && ue.Status == http.StatusNotFound {
-		http.Error(w, "segment or playlist not at origin", http.StatusNotFound)
-		return
-	}
-	if errors.Is(err, ErrBreakerOpen) {
-		http.Error(w, "upstream circuit open", http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, "origin fill failed", http.StatusBadGateway)
 }
 
 // Segment returns the segment's bytes, serving from cache when present

@@ -1,10 +1,7 @@
 package service
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -40,11 +37,6 @@ import (
 // pointer-sharing fiction; fills (peer vs origin), coalesced requests,
 // staleness, warm-ups and evictions surface in the service snapshot.
 
-// cdnDrainTimeout bounds the graceful drain of a POP's HTTP server at
-// shutdown: in-flight segment responses get this long to complete before
-// connections are dropped.
-const cdnDrainTimeout = 3 * time.Second
-
 // popFillQueueDepth bounds each POP's background fill queue (playlist
 // revalidations and segment prefetches across all of its replicas).
 const popFillQueueDepth = 1024
@@ -57,16 +49,14 @@ const popFillWorkers = 8
 // originTier serves every registered broadcast's playlist and segments to
 // the POPs — the single fill source of the CDN.
 type originTier struct {
-	ln  net.Listener
-	srv *http.Server
+	endpoint
+	mounts[*hls.Origin]
 
-	mu      sync.RWMutex
-	origins map[string]*hls.Origin
-
-	// Requests and Bytes count fill traffic served to the POPs;
-	// PlaylistRequests/SegmentRequests split it by kind (the single-flight
-	// tests pin SegmentRequests to one per segment however many viewers
-	// fan in at the edge).
+	// Requests and Bytes count fill traffic served to the POPs (Bytes the
+	// 200 bodies); PlaylistRequests/SegmentRequests split the well-formed
+	// requests for a mounted broadcast by kind (the single-flight tests pin
+	// SegmentRequests to one per segment however many viewers fan in at
+	// the edge).
 	Requests         atomic.Int64
 	Bytes            atomic.Int64
 	PlaylistRequests atomic.Int64
@@ -74,116 +64,49 @@ type originTier struct {
 }
 
 func newOriginTier() (*originTier, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	o := &originTier{}
+	if err := o.listen(o); err != nil {
 		return nil, err
 	}
-	o := &originTier{ln: ln, origins: map[string]*hls.Origin{}}
-	o.srv = &http.Server{Handler: o}
-	go o.srv.Serve(ln)
 	return o, nil
 }
 
-func (o *originTier) baseURL() string { return "http://" + o.ln.Addr().String() }
-
-// register mounts a broadcast's segmenter at /hls/<id>/. Re-registering
-// the same segmenter is a no-op; a different segmenter replaces the mount
-// (a broadcast re-going-live during an unregister linger must win over
-// its ended predecessor).
+// register mounts a broadcast's segmenter at /hls/<id>/.
 func (o *originTier) register(id string, seg *hls.Segmenter) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if cur, ok := o.origins[id]; ok && cur.Seg == seg {
-		return
-	}
-	o.origins[id] = &hls.Origin{Seg: seg}
-}
-
-// unregister removes the broadcast — but only if it is still backed by
-// seg, so a lingering end-timer cannot tear down a re-registered live
-// broadcast. A nil seg unregisters unconditionally.
-func (o *originTier) unregister(id string, seg *hls.Segmenter) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if cur, ok := o.origins[id]; ok && (seg == nil || cur.Seg == seg) {
-		delete(o.origins, id)
-	}
-}
-
-func (o *originTier) has(id string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	_, ok := o.origins[id]
-	return ok
-}
-
-func (o *originTier) count() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.origins)
+	o.mounts.register(id, seg, func() *hls.Origin { return &hls.Origin{Seg: seg} })
 }
 
 // counts splits the registered mounts into live broadcasts and replay
 // (VOD) mounts; the latter outlive their broadcast by design.
 func (o *originTier) counts() (live, replays int) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for id := range o.origins {
+	o.each(func(id string, _ *hls.Origin) {
 		if strings.HasSuffix(id, replaySuffix) {
 			replays++
 		} else {
 			live++
 		}
-	}
+	})
 	return live, replays
 }
 
 // ServeHTTP routes /hls/<broadcastID>/<file> to the broadcast's origin.
+// Everything is counted before the body goes out, so a client holding a
+// complete response never reads a counter that lags it.
 func (o *originTier) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	o.Requests.Add(1)
-	id, file, ok := splitHLSPath(r.URL.Path)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	o.mu.RLock()
-	origin := o.origins[id]
-	o.mu.RUnlock()
+	origin := o.get(mountID(r.URL.Path, "/hls/"))
 	if origin == nil {
 		http.NotFound(w, r)
 		return
 	}
-	if file == "playlist.m3u8" {
+	res := hls.Resolve(r, origin, false)
+	if res.Playlist {
 		o.PlaylistRequests.Add(1)
-	} else {
+	} else if res.Segment {
 		o.SegmentRequests.Add(1)
 	}
-	cw := &countingWriter{ResponseWriter: w}
-	origin.ServeHTTP(cw, r)
-	o.Bytes.Add(cw.n)
-}
-
-func (o *originTier) close() {
-	ctx, cancel := context.WithTimeout(context.Background(), cdnDrainTimeout)
-	defer cancel()
-	if o.srv.Shutdown(ctx) != nil {
-		o.srv.Close()
-	}
-}
-
-// splitMountPath parses "<prefix><id>/<file>" (e.g. "/hls/<id>/<file>").
-func splitMountPath(path, prefix string) (id, file string, ok bool) {
-	rest := strings.TrimPrefix(path, prefix)
-	slash := strings.IndexByte(rest, '/')
-	if rest == path || slash < 0 {
-		return "", "", false
-	}
-	return rest[:slash], rest[slash+1:], true
-}
-
-// splitHLSPath parses "/hls/<id>/<file>".
-func splitHLSPath(path string) (id, file string, ok bool) {
-	return splitMountPath(path, "/hls/")
+	o.Bytes.Add(int64(len(res.Body)))
+	res.Write(w)
 }
 
 // cdnPOP is one CDN edge (the study saw exactly two HLS delivery IPs,
@@ -193,11 +116,12 @@ func splitHLSPath(path string) (id, file string, ok bool) {
 // over /peer/), then the origin tier. One fill worker pool per POP runs
 // the background revalidations, prefetches and promotion warm-ups.
 type cdnPOP struct {
+	endpoint
+	mounts[*hls.Replica]
+
 	svc    *Service
 	index  int
 	region geo.Region
-	ln     net.Listener
-	srv    *http.Server
 	fill   *hls.FillWorker
 
 	// originLink/originHTTP shape the POP→origin fill path; peers are the
@@ -222,19 +146,16 @@ type cdnPOP struct {
 	reroutes  atomic.Int64
 	healthT   healthTracker
 
-	mu       sync.RWMutex
-	replicas map[string]popReplica
-
 	// fills is the POP's cumulative fill counter block. Every replica and
 	// tiered source the POP registers counts into it, so the totals are
 	// monotonic across broadcast churn and relaunch by construction, and
 	// steering reads them without touching a replica.
 	fills hls.FillCounters
 
-	// Requests and Bytes count traffic served to viewers. PeerRequests
-	// counts probes arriving from peer POPs, PeerServes the ones answered
-	// from cache (PeerBytesOut their volume) — the serving side of the
-	// peer-fill protocol.
+	// Requests and Bytes count traffic served to viewers (Bytes the 200
+	// bodies). PeerRequests counts probes arriving from peer POPs,
+	// PeerServes the ones answered from cache (PeerBytesOut their volume)
+	// — the serving side of the peer-fill protocol.
 	Requests     atomic.Int64
 	Bytes        atomic.Int64
 	PeerRequests atomic.Int64
@@ -250,14 +171,6 @@ type popPeer struct {
 	link    *netem.Link
 	client  *http.Client
 	breaker *hls.Breaker
-}
-
-// popReplica pairs an edge replica with the origin segmenter it was
-// registered for, so conditional unregistration (end-linger timers) can
-// tell an ended broadcast's replica from a re-registered live one.
-type popReplica struct {
-	seg *hls.Segmenter
-	rep *hls.Replica
 }
 
 // POPHealth is the steering-facing health state of one POP.
@@ -352,65 +265,44 @@ func (p *cdnPOP) fillErrorRate() float64 {
 }
 
 func newCDNPOP(svc *Service, index int, region geo.Region) (*cdnPOP, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	pop := &cdnPOP{svc: svc, index: index, region: region}
+	if err := pop.listen(pop); err != nil {
 		return nil, err
 	}
-	pop := &cdnPOP{
-		svc:      svc,
-		index:    index,
-		region:   region,
-		ln:       ln,
-		fill:     hls.NewFillWorker(popFillQueueDepth, popFillWorkers),
-		replicas: map[string]popReplica{},
-	}
-	pop.srv = &http.Server{Handler: pop}
-	go pop.srv.Serve(ln)
+	pop.fill = hls.NewFillWorker(popFillQueueDepth, popFillWorkers)
 	return pop, nil
 }
-
-func (p *cdnPOP) baseURL() string { return "http://" + p.ln.Addr().String() }
 
 // register exposes a broadcast at /hls/<id>/ through an edge replica
 // filling hierarchically: peer POPs nearer than the origin first
 // (cache-only probes against their /peer/ mounts), then the origin tier.
-// Re-registering the same segmenter keeps the warm replica; a different
-// segmenter (broadcast re-went live during a linger) replaces it with a
-// cold one. The replica's cache window and playlist TTL derive from the
+// A replica kept by the mount table's identity rule stays warm; a replaced
+// one starts cold. Its cache window and playlist TTL derive from the
 // origin segmenter's parameters; its fill concurrency cap is the hls
 // default.
 func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cur, ok := p.replicas[id]; ok && cur.seg == seg {
-		return
-	}
-	// Every upstream is gated by the breaker of its link: a dead origin
-	// path or peer trips once per POP and every broadcast's fills skip it
-	// in O(1) until the half-open probe clears.
-	var origin hls.SegmentSource = &hls.FillClient{BaseURL: p.svc.origin.baseURL() + "/hls/" + id, HTTP: p.originHTTP}
-	if p.originBreaker != nil {
-		origin = &hls.BreakerSource{Source: origin, Breaker: p.originBreaker}
-	}
-	src := &hls.TieredSource{Origin: origin, Counters: &p.fills}
-	for _, pr := range p.peers {
-		var peer hls.SegmentSource = &hls.FillClient{BaseURL: pr.pop.baseURL() + "/peer/" + id, HTTP: pr.client}
-		if pr.breaker != nil {
-			peer = &hls.BreakerSource{Source: peer, Breaker: pr.breaker}
+	p.mounts.register(id, seg, func() *hls.Replica {
+		// Every upstream is gated by the breaker of its link: a dead origin
+		// path or peer trips once per POP and every broadcast's fills skip
+		// it in O(1) until the half-open probe clears.
+		var origin hls.SegmentSource = &hls.FillClient{BaseURL: p.svc.origin.baseURL() + "/hls/" + id, HTTP: p.originHTTP}
+		if p.originBreaker != nil {
+			origin = &hls.BreakerSource{Source: origin, Breaker: p.originBreaker}
 		}
-		src.Peers = append(src.Peers, peer)
-	}
-	p.replicas[id] = popReplica{
-		seg: seg,
-		rep: hls.NewReplica(hls.ReplicaConfig{
+		src := &hls.TieredSource{Origin: origin, Counters: &p.fills}
+		for _, pr := range p.peers {
+			peer := &hls.FillClient{BaseURL: pr.pop.baseURL() + "/peer/" + id, HTTP: pr.client}
+			src.Peers = append(src.Peers, &hls.BreakerSource{Source: peer, Breaker: pr.breaker})
+		}
+		return hls.NewReplica(hls.ReplicaConfig{
 			Source:         src,
 			Window:         seg.WindowSize(),
 			TargetDuration: seg.Target(),
 			FillAttempts:   p.svc.cfg.CDNFillAttempts,
 			Enqueue:        p.fill.Enqueue,
 			Counters:       &p.fills,
-		}),
-	}
+		})
+	})
 }
 
 // warm schedules the broadcast's replica warm-up (background playlist
@@ -419,11 +311,8 @@ func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 // not — prefetching a whole VOD into every POP would be the opposite of
 // an optimization. It reports whether the warm-up was scheduled.
 func (p *cdnPOP) warm(id string) bool {
-	rep := p.replica(id)
-	if rep == nil {
-		return false
-	}
-	return rep.WarmUp()
+	rep := p.get(id)
+	return rep != nil && rep.WarmUp()
 }
 
 // isClusterAnchor reports whether this POP is its cluster's designated
@@ -442,33 +331,9 @@ func (p *cdnPOP) isClusterAnchor() bool {
 	return true
 }
 
-// unregister drops the broadcast's replica (and its cached segments) —
-// but only if it still serves seg; nil unregisters unconditionally.
-func (p *cdnPOP) unregister(id string, seg *hls.Segmenter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cur, ok := p.replicas[id]; ok && (seg == nil || cur.seg == seg) {
-		delete(p.replicas, id)
-	}
-}
-
-// has reports whether a replica is registered for id.
-func (p *cdnPOP) has(id string) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	_, ok := p.replicas[id]
-	return ok
-}
-
-// replica returns the broadcast's edge cache (tests, snapshot).
-func (p *cdnPOP) replica(id string) *hls.Replica {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.replicas[id].rep
-}
-
 // ServeHTTP routes /hls/<broadcastID>/<file> (viewer-facing, fills on
-// miss) and /peer/<broadcastID>/<file> (peer-facing, cache-only).
+// miss) and /peer/<broadcastID>/<file> (peer-facing: segments only, from
+// cache only — a 404 means "I don't hold it, go elsewhere").
 func (p *cdnPOP) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if p.blackhole.Load() {
 		// A dead POP answers nothing — viewers and peer probes alike get
@@ -477,65 +342,34 @@ func (p *cdnPOP) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "pop offline", http.StatusServiceUnavailable)
 		return
 	}
-	if id, file, ok := splitMountPath(r.URL.Path, "/peer/"); ok {
-		p.servePeer(w, r, id, file)
-		return
+	id, peer := mountID(r.URL.Path, "/peer/"), true
+	if id == "" {
+		id, peer = mountID(r.URL.Path, "/hls/"), false
 	}
-	p.Requests.Add(1)
-	id, _, ok := splitHLSPath(r.URL.Path)
-	if !ok {
-		http.NotFound(w, r)
-		return
+	if peer {
+		p.PeerRequests.Add(1)
+	} else {
+		p.Requests.Add(1)
 	}
-	p.mu.RLock()
-	rep := p.replicas[id].rep
-	p.mu.RUnlock()
+	rep := p.get(id)
 	if rep == nil {
 		http.NotFound(w, r)
 		return
 	}
-	cw := &countingWriter{ResponseWriter: w}
-	rep.ServeHTTP(cw, r)
-	p.Bytes.Add(cw.n)
+	res := hls.Resolve(r, rep, peer)
+	switch {
+	case !peer:
+		p.Bytes.Add(int64(len(res.Body)))
+	case res.Status == http.StatusOK:
+		p.PeerServes.Add(1)
+		p.PeerBytesOut.Add(int64(len(res.Body)))
+	}
+	res.Write(w)
 }
 
-// servePeer answers another POP's fill probe from cache only: a 404 means
-// "I don't hold it, go elsewhere" — a probe must never trigger this POP's
-// own fill path, or cold segments would cascade through the mesh.
-func (p *cdnPOP) servePeer(w http.ResponseWriter, r *http.Request, id, file string) {
-	p.PeerRequests.Add(1)
-	rep := p.replica(id)
-	if rep == nil {
-		http.NotFound(w, r)
-		return
-	}
-	seq, err := hls.ParseSegmentName(file)
-	if err != nil {
-		// Peers only exchange segments; playlists are origin-only.
-		http.Error(w, "peer protocol serves segments only", http.StatusBadRequest)
-		return
-	}
-	data, ok := rep.CachedSegment(seq)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	p.PeerServes.Add(1)
-	p.PeerBytesOut.Add(int64(len(data)))
-	w.Header().Set("Content-Type", "video/MP2T")
-	w.Header().Set("Cache-Control", "max-age=3600")
-	w.Write(data)
-}
-
-// close drains the POP gracefully: in-flight segment responses complete
-// (up to cdnDrainTimeout) instead of being cut mid-body, then the fill
-// worker stops.
+// close drains the POP gracefully, then the fill worker stops.
 func (p *cdnPOP) close() {
-	ctx, cancel := context.WithTimeout(context.Background(), cdnDrainTimeout)
-	defer cancel()
-	if p.srv.Shutdown(ctx) != nil {
-		p.srv.Close()
-	}
+	p.endpoint.close()
 	p.fill.Stop()
 	// Drop the fill paths' keep-alive sockets: a decommissioned POP must
 	// not strand origin/peer connections (and their transport
@@ -544,9 +378,7 @@ func (p *cdnPOP) close() {
 		p.originHTTP.CloseIdleConnections()
 	}
 	for _, pr := range p.peers {
-		if pr.client != nil {
-			pr.client.CloseIdleConnections()
-		}
+		pr.client.CloseIdleConnections()
 	}
 }
 
@@ -589,46 +421,30 @@ func (p *cdnPOP) stats() POPSnapshot {
 		st.BreakerRejects = p.originBreaker.Rejects()
 	}
 	for _, pr := range p.peers {
-		if pr.breaker == nil {
-			continue
-		}
 		st.BreakerTrips += pr.breaker.Trips()
 		st.BreakerRejects += pr.breaker.Rejects()
 		if pr.breaker.State() != hls.BreakerClosed {
 			st.PeerBreakersOpen++
 		}
 	}
-	p.mu.RLock()
-	st.Broadcasts = len(p.replicas)
-	for _, e := range p.replicas {
-		rs := e.rep.Stats()
+	p.each(func(_ string, rep *hls.Replica) {
+		rs := rep.Stats()
+		st.Broadcasts++
 		st.CachedSegments += rs.CachedSegments
 		st.MaxPlaylistAge = max(st.MaxPlaylistAge, rs.PlaylistAge)
-	}
-	p.mu.RUnlock()
+	})
 	return st
 }
 
-// defaultPOPRegions is the placement order when the config names none:
-// the first two match the paper's observation ("located somewhere in
-// Europe and in San Francisco"), further POPs spread across the remaining
-// regions.
-var defaultPOPRegions = []string{
-	"us-west", "eu-west", "us-east", "eu-east",
-	"asia-east", "south-america", "middle-east", "oceania",
-}
+// defaultPOPRegions is the placement when the config names none: the
+// paper's two edges ("located somewhere in Europe and in San Francisco").
+var defaultPOPRegions = []string{"us-west", "eu-west"}
 
 // resolvePOPRegions maps the config onto one region per POP.
 func resolvePOPRegions(cfg Config, regions []geo.Region) ([]geo.Region, error) {
 	names := cfg.CDNPOPRegions
 	if len(names) == 0 {
-		n := cfg.CDNPOPs
-		if n <= 0 {
-			n = 2
-		}
-		for i := 0; i < n; i++ {
-			names = append(names, defaultPOPRegions[i%len(defaultPOPRegions)])
-		}
+		names = defaultPOPRegions
 	}
 	out := make([]geo.Region, 0, len(names))
 	for _, name := range names {
@@ -643,11 +459,13 @@ func resolvePOPRegions(cfg Config, regions []geo.Region) ([]geo.Region, error) {
 
 // wireCDNTopology builds each POP's shaped fill paths once every POP
 // exists: a link to the origin whose RTT derives from great-circle
-// distance, and an ordered peer list holding every POP strictly nearer
-// than the origin (nearest first) — the candidates a missing segment is
-// probed from before origin fallback. Topology decisions use unscaled
-// geographic RTTs; CDNLinkRTTScale only scales the modelled delay (0
-// means the default scale of 1; tests and benchmarks set it NEGATIVE to
+// distance, and every other POP ranked by RTT (index breaks ties). That
+// ranking is the failover order viewer steering walks — all of it, because
+// a viewer must land somewhere even when the whole cluster is dark — and
+// its prefix strictly nearer than the origin is the peer list a missing
+// segment is probed from before origin fallback. Topology decisions use
+// unscaled geographic RTTs; CDNLinkRTTScale only scales the modelled delay
+// (0 means the default scale of 1; tests and benchmarks set it NEGATIVE to
 // keep the hierarchy without the sleeps).
 func (s *Service) wireCDNTopology() {
 	scale := s.cfg.CDNLinkRTTScale
@@ -662,95 +480,35 @@ func (s *Service) wireCDNTopology() {
 		originRTT := geo.LinkRTT(pLoc, originLoc)
 		p.originLink = &netem.Link{RTT: time.Duration(float64(originRTT) * scale)}
 		p.originHTTP = p.originLink.Client()
-		type candidate struct {
+		p.originBreaker = hls.NewBreaker(s.cfg.CDNBreakerFailures, s.cfg.CDNBreakerCooldown, nil)
+		type ranked struct {
 			pop *cdnPOP
 			rtt time.Duration
 		}
-		var cands []candidate
+		var others []ranked
 		for _, q := range s.cdn {
-			if q == p {
-				continue
-			}
-			rtt := geo.LinkRTT(pLoc, q.region.Bounds.Center())
-			if rtt < originRTT {
-				cands = append(cands, candidate{q, rtt})
+			if q != p {
+				others = append(others, ranked{q, geo.LinkRTT(pLoc, q.region.Bounds.Center())})
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].rtt != cands[j].rtt {
-				return cands[i].rtt < cands[j].rtt
+		sort.SliceStable(others, func(i, j int) bool {
+			if others[i].rtt != others[j].rtt {
+				return others[i].rtt < others[j].rtt
 			}
-			return cands[i].pop.index < cands[j].pop.index
+			return others[i].pop.index < others[j].pop.index
 		})
-		for _, c := range cands {
-			link := &netem.Link{RTT: time.Duration(float64(c.rtt) * scale)}
+		for _, r := range others {
+			p.failover = append(p.failover, r.pop)
+			if r.rtt >= originRTT {
+				continue
+			}
+			link := &netem.Link{RTT: time.Duration(float64(r.rtt) * scale)}
 			p.peers = append(p.peers, popPeer{
-				pop:     c.pop,
+				pop:     r.pop,
 				link:    link,
 				client:  link.Client(),
 				breaker: hls.NewBreaker(s.cfg.CDNBreakerFailures, s.cfg.CDNBreakerCooldown, nil),
 			})
 		}
-		p.originBreaker = hls.NewBreaker(s.cfg.CDNBreakerFailures, s.cfg.CDNBreakerCooldown, nil)
-
-		// Failover order for viewer steering: every other POP by RTT —
-		// unlike the peer-fill candidates, it is not limited to POPs
-		// nearer than the origin, because a viewer must land somewhere
-		// even when the whole cluster is dark.
-		type ranked struct {
-			pop *cdnPOP
-			rtt time.Duration
-		}
-		var all []ranked
-		for _, q := range s.cdn {
-			if q == p {
-				continue
-			}
-			all = append(all, ranked{q, geo.LinkRTT(pLoc, q.region.Bounds.Center())})
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			if all[i].rtt != all[j].rtt {
-				return all[i].rtt < all[j].rtt
-			}
-			return all[i].pop.index < all[j].pop.index
-		})
-		for _, r := range all {
-			p.failover = append(p.failover, r.pop)
-		}
 	}
 }
-
-// countingWriter counts bytes served without masking the wrapped
-// ResponseWriter's optional interfaces: streaming playlist/segment
-// responses still reach http.Flusher (directly or via
-// http.ResponseController's Unwrap), and sendfile-style io.ReaderFrom
-// copies are passed through.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (cw *countingWriter) Write(b []byte) (int, error) {
-	n, err := cw.ResponseWriter.Write(b)
-	cw.n += int64(n)
-	return n, err
-}
-
-// Flush forwards to the underlying writer so chunked live-playlist
-// responses are not held back by the counting layer.
-func (cw *countingWriter) Flush() {
-	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ReadFrom lets io.Copy use the underlying writer's ReadFrom (sendfile)
-// while still counting the bytes.
-func (cw *countingWriter) ReadFrom(r io.Reader) (int64, error) {
-	n, err := io.Copy(cw.ResponseWriter, r)
-	cw.n += n
-	return n, err
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController.
-func (cw *countingWriter) Unwrap() http.ResponseWriter { return cw.ResponseWriter }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,7 +237,7 @@ func TestEndBroadcastLingerSparesRelaunchedBroadcast(t *testing.T) {
 			t.Fatalf("linger timer unregistered the relaunched broadcast from POP %d", i)
 		}
 	}
-	pop := svc.cdn[int(fnv32(b.ID))%len(svc.cdn)]
+	pop := svc.cdn[svc.PreferredPOPIndex(b.ID)]
 	rec := httptest.NewRecorder()
 	pop.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/hls/"+b.ID+"/playlist.m3u8", nil))
 	if rec.Code != http.StatusOK {
@@ -505,45 +504,167 @@ func BenchmarkPOPFill(b *testing.B) {
 	}
 }
 
-// TestCountingWriterPassthrough covers the capability-masking regression:
-// wrapping a ResponseWriter to count bytes must not hide http.Flusher or
-// io.ReaderFrom from streaming handlers, and must still count every byte.
-func TestCountingWriterPassthrough(t *testing.T) {
-	rec := httptest.NewRecorder()
-	cw := &countingWriter{ResponseWriter: rec}
-
-	f, ok := any(cw).(http.Flusher)
-	if !ok {
-		t.Fatal("countingWriter does not expose http.Flusher")
-	}
-	if _, err := cw.Write([]byte("#EXTM3U\n")); err != nil {
+// httpGet fetches url and returns the response (body drained and closed)
+// with the body bytes.
+func httpGet(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Flush()
-	if !rec.Flushed {
-		t.Error("Flush did not reach the wrapped ResponseWriter")
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// TestHLSResponsesAreLengthFramed is the wire-level framing test: what
+// crosses every HLS hop is a complete object with a known length, so a
+// segment and a playlist — through a POP and straight from the origin —
+// carry Content-Length and no transfer encoding; a final playlist stays
+// immutable, and an error keeps its status.
+func TestHLSResponsesAreLengthFramed(t *testing.T) {
+	svc, pop := newTestCDN(t)
+	live := buildSegments(4*time.Second, 800*time.Millisecond, 0, false)
+	done := buildSegments(4*time.Second, 800*time.Millisecond, 0, true)
+	for id, seg := range map[string]*hls.Segmenter{"live": live, "done": done} {
+		svc.origin.register(id, seg)
+		pop.register(id, seg)
+	}
+	segURI := live.Playlist().Segments[0].URI
+
+	for _, tier := range []struct{ name, base string }{
+		{"POP", pop.baseURL()},
+		{"origin", svc.origin.baseURL()},
+	} {
+		for _, tc := range []struct{ path, ctype, cache string }{
+			{"/hls/live/" + segURI, "video/MP2T", "max-age=3600"},
+			{"/hls/live/playlist.m3u8", "application/vnd.apple.mpegurl", "max-age=1"},
+			{"/hls/done/playlist.m3u8", "application/vnd.apple.mpegurl", "max-age=86400, immutable"},
+		} {
+			resp, body := httpGet(t, tier.base+tc.path)
+			if resp.StatusCode != http.StatusOK || len(body) == 0 {
+				t.Fatalf("%s %s: status %d, %d bytes", tier.name, tc.path, resp.StatusCode, len(body))
+			}
+			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Errorf("%s %s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+					tier.name, tc.path, resp.ContentLength, resp.TransferEncoding, len(body))
+			}
+			if got := resp.Header.Get("Content-Type"); got != tc.ctype {
+				t.Errorf("%s %s: Content-Type %q, want %q", tier.name, tc.path, got, tc.ctype)
+			}
+			if got := resp.Header.Get("Cache-Control"); got != tc.cache {
+				t.Errorf("%s %s: Cache-Control %q, want %q", tier.name, tc.path, got, tc.cache)
+			}
+		}
+		for path, want := range map[string]int{
+			"/hls/live/seg999999.ts": http.StatusNotFound,
+			"/hls/live/seg-1.ts":     http.StatusBadRequest,
+			"/hls/live/favicon.ico":  http.StatusNotFound,
+		} {
+			if resp, _ := httpGet(t, tier.base+path); resp.StatusCode != want {
+				t.Errorf("%s %s: status %d, want %d", tier.name, path, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
+// TestOriginCountsOnlyWellFormedRequests: the origin's per-kind counters
+// follow the renderer's classification — a stranger's file name or an
+// unknown broadcast is answered and counted as neither, so
+// SegmentRequests stays "one per segment fill".
+func TestOriginCountsOnlyWellFormedRequests(t *testing.T) {
+	svc, _ := newTestCDN(t)
+	seg := buildSegments(4*time.Second, 800*time.Millisecond, 0, true)
+	svc.origin.register("cast", seg)
+	o := svc.origin
+
+	for _, tc := range []struct {
+		path                string
+		status              int
+		playlists, segments int64
+	}{
+		{"/hls/cast/playlist.m3u8", http.StatusOK, 1, 0},
+		{"/hls/cast/" + seg.Playlist().Segments[0].URI, http.StatusOK, 0, 1},
+		{"/hls/cast/seg999999.ts", http.StatusNotFound, 0, 1}, // well-formed, expired
+		{"/hls/cast/seg-00001.ts", http.StatusBadRequest, 0, 0},
+		{"/hls/cast/favicon.ico", http.StatusNotFound, 0, 0},
+		{"/hls/nobody/playlist.m3u8", http.StatusNotFound, 0, 0},
+		{"/hls/nobody/seg000001.ts", http.StatusNotFound, 0, 0},
+	} {
+		reqs, pls, segs := o.Requests.Load(), o.PlaylistRequests.Load(), o.SegmentRequests.Load()
+		rec := httptest.NewRecorder()
+		o.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.path, rec.Code, tc.status)
+		}
+		if got := o.Requests.Load() - reqs; got != 1 {
+			t.Errorf("%s: Requests moved by %d, want 1", tc.path, got)
+		}
+		if dp, ds := o.PlaylistRequests.Load()-pls, o.SegmentRequests.Load()-segs; dp != tc.playlists || ds != tc.segments {
+			t.Errorf("%s: counted %d playlist / %d segment requests, want %d / %d", tc.path, dp, ds, tc.playlists, tc.segments)
+		}
+	}
+}
+
+// TestTierBytesAreConserved: every tier's byte counter equals the sum of
+// the 200 bodies its clients read — viewers at a POP, a peer POP on the
+// /peer/ mount, the POPs' fill clients at the origin.
+func TestTierBytesAreConserved(t *testing.T) {
+	svc, pops := newTestTopology(t, "us-west", "us-west")
+	seg := buildSegments(6*time.Second, 800*time.Millisecond, 0, true)
+	svc.origin.register("cast", seg)
+	for _, pop := range pops {
+		pop.register("cast", seg)
+	}
+	segs := seg.Playlist().Segments
+
+	// Viewers at POP 0: the playlist and every segment, twice over, plus a
+	// miss whose error body counts for nothing.
+	var viewer0 int64
+	for round := 0; round < 2; round++ {
+		_, body := httpGet(t, pops[0].baseURL()+"/hls/cast/playlist.m3u8")
+		viewer0 += int64(len(body))
+		for _, s := range segs {
+			_, body := httpGet(t, pops[0].baseURL()+"/hls/cast/"+s.URI)
+			viewer0 += int64(len(body))
+		}
+	}
+	if resp, _ := httpGet(t, pops[0].baseURL()+"/hls/cast/seg999999.ts"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("miss status %d", resp.StatusCode)
+	}
+	if got := pops[0].stats().Bytes; got != viewer0 {
+		t.Errorf("POP 0 Bytes = %d, viewers read %d", got, viewer0)
 	}
 
-	// http.ResponseController finds capabilities through Unwrap.
-	if err := http.NewResponseController(cw).Flush(); err != nil {
-		t.Errorf("ResponseController.Flush: %v", err)
+	// A raw peer probe, then a viewer at POP 1 whose fill probes POP 0.
+	_, probe := httpGet(t, pops[0].baseURL()+"/peer/cast/"+segs[0].URI)
+	_, viewer1 := httpGet(t, pops[1].baseURL()+"/hls/cast/"+segs[1].URI)
+	st0, st1 := pops[0].stats(), pops[1].stats()
+	if st1.Bytes != int64(len(viewer1)) {
+		t.Errorf("POP 1 Bytes = %d, its viewer read %d", st1.Bytes, len(viewer1))
+	}
+	if want := int64(len(probe)) + st1.PeerFillBytes; st0.PeerBytesOut != want || st1.PeerFillBytes != int64(len(viewer1)) {
+		t.Errorf("POP 0 PeerBytesOut = %d, want %d (probe %d + POP 1 peer fills %d)",
+			st0.PeerBytesOut, want, len(probe), st1.PeerFillBytes)
 	}
 
-	rf, ok := any(cw).(io.ReaderFrom)
-	if !ok {
-		t.Fatal("countingWriter does not expose io.ReaderFrom")
+	// The origin's clients are the POPs' fill paths (POP 0's demand fills
+	// and the prefetch its cold playlist fetch triggered); wait those out.
+	fromOrigin := func() int64 {
+		var n int64
+		for _, pop := range pops {
+			st := pop.stats()
+			n += st.PlaylistBytes + st.FillBytes - st.PeerFillBytes
+		}
+		return n
 	}
-	payload := strings.Repeat("x", 4096)
-	n, err := rf.ReadFrom(strings.NewReader(payload))
-	if err != nil || n != int64(len(payload)) {
-		t.Fatalf("ReadFrom = (%d, %v), want (%d, nil)", n, err, len(payload))
-	}
-
-	want := int64(len("#EXTM3U\n") + len(payload))
-	if cw.n != want {
-		t.Errorf("counted %d bytes, want %d", cw.n, want)
-	}
-	if got := rec.Body.Len(); int64(got) != want {
-		t.Errorf("wrapped writer received %d bytes, want %d", got, want)
+	waitFor(t, func() bool {
+		return pops[0].stats().CachedSegments == len(segs) && svc.origin.Bytes.Load() == fromOrigin()
+	}, "origin bytes to match what the POPs filled")
+	if svc.origin.Bytes.Load() == 0 {
+		t.Error("origin served no bytes")
 	}
 }

@@ -42,7 +42,7 @@ func TestEndBroadcastDuringPOPOutageRace(t *testing.T) {
 	}
 	h := svc.hubFor(b.ID)
 	waitFor(t, func() bool { return h.Segmenter().SegmentCount() >= 1 }, "first segment")
-	outRegion := svc.cdn[int(fnv32(b.ID))%len(svc.cdn)].region.Name
+	outRegion := svc.cdn[svc.PreferredPOPIndex(b.ID)].region.Name
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup

@@ -2,7 +2,6 @@ package service
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"periscope/internal/api"
@@ -19,19 +18,17 @@ const replayMaxDur = 90 * time.Second
 // can be told apart from live broadcasts in snapshots.
 const replaySuffix = "-replay"
 
-// replays caches built VOD segmenters keyed by broadcast ID.
-var replayMu sync.Mutex
-
 // replayAccess builds (once) and serves an ended broadcast as an HLS VOD
-// playlist from the CDN POPs. The content is regenerated from the
-// broadcast's media seed, so the replay is bit-identical to what the live
-// pipeline produced.
+// playlist from the CDN POPs, steered like a live viewer. The content is
+// regenerated from the broadcast's media seed, so the replay is
+// bit-identical to what the live pipeline produced.
 func (s *Service) replayAccess(b *broadcastmodel.Broadcast) (api.AccessVideoResponse, error) {
-	replayMu.Lock()
-	defer replayMu.Unlock()
+	s.replayMu.Lock()
+	defer s.replayMu.Unlock()
 	key := b.ID + replaySuffix
-	pop := s.cdn[int(fnv32(b.ID))%len(s.cdn)]
-	if !pop.has(key) {
+	// The mount is made on every tier under replayMu: the origin having it
+	// means every POP does.
+	if !s.origin.has(key) {
 		seg := buildReplay(b, s.cfg.SegmentTarget)
 		s.origin.register(key, seg)
 		for _, p := range s.cdn {
@@ -40,7 +37,7 @@ func (s *Service) replayAccess(b *broadcastmodel.Broadcast) (api.AccessVideoResp
 	}
 	return api.AccessVideoResponse{
 		Protocol:   "HLS",
-		HLSBaseURL: pop.baseURL() + "/hls/" + key,
+		HLSBaseURL: s.selectPOP(b.ID).baseURL() + "/hls/" + key,
 		StreamName: b.ID,
 		Replay:     true,
 	}, nil

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,5 +117,36 @@ func TestMapIncludeReplay(t *testing.T) {
 		if d.State == "ENDED" {
 			t.Fatal("live-only query returned an ended broadcast")
 		}
+	}
+}
+
+// TestReplaySteersAroundDeadPOP: a replay viewer is steered like a live
+// one — with the broadcast's hash-preferred POP blackholed, AccessVideo
+// hands out a Replay URL on a healthy POP and the VOD plays from it.
+func TestReplaySteersAroundDeadPOP(t *testing.T) {
+	svc := startService(t)
+	b := endedReplayable(t, svc)
+	dead := svc.PreferredPOPIndex(b.ID)
+	svc.BlackholePOP(dead)
+
+	acc, err := api.NewClient(svc.APIBaseURL(), "replay-steer", nil).AccessVideo(b.ID)
+	if err != nil {
+		t.Fatalf("accessVideo for replay: %v", err)
+	}
+	if !acc.Replay || acc.Protocol != "HLS" {
+		t.Fatalf("replay access = %+v", acc)
+	}
+	if strings.HasPrefix(acc.HLSBaseURL, svc.cdn[dead].baseURL()+"/") {
+		t.Fatalf("replay viewer was handed the blackholed POP %d: %s", dead, acc.HLSBaseURL)
+	}
+	if got := svc.cdn[dead].reroutes.Load(); got != 1 {
+		t.Errorf("dead POP counted %d re-routes, want 1", got)
+	}
+
+	client := hls.NewClient(hls.ClientConfig{BaseURL: acc.HLSBaseURL, PollInterval: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if n, err := client.Run(ctx); err != nil || n == 0 {
+		t.Fatalf("VOD from the healthy POP: %d segments, err %v", n, err)
 	}
 }

@@ -29,8 +29,6 @@ package service
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -39,6 +37,7 @@ import (
 	"periscope/internal/broadcastmodel"
 	"periscope/internal/chat"
 	"periscope/internal/geo"
+	"periscope/internal/hls"
 )
 
 // Config tunes the assembled service.
@@ -49,13 +48,9 @@ type Config struct {
 	HLSViewerThreshold int
 	// SegmentTarget is the HLS segment duration target (3.6 s observed).
 	SegmentTarget time.Duration
-	// CDNPOPs is the number of CDN edge servers (the study saw 2), placed
-	// round-robin over the default region order. Ignored when
-	// CDNPOPRegions is set.
-	CDNPOPs int
 	// CDNPOPRegions places one POP per named geo region (repeats allowed:
-	// two "us-west" entries are a two-POP cluster). When set it overrides
-	// CDNPOPs.
+	// two "us-west" entries are a two-POP cluster). Empty means the two
+	// edges the study saw: us-west and eu-west.
 	CDNPOPRegions []string
 	// CDNOriginRegion locates the origin tier ("us-east" by default, a
 	// stand-in for Periscope's own datacenter); POP→origin link RTTs
@@ -102,7 +97,6 @@ func DefaultConfig() Config {
 		PopConfig:           pc,
 		HLSViewerThreshold:  100,
 		SegmentTarget:       3600 * time.Millisecond,
-		CDNPOPs:             2,
 		CDNOriginRegion:     "us-east",
 		CDNLinkRTTScale:     1,
 		CDNUnregisterLinger: 15 * time.Second,
@@ -120,10 +114,7 @@ type Service struct {
 	API  *api.Server
 	Chat *chat.Server
 
-	apiHTTP  *http.Server
-	apiLn    net.Listener
-	chatHTTP *http.Server
-	chatLn   net.Listener
+	apiEP, chatEP endpoint
 
 	regions      []geo.Region
 	ingest       map[string]*ingestServer // region name -> RTMP ingest
@@ -153,6 +144,10 @@ type Service struct {
 	// linger); a fired timer removes its own entry, Close stops the rest.
 	timerMu   sync.Mutex
 	endTimers map[*time.Timer]struct{}
+
+	// replayMu serialises this service's VOD builds, so a replay is
+	// rendered and mounted once however many viewers ask at once.
+	replayMu sync.Mutex
 }
 
 // Start builds and starts every component on loopback ports.
@@ -160,7 +155,6 @@ func Start(cfg Config) (*Service, error) {
 	if cfg.HLSViewerThreshold <= 0 {
 		cfg.HLSViewerThreshold = 100
 	}
-	// cfg.CDNPOPs defaulting lives in resolvePOPRegions, its only reader.
 	if cfg.CDNOriginRegion == "" {
 		cfg.CDNOriginRegion = "us-east"
 	}
@@ -227,14 +221,10 @@ func Start(cfg Config) (*Service, error) {
 	}
 
 	// Chat server.
-	chatLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if err := s.chatEP.listen(s.Chat); err != nil {
 		s.Close()
 		return nil, err
 	}
-	s.chatLn = chatLn
-	s.chatHTTP = &http.Server{Handler: s.Chat}
-	go s.chatHTTP.Serve(chatLn)
 
 	// API gateway: defaults for the typed-endpoint chain (sharded
 	// limiter, ID cap, request deadline) with the service's rate policy.
@@ -243,23 +233,19 @@ func Start(cfg Config) (*Service, error) {
 	scfg.Burst = cfg.APIBurst
 	scfg.Seed = cfg.Seed
 	s.API = api.NewServer(s.Pop, s, scfg)
-	apiLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if err := s.apiEP.listen(s.API); err != nil {
 		s.Close()
 		return nil, err
 	}
-	s.apiLn = apiLn
-	s.apiHTTP = &http.Server{Handler: s.API}
-	go s.apiHTTP.Serve(apiLn)
 
 	return s, nil
 }
 
 // APIBaseURL returns the http:// base of the API server.
-func (s *Service) APIBaseURL() string { return "http://" + s.apiLn.Addr().String() }
+func (s *Service) APIBaseURL() string { return s.apiEP.baseURL() }
 
 // ChatBaseURL returns the http:// base of the chat/avatar server.
-func (s *Service) ChatBaseURL() string { return "http://" + s.chatLn.Addr().String() }
+func (s *Service) ChatBaseURL() string { return s.chatEP.baseURL() }
 
 // RTMPServerNames lists the DNS-style names of the ingest fleet, e.g.
 // vidman-eu-west.periscope.tv, with their EC2-style reverse names.
@@ -366,12 +352,8 @@ func (s *Service) Close() {
 	if s.origin != nil {
 		s.origin.close()
 	}
-	if s.apiHTTP != nil {
-		s.apiHTTP.Close()
-	}
-	if s.chatHTTP != nil {
-		s.chatHTTP.Close()
-	}
+	s.apiEP.close()
+	s.chatEP.close()
 	// Linger timers are already stopped, so no deferred room close will
 	// fire: close every room here.
 	if s.Chat != nil {
@@ -475,7 +457,7 @@ func (s *Service) AccessVideo(id string) (api.AccessVideoResponse, error) {
 	viewers := b.ViewersAt(s.Pop.Now())
 	resp := api.AccessVideoResponse{
 		NumWatching: viewers,
-		ChatURL:     "ws://" + s.chatLn.Addr().String() + "/chat/" + id,
+		ChatURL:     "ws://" + s.chatEP.addr + "/chat/" + id,
 		StreamName:  id,
 	}
 	if viewers >= s.cfg.HLSViewerThreshold {
@@ -506,7 +488,7 @@ func (s *Service) AccessVideo(id string) (api.AccessVideoResponse, error) {
 // lands on a down POP when every edge is dark. Re-routes are counted on
 // the preferred POP — "viewers steered away from here".
 func (s *Service) selectPOP(id string) *cdnPOP {
-	preferred := s.cdn[int(fnv32(id))%len(s.cdn)]
+	preferred := s.cdn[s.PreferredPOPIndex(id)]
 	if len(s.cdn) == 1 {
 		return preferred
 	}
@@ -549,7 +531,8 @@ func (s *Service) selectPOP(id string) *cdnPOP {
 // index-aligned with Snapshot().POPs. Scenario timelines use it to aim
 // outages at (or away from) a broadcast's serving region.
 func (s *Service) PreferredPOPIndex(id string) int {
-	return int(fnv32(id)) % len(s.cdn)
+	// Modulo in uint32: on a 32-bit int the converted hash can be negative.
+	return int(fnv32(id) % uint32(len(s.cdn)))
 }
 
 // PreferredPOPRegion reports the geo region of the hash-preferred POP.
@@ -592,14 +575,10 @@ func (s *Service) RestorePOP(i int) {
 	}
 	p := s.cdn[i]
 	p.blackhole.Store(false)
-	p.mu.RLock()
-	ids := make([]string, 0, len(p.replicas))
-	for id := range p.replicas {
-		ids = append(ids, id)
-	}
-	p.mu.RUnlock()
-	for _, id := range ids {
-		p.warm(id)
+	var reps []*hls.Replica
+	p.each(func(_ string, rep *hls.Replica) { reps = append(reps, rep) })
+	for _, rep := range reps {
+		rep.WarmUp()
 	}
 }
 
