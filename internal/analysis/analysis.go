@@ -508,7 +508,7 @@ func DeliveryTable(snap service.Snapshot) Table {
 		add(tier, "single-flight hits", fmt.Sprintf("%d", p.SingleFlightHits))
 		add(tier, "warm-ups", fmt.Sprintf("%d", p.Warmups))
 		add(tier, "fill cap waits", fmt.Sprintf("%d (cap %d)", p.FillCapWaits, p.FillCap))
-		add(tier, "playlist refreshes / stale serves",
+		add(tier, "playlist fetches / stale serves",
 			fmt.Sprintf("%d / %d", p.PlaylistRefreshes, p.StaleServes))
 		add(tier, "evictions", fmt.Sprintf("%d", p.Evictions))
 		add(tier, "max playlist age", p.MaxPlaylistAge.String())

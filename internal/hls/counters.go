@@ -30,22 +30,23 @@ type FillStats struct {
 	// SingleFlightHits counts requests that coalesced onto an already
 	// in-flight upstream fetch instead of issuing their own.
 	SingleFlightHits int64
-	// PlaylistRefreshes counts origin playlist fetches (cold fills and
-	// revalidations); PlaylistBytes their volume.
+	// PlaylistRefreshes counts the watch's playlist fetch attempts (one
+	// per cut per polled replica when healthy); PlaylistBytes their volume.
 	PlaylistRefreshes, PlaylistBytes int64
-	// StaleServes counts playlist responses served past the TTL while a
-	// revalidation was pending — the stale-while-revalidate path.
+	// StaleServes counts playlist responses served while no watch was
+	// confirming the window (a join after a warm-up, a replica nobody had
+	// polled for two rounds) or while the watch's last round had failed.
 	StaleServes int64
 	// Evictions counts segments dropped by the sliding cache window.
 	Evictions int64
-	// PrefetchDropped counts background jobs the fill queue rejected or
-	// the fill concurrency cap skipped.
+	// PrefetchDropped counts prefetch jobs the fill queue rejected or the
+	// fill concurrency cap skipped.
 	PrefetchDropped int64
 	// FillCapWaits counts demand fills that found the per-broadcast fill
 	// concurrency cap saturated and had to queue — a non-zero value is the
 	// observable signature of a capped hot broadcast.
 	FillCapWaits int64
-	// Warmups counts promotion warm-ups scheduled.
+	// Warmups counts warm-ups that started a watch.
 	Warmups int64
 	// FillRetries counts extra upstream attempts spent on transient fill
 	// failures inside the single-flight — Fills still counts operations,

@@ -3,8 +3,72 @@ package hls
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 	"time"
 )
+
+// UpstreamError reports a non-200 origin response, preserving the status
+// so the edge can mirror 404s (expired segments) instead of masking them
+// as gateway failures.
+type UpstreamError struct {
+	Status int
+}
+
+func (e *UpstreamError) Error() string {
+	return fmt.Sprintf("hls: upstream status %d", e.Status)
+}
+
+// FillClient fetches origin data over HTTP — the POP-internal fill path.
+type FillClient struct {
+	// BaseURL is the origin directory holding playlist.m3u8 and segments.
+	BaseURL string
+	// HTTP may carry a shaped or instrumented transport; defaults to
+	// http.DefaultClient.
+	HTTP *http.Client
+}
+
+func (c *FillClient) get(ctx context.Context, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	hc := c.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return nil, &UpstreamError{Status: resp.StatusCode}
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// afterKey carries a watch round's "after" — the newest sequence the edge
+// lists, which the origin answers at the next cut — down to FillClient
+// through the two-method SegmentSource and whatever wraps the client.
+type afterKey struct{}
+
+// FetchPlaylist implements SegmentSource.
+func (c *FillClient) FetchPlaylist(ctx context.Context) ([]byte, error) {
+	url := c.BaseURL + "/playlist.m3u8"
+	if after, ok := ctx.Value(afterKey{}).(int); ok {
+		url += "?after=" + strconv.Itoa(after)
+	}
+	return c.get(ctx, url)
+}
+
+// FetchSegment implements SegmentSource.
+func (c *FillClient) FetchSegment(ctx context.Context, seq int) ([]byte, error) {
+	return c.get(ctx, c.BaseURL+"/"+SegmentName(seq))
+}
 
 // TieredSource is the hierarchical fill path of a geo-aware edge, the
 // policy Fastly-style CDNs use to keep origin egress at O(clusters)

@@ -262,6 +262,7 @@ func TestReplicaPrefetchSkipsWhenCapSaturated(t *testing.T) {
 	hot.inner.setSegment(1, []byte{1})
 	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 1, Enqueue: q.enqueue})
+	defer rep.Close()
 
 	// Saturate the cap with a demand fill held open at the source.
 	go rep.Segment(context.Background(), 0)
@@ -297,17 +298,19 @@ func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
 	}
 	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{Source: src, Enqueue: q.enqueue})
+	defer rep.Close()
 
+	// A warm-up nobody polls is one round of the watch: the playlist
+	// fetch, the prefetches it queues, and the goroutine is gone.
 	rep.WarmUp()
-	if st := rep.Stats(); st.Warmups != 1 {
-		t.Fatalf("Warmups = %d, want 1", st.Warmups)
+	rep.wg.Wait()
+	if st := rep.Stats(); st.Warmups != 1 || st.PlaylistRefreshes != 1 || rep.watch.Load() != watchOff {
+		t.Fatalf("after the warm-up: %d warm-ups, %d playlist fetches, watch state %d; want 1, 1, off",
+			st.Warmups, st.PlaylistRefreshes, rep.watch.Load())
 	}
-	// Run the warm-up job (playlist fetch), then the prefetches it spawns.
-	waitUntil(t, func() bool { return q.size() == 1 })
-	q.runAll()
-	waitUntil(t, func() bool { return q.size() == 3 })
-	q.runAll()
-
+	if n := q.runAll(); n != 3 {
+		t.Fatalf("warm-up queued %d prefetches, want 3", n)
+	}
 	for seq := 4; seq <= 6; seq++ {
 		if _, ok := rep.CachedSegment(seq); !ok {
 			t.Errorf("segment %d not warmed", seq)
@@ -321,29 +324,14 @@ func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
 		t.Error("CachedSegment invented a segment")
 	}
 
-	// The first viewer hits a fully warm edge: no further origin traffic.
-	if _, _, err := rep.Playlist(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rep.Segment(context.Background(), 5); err != nil {
-		t.Fatal(err)
-	}
-	if src.playlistFetches.Load() != 1 || src.segmentFetches.Load() != 3 {
-		t.Errorf("viewer after warm-up hit origin (%d playlist, %d segment fetches)",
-			src.playlistFetches.Load(), src.segmentFetches.Load())
-	}
-
-	// Re-warming a warm replica revalidates: the promoter calls WarmUp
-	// again once new content exists, and the refresh prefetches it.
+	// Warming again once new content exists fetches and prefetches it.
 	src.setPlaylist(livePlaylist(5, 6, 7))
 	src.setSegment(7, bytes.Repeat([]byte{7}, 32))
 	rep.WarmUp()
-	if q.size() != 1 {
-		t.Fatalf("re-warm queued %d jobs, want 1 revalidation", q.size())
+	rep.wg.Wait()
+	if n := q.runAll(); n != 1 {
+		t.Fatalf("re-warm queued %d prefetches, want 1 (segment 7)", n)
 	}
-	q.runAll()
-	waitUntil(t, func() bool { return q.size() == 1 }) // prefetch for seg 7
-	q.runAll()
 	if _, ok := rep.CachedSegment(7); !ok {
 		t.Error("re-warm did not prefetch the newly listed segment")
 	}
@@ -351,17 +339,24 @@ func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
 		t.Errorf("Warmups = %d, want 2", st.Warmups)
 	}
 
-	// A final playlist needs no warming.
-	endedPl := livePlaylist(5, 6, 7)
-	endedPl.Ended = true
-	src.setPlaylist(endedPl)
-	rep.WarmUp() // schedules one more revalidation; after it, Final is set
-	q.runAll()
-	waitUntil(t, func() bool { return rep.Stats().Final })
-	q.clear()
-	before := rep.Stats().Warmups
+	// The first viewer hits a fully warm edge: the playlist comes from
+	// cache at once — counted stale, since no watch was confirming it, and
+	// restarting one — and the segments without origin traffic.
+	_, pl, err := rep.Playlist(context.Background())
+	if err != nil || len(pl.Segments) != 3 || pl.Segments[2].Sequence != 7 {
+		t.Fatalf("first viewer's playlist = %+v, %v", pl, err)
+	}
+	if _, err := rep.Segment(context.Background(), 6); err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Stats(); st.StaleServes != 1 || src.segmentFetches.Load() != 4 {
+		t.Errorf("viewer after warm-up: %d stale serves, %d origin segment fetches; want 1, 4",
+			st.StaleServes, src.segmentFetches.Load())
+	}
+	waitUntil(t, func() bool { return rep.watch.Load() == watchOK })
+	// While that watch runs, a warm-up has nothing to start.
 	rep.WarmUp()
-	if q.size() != 0 || rep.Stats().Warmups != before {
-		t.Error("final replica scheduled a warm-up")
+	if st := rep.Stats(); st.Warmups != 2 {
+		t.Errorf("warm-up of a watched replica counted: Warmups = %d, want 2", st.Warmups)
 	}
 }

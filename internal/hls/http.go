@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,7 +27,7 @@ type Response struct {
 
 // content is what Resolve answers from: an *Origin or a *Replica.
 type content interface {
-	playlistBody(ctx context.Context) (raw []byte, final bool, err error)
+	playlistBody(req *http.Request) (raw []byte, final bool, err error)
 	// segmentBody with cacheOnly must not fetch: a miss is a 404.
 	segmentBody(ctx context.Context, seq int, cacheOnly bool) ([]byte, error)
 }
@@ -43,7 +44,9 @@ func Resolve(req *http.Request, src content, cacheOnly bool) Response {
 	switch {
 	case base == "playlist.m3u8" && !cacheOnly:
 		res.Playlist = true
-		res.Body, res.final, err = src.playlistBody(req.Context())
+		if res.Body, res.final, err = src.playlistBody(req); err == errBadAfter {
+			return Response{Status: http.StatusBadRequest, errMsg: err.Error()}
+		}
 	case strings.HasPrefix(base, "seg") && strings.HasSuffix(base, ".ts"):
 		seq, perr := ParseSegmentName(base)
 		if perr != nil {
@@ -107,6 +110,10 @@ func upstreamStatus(err error) (int, string) {
 // layer mounts one Origin per popular broadcast behind its CDN nodes.
 type Origin struct {
 	Seg *Segmenter
+	// Stop, once closed, ends every held fill request (the serving
+	// endpoint is shutting down); Held gauges the ones held right now.
+	Stop <-chan struct{}
+	Held atomic.Int64
 }
 
 // ServeHTTP handles "playlist.m3u8" and "segNNNNNN.ts" paths (any prefix).
@@ -114,9 +121,50 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	Resolve(r, o, false).Write(w)
 }
 
-func (o *Origin) playlistBody(context.Context) ([]byte, bool, error) {
-	pl := o.Seg.Playlist()
-	return pl.Marshal(), pl.Ended, nil
+// holdCap bounds one held fill request: a cut is due every target
+// duration, and the longest keyframe-aligned segment the paper saw is ≈ 6 s.
+const holdCap = 6 * time.Second
+
+var errBadAfter = errors.New("bad after parameter")
+
+// parseAfter reads the fill protocol's query, "after=N" and nothing else,
+// N the highest sequence the asking edge lists. No query is -1.
+func parseAfter(query string) (int, error) {
+	if query == "" {
+		return -1, nil
+	}
+	if digits, ok := strings.CutPrefix(query, "after="); ok {
+		if n, ok := parseSeq(digits, 1); ok {
+			return n, nil
+		}
+	}
+	return 0, errBadAfter
+}
+
+// playlistBody answers with the bytes rendered at the last cut. A fill
+// request that already lists them is held until the next publication (the
+// cut, or the broadcast's end) or until the asker goes away, the endpoint
+// shuts down or holdCap expires — those get the unchanged playlist.
+func (o *Origin) playlistBody(req *http.Request) ([]byte, bool, error) {
+	after, err := parseAfter(req.URL.RawQuery)
+	if err != nil {
+		return nil, false, err
+	}
+	pub := o.Seg.pub.Load()
+	if after >= max(pub.newest, 0) && !pub.pl.Ended {
+		o.Held.Add(1)
+		defer o.Held.Add(-1)
+		expiry := time.NewTimer(holdCap)
+		defer expiry.Stop()
+		select {
+		case <-pub.next:
+			pub = o.Seg.pub.Load()
+		case <-req.Context().Done():
+		case <-o.Stop:
+		case <-expiry.C:
+		}
+	}
+	return pub.raw, pub.pl.Ended, nil
 }
 
 func (o *Origin) segmentBody(_ context.Context, seq int, _ bool) ([]byte, error) {
@@ -133,8 +181,9 @@ func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	Resolve(req, r, false).Write(w)
 }
 
-func (r *Replica) playlistBody(ctx context.Context) ([]byte, bool, error) {
-	raw, pl, err := r.Playlist(ctx)
+// playlistBody ignores the query: a viewer cannot make the edge hold.
+func (r *Replica) playlistBody(req *http.Request) ([]byte, bool, error) {
+	raw, pl, err := r.Playlist(req.Context())
 	return raw, pl.Ended, err
 }
 

@@ -21,6 +21,7 @@ func TestResolveKeepsStatusAndKind(t *testing.T) {
 		Source: src, FillAttempts: 1, TargetDuration: time.Second,
 		Enqueue: (&jobQueue{}).enqueue, // no background prefetch
 	})
+	defer rep.Close()
 	srv := httptest.NewServer(rep)
 	defer srv.Close()
 

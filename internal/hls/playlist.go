@@ -52,60 +52,54 @@ func (p MediaPlaylist) Marshal() []byte {
 	return b.Bytes()
 }
 
-// ParseMediaPlaylist decodes an M3U8 media playlist.
+// ParseMediaPlaylist decodes an M3U8 media playlist. What it accepts
+// round-trips, Parse(p.Marshal()) == p: numbers are plain ASCII digits, an
+// absent version is the protocol's 1, the media sequence precedes the
+// segments, durations are finite, non-negative and kept to Marshal's ms.
 func ParseMediaPlaylist(data []byte) (MediaPlaylist, error) {
-	var p MediaPlaylist
+	p := MediaPlaylist{Version: 1}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "#EXTM3U" {
 		return p, errors.New("hls: missing #EXTM3U header")
 	}
-	var pendingDur *float64
-	seq := 0
+	pendingDur := -1.0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
+		tag, val, _ := strings.Cut(line, ":")
+		switch tag {
+		case "":
 			continue
-		case strings.HasPrefix(line, "#EXT-X-VERSION:"):
-			v, err := strconv.Atoi(strings.TrimPrefix(line, "#EXT-X-VERSION:"))
-			if err != nil {
-				return p, fmt.Errorf("hls: bad version: %w", err)
+		case "#EXT-X-VERSION", "#EXT-X-TARGETDURATION", "#EXT-X-MEDIA-SEQUENCE":
+			n, ok := parseSeq(val, 1)
+			switch {
+			case !ok, tag == "#EXT-X-VERSION" && n == 0, tag == "#EXT-X-MEDIA-SEQUENCE" && len(p.Segments) > 0:
+				return p, fmt.Errorf("hls: bad %s %q", tag, val)
+			case tag == "#EXT-X-VERSION":
+				p.Version = n
+			case tag == "#EXT-X-TARGETDURATION":
+				p.TargetDuration = n
+			default:
+				p.MediaSequence = n
 			}
-			p.Version = v
-		case strings.HasPrefix(line, "#EXT-X-TARGETDURATION:"):
-			v, err := strconv.Atoi(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"))
-			if err != nil {
-				return p, fmt.Errorf("hls: bad target duration: %w", err)
-			}
-			p.TargetDuration = v
-		case strings.HasPrefix(line, "#EXT-X-MEDIA-SEQUENCE:"):
-			v, err := strconv.Atoi(strings.TrimPrefix(line, "#EXT-X-MEDIA-SEQUENCE:"))
-			if err != nil {
-				return p, fmt.Errorf("hls: bad media sequence: %w", err)
-			}
-			p.MediaSequence = v
-			seq = v
-		case strings.HasPrefix(line, "#EXTINF:"):
-			spec := strings.TrimPrefix(line, "#EXTINF:")
-			if i := strings.IndexByte(spec, ','); i >= 0 {
-				spec = spec[:i]
-			}
+		case "#EXTINF":
+			spec, _, _ := strings.Cut(val, ",")
 			d, err := strconv.ParseFloat(spec, 64)
-			if err != nil {
-				return p, fmt.Errorf("hls: bad EXTINF: %w", err)
+			// Within 1e9 s a float64 holds the milliseconds exactly.
+			if err != nil || !(d >= 0 && d <= 1e9) {
+				return p, fmt.Errorf("hls: bad EXTINF %q", spec)
 			}
-			pendingDur = &d
-		case line == "#EXT-X-ENDLIST":
+			pendingDur = math.Round(d*1000) / 1000
+		case "#EXT-X-ENDLIST":
 			p.Ended = true
-		case strings.HasPrefix(line, "#"):
-			continue // unknown tag
 		default:
-			if pendingDur == nil {
+			if line[0] == '#' {
+				continue // unknown tag
+			}
+			if pendingDur < 0 {
 				return p, fmt.Errorf("hls: segment URI %q without EXTINF", line)
 			}
-			p.Segments = append(p.Segments, Segment{URI: line, Duration: *pendingDur, Sequence: seq})
-			seq++
-			pendingDur = nil
+			p.Segments = append(p.Segments, Segment{URI: line, Duration: pendingDur, Sequence: p.MediaSequence + len(p.Segments)})
+			pendingDur = -1
 		}
 	}
 	return p, sc.Err()

@@ -3,8 +3,6 @@ package hls
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -16,8 +14,9 @@ import (
 // observed ("all HLS streams came from two IP addresses"): a POP does not
 // hold the broadcast's segmenter, it holds a Replica that pulls playlists
 // and segments from the origin tier on demand and in the background.
-// Playlist staleness at the edge — the quantity that drives HLS join time
-// and stalling in §4/§5 — becomes an explicit, measurable property.
+// Playlists arrive over one held request per polled replica, answered at
+// the cut: the edge's share of playlist staleness — the quantity that
+// drives HLS join time and stalling in §4/§5 — is one fill.
 
 // SegmentSource is the fill protocol a Replica pulls from: the origin's
 // live playlist and its segments. FillClient implements it over HTTP;
@@ -27,64 +26,13 @@ type SegmentSource interface {
 	FetchSegment(ctx context.Context, seq int) ([]byte, error)
 }
 
-// UpstreamError reports a non-200 origin response, preserving the status
-// so the edge can mirror 404s (expired segments) instead of masking them
-// as gateway failures.
-type UpstreamError struct {
-	Status int
-}
-
-func (e *UpstreamError) Error() string {
-	return fmt.Sprintf("hls: upstream status %d", e.Status)
-}
-
-// FillClient fetches origin data over HTTP — the POP-internal fill path.
-type FillClient struct {
-	// BaseURL is the origin directory holding playlist.m3u8 and segments.
-	BaseURL string
-	// HTTP may carry a shaped or instrumented transport; defaults to
-	// http.DefaultClient.
-	HTTP *http.Client
-}
-
-func (c *FillClient) get(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, &UpstreamError{Status: resp.StatusCode}
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// FetchPlaylist implements SegmentSource.
-func (c *FillClient) FetchPlaylist(ctx context.Context) ([]byte, error) {
-	return c.get(ctx, c.BaseURL+"/playlist.m3u8")
-}
-
-// FetchSegment implements SegmentSource.
-func (c *FillClient) FetchSegment(ctx context.Context, seq int) ([]byte, error) {
-	return c.get(ctx, c.BaseURL+"/"+SegmentName(seq))
-}
-
 // FillWorker is a POP's background fill executor: a small pool of
 // goroutines draining a bounded job queue. Jobs block on origin HTTP
 // fetches, so more than one worker is needed or a single slow broadcast
-// would head-of-line-block every other replica's revalidation on the same
-// POP. Background work (playlist revalidation, segment prefetch) is
-// best-effort — when the queue is full the job is dropped and the demand
-// path fills synchronously instead.
+// would head-of-line-block every other replica's prefetches on the same
+// POP. Background work (segment prefetch) is best-effort — when the queue
+// is full the job is dropped and the demand path fills synchronously
+// instead.
 type FillWorker struct {
 	ch   chan func()
 	quit chan struct{}
@@ -160,15 +108,9 @@ type ReplicaConfig struct {
 	// Window+2 segments (the origin's own fetch horizon) and evicts older
 	// ones, so edge cache occupancy slides in lockstep with the origin.
 	Window int
-	// TargetDuration is the origin's segment target; the playlist TTL
-	// derives from it.
+	// TargetDuration is the origin's segment target: a source that cannot
+	// hold is asked again no sooner than half of it; NegativeTTL derives.
 	TargetDuration time.Duration
-	// PlaylistTTL is how long a cached playlist is served without
-	// revalidation. Past the TTL the edge still answers immediately from
-	// cache (stale-while-revalidate) but schedules an async refresh.
-	// Defaults to TargetDuration/2, the staleness bound a polling player
-	// effectively sees through a CDN edge.
-	PlaylistTTL time.Duration
 	// FillAttempts caps upstream attempts inside one single-flight fill:
 	// a transient failure is retried (with backoff) instead of being
 	// published to every coalesced waiter. Defaults to
@@ -203,18 +145,17 @@ type ReplicaConfig struct {
 type fillResult struct {
 	done chan struct{}
 	data []byte
-	pl   MediaPlaylist
 	err  error
 }
 
 // Replica is a POP's async cache of one broadcast: segments fill
 // origin→edge exactly once regardless of concurrent demand, the cache
-// window slides with the origin's, and playlists are served
-// stale-while-revalidate.
+// window slides with the origin's, and the playlist is kept current by one
+// watch goroutine that exists only while viewers poll.
 type Replica struct {
 	src      SegmentSource
 	keep     int
-	ttl      time.Duration
+	floor    time.Duration // least time between two rounds that do not advance
 	attempts int
 	backoff  time.Duration
 	negTTL   time.Duration
@@ -233,13 +174,32 @@ type Replica struct {
 	inflight map[int]*fillResult
 	negCache map[int]negEntry
 
-	plRaw        []byte
-	pl           MediaPlaylist
-	plFetched    time.Time
-	plInflight   *fillResult // cold-cache synchronous fetch
-	plRefreshing bool        // async revalidation scheduled/running
-	final        bool        // playlist carried #EXT-X-ENDLIST
+	// win is the playlist served, stored by the watch only. polled is
+	// raised by viewer polls and lowered by the watch once a round; watch is
+	// watchOff or how the running watch's last round went; cur is its round
+	// under way or, between rounds, the last one.
+	win    atomic.Pointer[window]
+	polled atomic.Bool
+	watch  atomic.Int32
+	cur    atomic.Pointer[fillResult]
+	// wmu orders watch starts against each other and against Close, which
+	// calls stop (the running watch's cancel) and waits on wg for its exit.
+	wmu    sync.Mutex
+	wg     sync.WaitGroup
+	stop   context.CancelFunc
+	closed bool
 }
+
+// window is one immutable answer of the source: what every poll is served
+// until the watch installs the next one.
+type window struct {
+	raw    []byte
+	pl     MediaPlaylist
+	newest int       // highest listed sequence, -1 when none
+	at     time.Time // when the source confirmed it
+}
+
+const watchOff, watchOK, watchFailing int32 = 0, 1, 2
 
 // negEntry is one negative-cache record: the error a recent fill ended
 // with and how long to keep answering with it.
@@ -269,9 +229,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.TargetDuration <= 0 {
 		cfg.TargetDuration = DefaultSegmentTarget
 	}
-	if cfg.PlaylistTTL <= 0 {
-		cfg.PlaylistTTL = cfg.TargetDuration / 2
-	}
 	if cfg.Enqueue == nil {
 		cfg.Enqueue = func(job func()) bool { go job(); return true }
 	}
@@ -296,7 +253,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	return &Replica{
 		src:      cfg.Source,
 		keep:     cfg.Window + 2, // parity with Segmenter.maxKeep
-		ttl:      cfg.PlaylistTTL,
+		floor:    min(cfg.TargetDuration/2, holdCap),
 		attempts: cfg.FillAttempts,
 		backoff:  cfg.RetryBackoff,
 		negTTL:   cfg.NegativeTTL,
@@ -320,8 +277,9 @@ type ReplicaStats struct {
 	FillCap int
 	// CachedSegments is the current cache occupancy.
 	CachedSegments int
-	// PlaylistAge is the time since the cached playlist was fetched from
-	// origin (0 when never fetched or final): the edge's playlist lag.
+	// PlaylistAge is the time since the source last confirmed the served
+	// playlist (0 when none or final): it grows between cuts, up to one
+	// segment duration on a healthy edge, and is not a staleness measure.
 	PlaylistAge time.Duration
 	// Final reports that the cached playlist carries #EXT-X-ENDLIST.
 	Final bool
@@ -332,11 +290,13 @@ func (r *Replica) Stats() ReplicaStats {
 	st := ReplicaStats{FillStats: r.c.Load(), FillCap: cap(r.fillSem)}
 	r.mu.Lock()
 	st.CachedSegments = len(r.segs)
-	st.Final = r.final
-	if r.plRaw != nil && !r.final {
-		st.PlaylistAge = r.now().Sub(r.plFetched)
-	}
 	r.mu.Unlock()
+	if w := r.win.Load(); w != nil {
+		st.Final = w.pl.Ended
+		if !st.Final {
+			st.PlaylistAge = r.now().Sub(w.at)
+		}
+	}
 	return st
 }
 
@@ -408,7 +368,7 @@ func (r *Replica) fillSegment(seq int, f *fillResult) {
 func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 	defer r.releaseFill()
 	var data []byte
-	err := r.fillWithRetries(func(ctx context.Context) error {
+	err := r.fillWithRetries(context.Background(), 0, func(ctx context.Context) error {
 		var aerr error
 		data, aerr = r.src.FetchSegment(ctx, seq)
 		return aerr
@@ -437,20 +397,22 @@ func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 // fillWithRetries runs one fill operation: up to r.attempts calls of do,
 // each bounded by an equal share of the overall fillTimeout budget, with
 // jittered doubling backoff between attempts. Terminal errors (4xx — the
-// upstream answered) short-circuit.
-func (r *Replica) fillWithRetries(do func(ctx context.Context) error) error {
-	deadline := time.Now().Add(fillTimeout)
+// upstream answered) and the end of parent short-circuit. hold extends
+// every deadline by the time the upstream may hold the request, so a hold
+// is never what breakerFailure sees as a timeout.
+func (r *Replica) fillWithRetries(parent context.Context, hold time.Duration, do func(ctx context.Context) error) error {
+	deadline := time.Now().Add(fillTimeout + hold)
 	var err error
 	for attempt := 0; attempt < r.attempts; attempt++ {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			break
 		}
-		per := min(fillTimeout/time.Duration(r.attempts), remaining)
-		ctx, cancel := context.WithTimeout(context.Background(), per)
+		per := min(fillTimeout/time.Duration(r.attempts)+hold, remaining)
+		ctx, cancel := context.WithTimeout(parent, per)
 		err = do(ctx)
 		cancel()
-		if err == nil || !retryableFill(err) {
+		if err == nil || !retryableFill(err) || parent.Err() != nil {
 			return err
 		}
 		wait := jitteredBackoff(r.backoff, attempt)
@@ -534,141 +496,165 @@ func (r *Replica) CachedSegment(seq int) ([]byte, bool) {
 	return data, ok
 }
 
-// WarmUp schedules a background playlist fetch — which prefetches the live
-// window — so a freshly promoted or registered replica is warm before its
-// first viewer arrives, instead of that viewer paying the cold-cache miss
-// storm. On a replica that already holds a (possibly empty or stale)
-// playlist it schedules a revalidation instead: a promotion-time warm-up
-// runs before the first segment is cut, so the caller re-warms once
-// content exists. Final playlists need no warming. It reports whether the
-// warm-up was scheduled (or already pending), so a caller can retry a
-// rejection from a saturated fill queue.
-func (r *Replica) WarmUp() bool {
-	r.mu.Lock()
-	if r.plRaw != nil {
-		scheduled := true
-		if !r.final {
-			scheduled = r.scheduleRefreshLocked()
-			if scheduled {
-				r.c.Warmups.Add(1)
-			}
-		}
-		r.mu.Unlock()
-		return scheduled
-	}
-	r.mu.Unlock()
-	accepted := r.enqueue(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
-		defer cancel()
-		// Cold single-flight playlist fetch; its success path prefetches
-		// every listed segment.
-		r.Playlist(ctx)
-	})
-	if accepted {
+// WarmUp starts the watch without a viewer — one round, nobody polling —
+// so a promoted or restored replica prefetches the live window instead of
+// its first viewer paying the miss storm. A promotion precedes the first
+// cut: the caller warms again once content exists.
+func (r *Replica) WarmUp() {
+	if _, started := r.startWatch(); started {
 		r.c.Warmups.Add(1)
-	} else {
-		r.c.PrefetchDropped.Add(1)
 	}
-	return accepted
 }
 
-// Playlist returns the marshalled playlist and its parsed form. A cached
-// copy — fresh, stale, or final — is served immediately; staleness only
-// schedules an asynchronous revalidation (stale-while-revalidate). Only a
-// cold cache fetches synchronously, and concurrent cold requests share one
-// origin fetch.
+// Close stops the watch for good and returns once it has exited: nothing
+// is held open at the source afterwards. The cache is still served.
+func (r *Replica) Close() {
+	r.wmu.Lock()
+	r.closed = true
+	if r.stop != nil {
+		r.stop()
+	}
+	r.wmu.Unlock()
+	r.wg.Wait()
+}
+
+// Playlist returns the marshalled playlist and its parsed form. A window
+// is served at once, an atomic load; served while no watch confirms it or
+// the watch's last round failed, it counts stale and (re)starts the watch.
+// Polls that find none share the watch's round or, between rounds, its
+// last error.
 func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
-	r.mu.Lock()
-	if r.plRaw != nil {
-		raw, pl := r.plRaw, r.pl
-		if !r.final && r.now().Sub(r.plFetched) > r.ttl {
-			r.c.StaleServes.Add(1)
-			r.scheduleRefreshLocked()
-		}
-		r.mu.Unlock()
-		return raw, pl, nil
+	if !r.polled.Load() {
+		r.polled.Store(true)
 	}
-	f := r.plInflight
-	if f != nil {
-		r.mu.Unlock()
-		r.c.SingleFlightHits.Add(1)
-	} else {
-		f = &fillResult{done: make(chan struct{})}
-		r.plInflight = f
-		r.mu.Unlock()
-		// Detached like segment fills: the cold fetch must survive the
-		// initiating requester disconnecting, and shares the demand-path
-		// retry budget — a cold viewer join must ride out a transient
-		// origin fault.
-		go func() {
-			var raw []byte
-			var pl MediaPlaylist
-			err := r.fillWithRetries(func(fctx context.Context) error {
-				var ferr error
-				raw, pl, ferr = r.fetchPlaylist(fctx)
-				return ferr
-			})
+	w := r.win.Load()
+	if w != nil && (w.pl.Ended || r.watch.Load() == watchOK) {
+		return w.raw, w.pl, nil
+	}
+	rd, _ := r.startWatch()
+	if w != nil {
+		r.c.StaleServes.Add(1)
+	} else if w = r.win.Load(); w == nil { // re-read: rd may be a later round than the first
+		if rd == nil {
+			return nil, MediaPlaylist{}, errors.New("hls: replica closed")
+		}
+		select {
+		case <-rd.done:
+		case <-ctx.Done():
+			return nil, MediaPlaylist{}, ctx.Err()
+		}
+		if w = r.win.Load(); w == nil {
+			return nil, MediaPlaylist{}, rd.err
+		}
+	}
+	return w.raw, w.pl, nil
+}
+
+// startWatch makes sure the watch runs, unless the replica is closed or
+// its playlist final, and returns its round. The watch gets a goroutine of
+// its own: on a fill worker, a held request would park one.
+func (r *Replica) startWatch() (rd *fillResult, started bool) {
+	var ctx context.Context
+	r.wmu.Lock()
+	if w := r.win.Load(); r.watch.Load() == watchOff && !r.closed && (w == nil || !w.pl.Ended) {
+		ctx, r.stop = context.WithCancel(context.Background())
+		r.cur.Store(&fillResult{done: make(chan struct{})})
+		r.watch.Store(watchOK)
+		r.wg.Add(1)
+		started = true
+	}
+	r.wmu.Unlock()
+	if started {
+		go r.runWatch(ctx)
+	}
+	return r.cur.Load(), started
+}
+
+// runWatch is the replica's one playlist loop: ask the source, install the
+// answer, prefetch what it newly lists, ask again after the sequence now
+// held, which a holding source answers at the next cut. The first round
+// after a start or a failure is a plain GET: nothing a joining viewer or a
+// half-open breaker's probe would wait a segment behind. A round that
+// returns without advancing sooner than r.floor (a source that cannot
+// hold) is paced to it; a failed one backs off. The loop ends on a final
+// playlist, on Close, and after two rounds in a row without a viewer
+// poll, a warm-up counting as the first.
+func (r *Replica) runWatch(ctx context.Context) {
+	defer r.wg.Done()
+	after, idle := -1, 1
+	for {
+		began := time.Now()
+		w, err := r.fetchWindow(ctx, after)
+		state, pause := watchOK, time.Duration(0)
+		if err != nil {
+			state, after, pause = watchFailing, -1, jitteredBackoff(r.floor, 0)
+		} else {
+			if !w.pl.Ended && w.newest <= after {
+				pause = r.floor - time.Since(began)
+			}
+			after = w.newest
+			// The one store of r.win. The eviction horizon follows it, so
+			// segments the edge never re-fetches still age out.
+			r.win.Store(w)
 			r.mu.Lock()
-			r.plInflight = nil
-			if err == nil {
-				r.storePlaylistLocked(raw, pl)
-			}
+			r.maxSeq = max(r.maxSeq, w.newest)
+			r.evictLocked()
 			r.mu.Unlock()
-			f.data, f.pl, f.err = raw, pl, err
-			close(f.done)
-			if err == nil {
-				r.prefetch(pl)
-			}
-		}()
-	}
-	select {
-	case <-f.done:
-		return f.data, f.pl, f.err
-	case <-ctx.Done():
-		return nil, MediaPlaylist{}, ctx.Err()
-	}
-}
-
-// fetchPlaylist pulls and parses the origin playlist, counting the fill.
-func (r *Replica) fetchPlaylist(ctx context.Context) ([]byte, MediaPlaylist, error) {
-	raw, err := r.src.FetchPlaylist(ctx)
-	r.c.PlaylistRefreshes.Add(1)
-	if err != nil {
-		r.c.FillErrors.Add(1)
-		return nil, MediaPlaylist{}, err
-	}
-	r.c.PlaylistBytes.Add(int64(len(raw)))
-	pl, err := ParseMediaPlaylist(raw)
-	if err != nil {
-		r.c.FillErrors.Add(1)
-		return nil, MediaPlaylist{}, err
-	}
-	return raw, pl, nil
-}
-
-// storePlaylistLocked installs a fetched playlist and advances the
-// eviction horizon to the newest listed sequence, so segments the edge
-// never re-fetches still age out of the cache.
-func (r *Replica) storePlaylistLocked(raw []byte, pl MediaPlaylist) {
-	r.plRaw, r.pl = raw, pl
-	r.plFetched = r.now()
-	if pl.Ended {
-		r.final = true
-	}
-	for _, s := range pl.Segments {
-		if s.Sequence > r.maxSeq {
-			r.maxSeq = s.Sequence
+			r.prefetch(w.pl)
 		}
+		if idle++; r.polled.Swap(false) {
+			idle = 0
+		}
+		if idle >= 2 || ctx.Err() != nil || err == nil && w.pl.Ended {
+			state = watchOff
+		}
+		rd := r.cur.Load()
+		rd.err = err
+		close(rd.done)
+		r.watch.Store(state)
+		if state == watchOff {
+			return
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(pause):
+		}
+		r.cur.Store(&fillResult{done: make(chan struct{})})
 	}
-	r.evictLocked()
+}
+
+// fetchWindow is one round's fetch, the only place a replica asks for the
+// playlist, on the demand path's retry budget: a viewer joining a cold
+// replica must ride out a transient origin fault.
+func (r *Replica) fetchWindow(ctx context.Context, after int) (w *window, err error) {
+	var hold time.Duration
+	if after >= 0 {
+		ctx, hold = context.WithValue(ctx, afterKey{}, after), holdCap
+	}
+	err = r.fillWithRetries(ctx, hold, func(ctx context.Context) error {
+		raw, err := r.src.FetchPlaylist(ctx)
+		r.c.PlaylistRefreshes.Add(1)
+		r.c.PlaylistBytes.Add(int64(len(raw)))
+		var pl MediaPlaylist
+		if err == nil {
+			pl, err = ParseMediaPlaylist(raw)
+		}
+		if err != nil {
+			r.c.FillErrors.Add(1)
+			return err
+		}
+		w = &window{raw: raw, pl: pl, newest: pl.MediaSequence + len(pl.Segments) - 1, at: r.now()}
+		return nil
+	})
+	return w, err
 }
 
 // prefetchSegment fills seq on a background worker if it is neither
 // cached nor in flight AND a fill-cap slot is immediately free. The
 // check-and-reserve is atomic (non-blocking send under the replica lock),
 // so a capped hot broadcast can never park a fill worker behind its
-// demand queue — the skipped segment is re-offered by the next
-// stale-revalidate cycle.
+// demand queue — the skipped segment is re-offered by the watch's next
+// round.
 func (r *Replica) prefetchSegment(seq int) {
 	r.mu.Lock()
 	if _, have := r.segs[seq]; have {
@@ -697,36 +683,6 @@ func (r *Replica) prefetchSegment(seq int) {
 	r.mu.Unlock()
 	// Demand requests arriving now coalesce onto this fill (single-flight).
 	r.fillSegmentReserved(seq, f)
-}
-
-// scheduleRefreshLocked queues one async revalidation; while it is
-// pending, further stale serves do not pile up more refreshes. It reports
-// whether a revalidation is now scheduled or already pending (false only
-// when the fill queue rejected the job).
-func (r *Replica) scheduleRefreshLocked() bool {
-	if r.plRefreshing {
-		return true
-	}
-	r.plRefreshing = true
-	accepted := r.enqueue(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
-		defer cancel()
-		raw, pl, err := r.fetchPlaylist(ctx)
-		r.mu.Lock()
-		r.plRefreshing = false
-		if err == nil {
-			r.storePlaylistLocked(raw, pl)
-		}
-		r.mu.Unlock()
-		if err == nil {
-			r.prefetch(pl)
-		}
-	})
-	if !accepted {
-		r.plRefreshing = false
-		r.c.PrefetchDropped.Add(1)
-	}
-	return accepted
 }
 
 // prefetch warms the cache with listed segments the edge does not hold

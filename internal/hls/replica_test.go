@@ -23,9 +23,11 @@ type fakeSource struct {
 	segs     map[int][]byte
 	// segErrs returns the given error for a segment until cleared;
 	// segFail fails the next N fetches of a segment, then serves it.
-	segErrs  map[int]error
-	segFail  map[int]int
-	perSeq   map[int]int64
+	segErrs map[int]error
+	segFail map[int]int
+	perSeq  map[int]int64
+	// plErr, while set, fails every playlist fetch.
+	plErr error
 
 	playlistFetches atomic.Int64
 	segmentFetches  atomic.Int64
@@ -69,6 +71,12 @@ func (s *fakeSource) setPlaylist(pl MediaPlaylist) {
 	s.mu.Unlock()
 }
 
+func (s *fakeSource) setPlaylistErr(err error) {
+	s.mu.Lock()
+	s.plErr = err
+	s.mu.Unlock()
+}
+
 func (s *fakeSource) setSegment(seq int, data []byte) {
 	s.mu.Lock()
 	s.segs[seq] = data
@@ -79,6 +87,9 @@ func (s *fakeSource) FetchPlaylist(ctx context.Context) ([]byte, error) {
 	s.playlistFetches.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.plErr != nil {
+		return nil, s.plErr
+	}
 	if s.playlist == nil {
 		return nil, &UpstreamError{Status: http.StatusNotFound}
 	}
@@ -447,122 +458,120 @@ func TestReplicaFillSurvivesInitiatorDisconnect(t *testing.T) {
 	}
 }
 
-func TestReplicaStaleWhileRevalidatePlaylist(t *testing.T) {
+// TestReplicaServesLastWindowWhileWatchFails: a watch round that fails
+// changes nothing a viewer sees — the last window is still served at once,
+// counted stale, its age growing — and the first round that succeeds
+// installs the source's new window.
+func TestReplicaServesLastWindowWhileWatchFails(t *testing.T) {
 	src := newFakeSource()
 	src.setPlaylist(livePlaylist(0))
 
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
+	var clock atomic.Int64 // seconds past the epoch below
 	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
 		Source:         src,
 		Window:         4,
-		TargetDuration: 4 * time.Second,
-		PlaylistTTL:    2 * time.Second,
+		TargetDuration: 20 * time.Millisecond, // a round every 10 ms
+		FillAttempts:   1,
+		RetryBackoff:   time.Millisecond,
 		Enqueue:        q.enqueue,
-		Now:            clock,
+		Now:            func() time.Time { return time.Unix(1000+clock.Load(), 0) },
 	})
+	defer rep.Close()
 
-	// Cold cache: blocking fill.
+	// No window yet: the poll waits for the watch's first round.
 	raw, _, err := rep.Playlist(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.playlistFetches.Load() != 1 {
-		t.Fatalf("cold fetch count = %d", src.playlistFetches.Load())
-	}
-	// The cold fill's prefetch enqueues asynchronously; wait for it.
-	waitUntil(t, func() bool { return q.size() == 1 })
-
-	// Within TTL: cached, no origin traffic, no refresh scheduled.
-	now = now.Add(time.Second)
-	if _, _, err := rep.Playlist(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n := q.runAll(); n != 1 { // only the segment prefetch from the cold fill
-		t.Fatalf("within-TTL serve queued %d jobs, want 1 (prefetch)", n)
-	}
-	if src.playlistFetches.Load() != 1 {
-		t.Errorf("within-TTL serve hit origin")
+	if st := rep.Stats(); st.StaleServes != 0 || st.PlaylistAge != 0 {
+		t.Fatalf("fresh window: %d stale serves, age %v", st.StaleServes, st.PlaylistAge)
 	}
 
-	// Origin advances; edge is past TTL: the stale copy is served
-	// immediately and a revalidation is queued.
+	// The source starts failing and its playlist moves on: polls keep
+	// getting the last window, now counted stale.
+	src.setPlaylistErr(&UpstreamError{Status: http.StatusBadGateway})
 	src.setPlaylist(livePlaylist(1, 2))
-	now = now.Add(5 * time.Second)
-	raw2, _, err := rep.Playlist(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, raw2) {
-		t.Fatalf("stale serve returned new content before revalidation")
-	}
-	st := rep.Stats()
-	if st.StaleServes != 1 {
-		t.Errorf("StaleServes = %d, want 1", st.StaleServes)
-	}
-	if st.PlaylistAge != 6*time.Second {
-		t.Errorf("PlaylistAge = %v, want 6s", st.PlaylistAge)
+	waitUntil(t, func() bool {
+		got, _, err := rep.Playlist(context.Background())
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("poll during the outage: %q, %v; want the last window", got, err)
+		}
+		return rep.Stats().StaleServes > 0
+	})
+	// Nothing confirms the window any more, so its age grows with the clock.
+	clock.Store(6)
+	if age := rep.Stats().PlaylistAge; age != 6*time.Second {
+		t.Errorf("PlaylistAge = %v after 6 s without a confirming round, want 6s", age)
 	}
 
-	// A second stale serve while the refresh is pending must not queue
-	// another one.
+	// Recovery: the next round installs the new window and confirms it.
+	src.setPlaylistErr(nil)
+	waitUntil(t, func() bool {
+		_, pl, err := rep.Playlist(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(pl.Segments) == 2 && pl.Segments[1].Sequence == 2
+	})
+	if age := rep.Stats().PlaylistAge; age != 0 {
+		t.Errorf("PlaylistAge after recovery = %v, want 0", age)
+	}
+	stale := rep.Stats().StaleServes
 	if _, _, err := rep.Playlist(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	q.runAll() // run the (single) revalidation + its prefetches
-	if src.playlistFetches.Load() != 2 {
-		t.Fatalf("pending revalidation deduped wrong: %d origin fetches", src.playlistFetches.Load())
-	}
-
-	// After revalidation: fresh content, age reset.
-	raw3, pl3, err := rep.Playlist(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(raw2, raw3) || len(pl3.Segments) != 2 {
-		t.Fatalf("revalidated playlist not installed: %s", raw3)
-	}
-	if age := rep.Stats().PlaylistAge; age != 0 {
-		t.Errorf("PlaylistAge after refresh = %v, want 0", age)
+	if got := rep.Stats().StaleServes; got != stale {
+		t.Errorf("a poll of a confirmed window counted stale (%d → %d)", stale, got)
 	}
 }
 
-func TestReplicaFinalPlaylistStopsRevalidating(t *testing.T) {
+// TestReplicaFinalPlaylistEndsWatch: a final playlist is the watch's last
+// round — nothing is running or held afterwards — and it is served for
+// ever without a stale serve or another fetch.
+func TestReplicaFinalPlaylistEndsWatch(t *testing.T) {
 	src := newFakeSource()
 	ended := livePlaylist(3, 4)
 	ended.Ended = true
 	src.setPlaylist(ended)
 
-	now := time.Unix(1000, 0)
+	var clock atomic.Int64
 	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
-		Source:      src,
-		PlaylistTTL: time.Second,
-		Enqueue:     q.enqueue,
-		Now:         func() time.Time { return now },
+		Source:         src,
+		TargetDuration: 20 * time.Millisecond,
+		Enqueue:        q.enqueue,
+		Now:            func() time.Time { return time.Unix(1000+clock.Load(), 0) },
 	})
 	if _, pl, err := rep.Playlist(context.Background()); err != nil || !pl.Ended {
 		t.Fatalf("pl=%+v err=%v", pl, err)
 	}
-	// Far past the TTL: a final playlist serves from cache forever.
-	now = now.Add(time.Hour)
-	// Wait for the cold fill's async prefetches (2 listed segments), then
-	// discard them; only refreshes matter here.
-	waitUntil(t, func() bool { return q.size() == 2 })
-	q.clear()
-	if _, _, err := rep.Playlist(context.Background()); err != nil {
-		t.Fatal(err)
+	rep.wg.Wait() // the watch is gone, not merely idle
+	if got := rep.watch.Load(); got != watchOff {
+		t.Fatalf("watch state %d after a final playlist, want off", got)
 	}
+	// The final round prefetched its two listed segments; discard them.
+	if n := q.size(); n != 2 {
+		t.Fatalf("final round queued %d prefetches, want 2", n)
+	}
+	q.clear()
+
+	clock.Store(3600)
+	for i := 0; i < 10; i++ {
+		if _, pl, err := rep.Playlist(context.Background()); err != nil || !pl.Ended {
+			t.Fatalf("pl=%+v err=%v", pl, err)
+		}
+	}
+	rep.WarmUp()
 	if n := q.runAll(); n != 0 {
 		t.Errorf("final playlist scheduled %d background jobs", n)
 	}
 	st := rep.Stats()
-	if st.StaleServes != 0 || !st.Final || st.PlaylistAge != 0 {
-		t.Errorf("stats = %+v, want final with no stale serves", st)
+	if st.StaleServes != 0 || !st.Final || st.PlaylistAge != 0 || st.Warmups != 0 {
+		t.Errorf("stats = %+v, want final with no stale serves, age or warm-up", st)
 	}
-	if src.playlistFetches.Load() != 1 {
-		t.Errorf("final playlist refetched (%d)", src.playlistFetches.Load())
+	if rep.watch.Load() != watchOff || src.playlistFetches.Load() != 1 {
+		t.Errorf("final playlist refetched (%d fetches, watch state %d)", src.playlistFetches.Load(), rep.watch.Load())
 	}
 }
 
@@ -608,6 +617,7 @@ func TestReplicaPrefetchWarmsListedSegments(t *testing.T) {
 	}
 	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{Source: src, Enqueue: q.enqueue})
+	defer rep.Close()
 	if _, _, err := rep.Playlist(context.Background()); err != nil {
 		t.Fatal(err)
 	}

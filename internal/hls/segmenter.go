@@ -3,9 +3,11 @@ package hls
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"periscope/internal/mpegts"
@@ -47,6 +49,20 @@ type Segmenter struct {
 	ended   bool
 	maxKeep int
 	all     map[int]StoredSegment // segments still fetchable (window + grace)
+
+	// pub is the playlist as of the last cut: rendered once there, read
+	// by every poll and fill without the lock.
+	pub atomic.Pointer[publication]
+}
+
+// publication is one immutable state of the live playlist. A fill request
+// that already lists newest waits on next, closed by the following
+// publication (the next cut, or Finish).
+type publication struct {
+	raw    []byte
+	pl     MediaPlaylist
+	newest int // highest listed sequence, -1 when none
+	next   chan struct{}
 }
 
 // NewSegmenter creates a live segmenter with the given target segment
@@ -58,13 +74,15 @@ func NewSegmenter(target time.Duration, windowSize int) *Segmenter {
 	if windowSize <= 0 {
 		windowSize = DefaultWindowSize
 	}
-	return &Segmenter{
+	s := &Segmenter{
 		target:     target,
 		windowSize: windowSize,
 		mux:        mpegts.NewMuxer(),
 		all:        map[int]StoredSegment{},
 		maxKeep:    windowSize + 2,
 	}
+	s.publishLocked()
+	return s
 }
 
 // WriteVideo adds one video access unit (Annex B). now is the wall-clock
@@ -132,6 +150,7 @@ func (s *Segmenter) cutLocked(now time.Time) {
 	}
 	s.haveFrame = false
 	s.curStart, s.curEnd = 0, 0
+	s.publishLocked()
 }
 
 // Finish flushes the trailing partial segment and marks the playlist ended.
@@ -142,12 +161,16 @@ func (s *Segmenter) Finish(now time.Time) {
 		s.cutLocked(now)
 	}
 	s.ended = true
+	s.publishLocked()
 }
 
-// Playlist renders the current live playlist.
-func (s *Segmenter) Playlist() MediaPlaylist {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Playlist returns the live playlist as of the last cut. Its Segments are
+// shared with every other caller and must not be modified.
+func (s *Segmenter) Playlist() MediaPlaylist { return s.pub.Load().pl }
+
+// publishLocked renders the playlist and swaps it in, waking the fill
+// requests held on the previous publication.
+func (s *Segmenter) publishLocked() {
 	p := MediaPlaylist{Ended: s.ended}
 	var maxDur float64
 	for _, seg := range s.window {
@@ -168,7 +191,12 @@ func (s *Segmenter) Playlist() MediaPlaylist {
 	} else {
 		p.MediaSequence = s.seq
 	}
-	return p
+	// Clipped: an append by a caller must not land in the shared array.
+	p.Segments = slices.Clip(p.Segments)
+	next := &publication{raw: p.Marshal(), pl: p, newest: s.seq - 1, next: make(chan struct{})}
+	if prev := s.pub.Swap(next); prev != nil {
+		close(prev.next)
+	}
 }
 
 // Segment returns a stored segment by sequence number.
@@ -180,19 +208,11 @@ func (s *Segmenter) Segment(seq int) (StoredSegment, bool) {
 }
 
 // SegmentCount reports how many segments have been produced in total.
-func (s *Segmenter) SegmentCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
+func (s *Segmenter) SegmentCount() int { return s.pub.Load().newest + 1 }
 
 // Ended reports whether Finish has been called: the playlist is final and
 // no further segments will appear.
-func (s *Segmenter) Ended() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ended
-}
+func (s *Segmenter) Ended() bool { return s.pub.Load().pl.Ended }
 
 // WindowSize returns the live playlist window size.
 func (s *Segmenter) WindowSize() int { return s.windowSize }
@@ -229,16 +249,23 @@ func ParseSegmentName(uri string) (int, error) {
 	if ok {
 		digits, ok = strings.CutSuffix(digits, ".ts")
 	}
-	// 18 digits cannot overflow an int64.
-	ok = ok && len(digits) >= 6 && len(digits) <= 18
+	seq, canonical := parseSeq(digits, 6)
+	if !ok || !canonical {
+		return 0, fmt.Errorf("hls: bad segment name %q", uri)
+	}
+	return seq, nil
+}
+
+// parseSeq reads a sequence number as the tiers write it: ASCII digits,
+// zero-padded to width and no further (one spelling per number), at most
+// 18 (which cannot overflow an int64).
+func parseSeq(digits string, width int) (int, bool) {
+	ok := len(digits) >= width && len(digits) <= 18 && (len(digits) == width || digits[0] != '0')
 	seq := 0
 	for i := 0; ok && i < len(digits); i++ {
 		c := digits[i]
 		ok = '0' <= c && c <= '9'
 		seq = seq*10 + int(c-'0')
 	}
-	if !ok {
-		return 0, fmt.Errorf("hls: bad segment name %q", uri)
-	}
-	return seq, nil
+	return seq, ok
 }

@@ -21,7 +21,8 @@ import (
 //     "transcode, repackage and deliver to Fastly" output), and
 //   - edge POPs, each holding an hls.Replica per broadcast that fills
 //     segments asynchronously (single-flight per segment, sliding-window
-//     cache) and serves stale-while-revalidate playlists.
+//     cache) and keeps its playlist current over one request the origin
+//     holds until the next segment is cut.
 //
 // The POPs have a geography (PR 5): each one is placed in a geo.Region,
 // every fill path (POP→origin and POP→peer) runs through a netem.Link
@@ -37,13 +38,14 @@ import (
 // pointer-sharing fiction; fills (peer vs origin), coalesced requests,
 // staleness, warm-ups and evictions surface in the service snapshot.
 
-// popFillQueueDepth bounds each POP's background fill queue (playlist
-// revalidations and segment prefetches across all of its replicas).
+// popFillQueueDepth bounds each POP's background fill queue (segment
+// prefetches across all of its replicas).
 const popFillQueueDepth = 1024
 
-// popFillWorkers is the per-POP fill pool size: fill jobs block on origin
-// HTTP fetches, so a few run in parallel or one slow broadcast would
-// head-of-line-block every other replica's revalidation.
+// popFillWorkers is the per-POP fill pool size: prefetch jobs block on
+// origin HTTP fetches, so a few run in parallel or one slow broadcast would
+// head-of-line-block every other replica's prefetches. Playlist watches do
+// not run here: a held request would park a worker for a segment duration.
 const popFillWorkers = 8
 
 // originTier serves every registered broadcast's playlist and segments to
@@ -73,20 +75,22 @@ func newOriginTier() (*originTier, error) {
 
 // register mounts a broadcast's segmenter at /hls/<id>/.
 func (o *originTier) register(id string, seg *hls.Segmenter) {
-	o.mounts.register(id, seg, func() *hls.Origin { return &hls.Origin{Seg: seg} })
+	o.mounts.register(id, seg, func() *hls.Origin { return &hls.Origin{Seg: seg, Stop: o.closing.Done()} })
 }
 
 // counts splits the registered mounts into live broadcasts and replay
-// (VOD) mounts; the latter outlive their broadcast by design.
-func (o *originTier) counts() (live, replays int) {
-	o.each(func(id string, _ *hls.Origin) {
+// (VOD) mounts — the latter outlive their broadcast by design — and adds
+// up the fill requests the origins hold open right now.
+func (o *originTier) counts() (live, replays int, held int64) {
+	o.each(func(id string, origin *hls.Origin) {
 		if strings.HasSuffix(id, replaySuffix) {
 			replays++
 		} else {
 			live++
 		}
+		held += origin.Held.Load()
 	})
-	return live, replays
+	return live, replays, held
 }
 
 // ServeHTTP routes /hls/<broadcastID>/<file> to the broadcast's origin.
@@ -114,7 +118,7 @@ func (o *originTier) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // placement). Each registered broadcast is an hls.Replica filling
 // hierarchically: peer POPs nearer than the origin first (cache-only,
 // over /peer/), then the origin tier. One fill worker pool per POP runs
-// the background revalidations, prefetches and promotion warm-ups.
+// the background segment prefetches.
 type cdnPOP struct {
 	endpoint
 	mounts[*hls.Replica]
@@ -277,11 +281,11 @@ func newCDNPOP(svc *Service, index int, region geo.Region) (*cdnPOP, error) {
 // filling hierarchically: peer POPs nearer than the origin first
 // (cache-only probes against their /peer/ mounts), then the origin tier.
 // A replica kept by the mount table's identity rule stays warm; a replaced
-// one starts cold. Its cache window and playlist TTL derive from the
-// origin segmenter's parameters; its fill concurrency cap is the hls
-// default.
+// one starts cold and the one it replaces is closed. Its cache window and
+// pacing derive from the origin segmenter's parameters; its fill
+// concurrency cap is the hls default.
 func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
-	p.mounts.register(id, seg, func() *hls.Replica {
+	old := p.mounts.register(id, seg, func() *hls.Replica {
 		// Every upstream is gated by the breaker of its link: a dead origin
 		// path or peer trips once per POP and every broadcast's fills skip
 		// it in O(1) until the half-open probe clears.
@@ -303,16 +307,28 @@ func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 			Counters:       &p.fills,
 		})
 	})
+	if old != nil {
+		old.Close()
+	}
 }
 
-// warm schedules the broadcast's replica warm-up (background playlist
-// fetch plus live-window prefetch), so a promotion does not eat a
-// first-viewer miss storm. Live promotions warm; replay (VOD) mounts do
-// not — prefetching a whole VOD into every POP would be the opposite of
-// an optimization. It reports whether the warm-up was scheduled.
-func (p *cdnPOP) warm(id string) bool {
-	rep := p.get(id)
-	return rep != nil && rep.WarmUp()
+// unregister removes the broadcast's mount (see mounts.unregister) and
+// closes its replica, which must not keep a request open at the origin.
+func (p *cdnPOP) unregister(id string, seg *hls.Segmenter) {
+	if old := p.mounts.unregister(id, seg); old != nil {
+		old.Close()
+	}
+}
+
+// warm starts the broadcast's replica warm-up (background playlist fetch
+// plus live-window prefetch), so a promotion does not eat a first-viewer
+// miss storm. Live promotions warm; replay (VOD) mounts do not —
+// prefetching a whole VOD into every POP would be the opposite of an
+// optimization.
+func (p *cdnPOP) warm(id string) {
+	if rep := p.get(id); rep != nil {
+		rep.WarmUp()
+	}
 }
 
 // isClusterAnchor reports whether this POP is its cluster's designated
@@ -367,9 +383,15 @@ func (p *cdnPOP) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	res.Write(w)
 }
 
-// close drains the POP gracefully, then the fill worker stops.
+// close drains the POP gracefully, then the replicas' watches and the fill
+// worker stop.
 func (p *cdnPOP) close() {
 	p.endpoint.close()
+	var reps []*hls.Replica // Close waits for a goroutine: not under the table's lock
+	p.each(func(_ string, rep *hls.Replica) { reps = append(reps, rep) })
+	for _, rep := range reps {
+		rep.Close()
+	}
 	p.fill.Stop()
 	// Drop the fill paths' keep-alive sockets: a decommissioned POP must
 	// not strand origin/peer connections (and their transport

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -108,38 +109,165 @@ func TestPOPSingleFlightFanIn(t *testing.T) {
 	}
 }
 
-// TestPOPPlaylistServedFromEdgeCache verifies the stale-while-revalidate
-// policy at the service layer: repeated playlist polls within the TTL are
-// absorbed by the edge, not forwarded to origin.
+// liveStream feeds a segmenter synthetic frames, one whole segment per cut,
+// for tests that need the origin to cut while they watch.
+type liveStream struct {
+	seg *hls.Segmenter
+	pts time.Duration
+}
+
+var liveNAL = []byte{0, 0, 0, 1, 0x65, 0x88, 0x84}
+
+func newLiveStream(target time.Duration, cuts int) *liveStream {
+	l := &liveStream{seg: hls.NewSegmenter(target, hls.DefaultWindowSize)}
+	l.seg.WriteVideo(time.Now(), 0, 0, true, liveNAL)
+	for i := 0; i < cuts; i++ {
+		l.cut()
+	}
+	return l
+}
+
+// cut completes the segment under way: one frame that brings it to the
+// target duration, and the keyframe that cuts it off.
+func (l *liveStream) cut() {
+	l.pts += l.seg.Target()
+	l.seg.WriteVideo(time.Now(), l.pts, l.pts, false, liveNAL)
+	l.pts += 40 * time.Millisecond
+	l.seg.WriteVideo(time.Now(), l.pts, l.pts, true, liveNAL)
+}
+
+// TestPOPPlaylistServedFromEdgeCache verifies the held-request protocol at
+// the service layer: however often viewers poll, the origin answers one
+// playlist request per cut per polled replica — and the cut reaches the
+// edge, prefetched, without a poll.
 func TestPOPPlaylistServedFromEdgeCache(t *testing.T) {
 	svc, pop := newTestCDN(t)
-	seg := buildSegments(6*time.Second, 800*time.Millisecond, 0, false)
-	svc.origin.register("cast", seg)
-	pop.register("cast", seg)
+	live := newLiveStream(800*time.Millisecond, 2)
+	svc.origin.register("cast", live.seg)
+	pop.register("cast", live.seg)
 
-	fetch := func() int {
+	poll := func() hls.MediaPlaylist {
 		rec := httptest.NewRecorder()
 		pop.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/hls/cast/playlist.m3u8", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("playlist status %d", rec.Code)
 		}
-		return rec.Body.Len()
+		pl, err := hls.ParseMediaPlaylist(rec.Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
 	}
-	// Burst of polls well inside the TTL (target/2 = 400ms): one origin
-	// fetch serves them all.
+	held := func() int64 { return svc.Snapshot().Origin.HeldPlaylists }
+
+	// The first poll starts the watch: one plain request answered, the
+	// next one held until the cut.
 	for i := 0; i < 20; i++ {
-		fetch()
+		poll()
 	}
+	waitFor(t, func() bool { return held() == 1 }, "the watch's held request")
 	if got := svc.origin.PlaylistRequests.Load(); got != 1 {
-		t.Fatalf("origin saw %d playlist fetches for 20 edge polls within TTL, want 1", got)
+		t.Fatalf("origin answered %d playlist requests for 20 edge polls, want 1", got)
 	}
-	// Past the TTL the next poll is still served instantly from cache and
-	// triggers one async revalidation.
-	time.Sleep(500 * time.Millisecond)
-	fetch()
-	waitFor(t, func() bool { return svc.origin.PlaylistRequests.Load() == 2 }, "async revalidation")
-	if st := pop.stats(); st.StaleServes == 0 {
-		t.Error("stale serve not recorded")
+
+	live.cut()
+	waitFor(t, func() bool { _, ok := pop.replica("cast").CachedSegment(2); return ok }, "the cut segment prefetched without a poll")
+	for i := 0; i < 20; i++ {
+		if pl := poll(); len(pl.Segments) != 3 || pl.Segments[2].Sequence != 2 {
+			t.Fatalf("poll after the cut lists %+v, want segment 2 last", pl.Segments)
+		}
+	}
+	waitFor(t, func() bool { return held() == 1 }, "the next held request")
+	live.cut()
+	waitFor(t, func() bool { return svc.origin.PlaylistRequests.Load() == 3 }, "the second cut's answer")
+	// Between the two cuts: 20 polls, one origin request.
+	if st := pop.stats(); st.StaleServes != 0 || st.PlaylistRefreshes != 3 {
+		t.Errorf("%d stale serves, %d playlist fetches; want 0 and 3 (the first poll's, then one per cut)",
+			st.StaleServes, st.PlaylistRefreshes)
+	}
+}
+
+// TestHoldIsBounded covers the ways a held request ends other than the
+// cut it waits for, and who may ask for one: only a tier talking to the
+// origin — a POP ignores the query on both of its routes.
+func TestHoldIsBounded(t *testing.T) {
+	svc, pop := newTestCDN(t)
+	live := newLiveStream(time.Hour, 2) // newest sequence 1, and no cut is coming
+	svc.origin.register("cast", live.seg)
+	pop.register("cast", live.seg)
+	held := func() int64 { return svc.Snapshot().Origin.HeldPlaylists }
+	originURL := svc.origin.baseURL() + "/hls/cast/playlist.m3u8"
+
+	// A POP answers at once whatever the query says, and asks the origin
+	// for nothing on the viewer's behalf but its own plain first round.
+	start := time.Now()
+	for _, url := range []string{
+		pop.baseURL() + "/hls/cast/playlist.m3u8?after=999999",
+		pop.baseURL() + "/hls/cast/playlist.m3u8?after=zz",
+	} {
+		resp, _ := httpGet(t, url)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", url, resp.StatusCode)
+		}
+	}
+	resp, _ := httpGet(t, pop.baseURL()+"/peer/cast/playlist.m3u8?after=999999")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("peer route playlist: status %d, want 400", resp.StatusCode)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("a POP held a viewer's ?after= request: three GETs took %v", took)
+	}
+	// The replica is polled now, so its own watch holds one request.
+	waitFor(t, func() bool { return held() == 1 }, "the replica's own held request")
+
+	// At the origin a malformed after is a 400 that counts as neither kind;
+	// one the origin already satisfies is answered at once.
+	pls := svc.origin.PlaylistRequests.Load()
+	for _, q := range []string{"?after=", "?after=-1", "?after=07", "?after=1x", "?x=1&after=%31"} {
+		if resp, _ := httpGet(t, originURL+q); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("origin GET %s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+	if got := svc.origin.PlaylistRequests.Load(); got != pls {
+		t.Errorf("malformed after counted as %d playlist requests", got-pls)
+	}
+	if resp, _ := httpGet(t, originURL+"?after=0"); resp.StatusCode != http.StatusOK {
+		t.Errorf("origin GET ?after=0 with segment 1 listed: status %d", resp.StatusCode)
+	}
+
+	// A raw client that asks for a hold and hangs up releases it at once,
+	// not at the hold cap.
+	conn, err := net.Dial("tcp", svc.origin.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /hls/cast/playlist.m3u8?after=1 HTTP/1.1\r\nHost: origin\r\n\r\n")
+	waitFor(t, func() bool { return held() == 2 }, "the raw client's held request")
+	conn.Close()
+	waitFor(t, func() bool { return held() == 1 }, "the hold released by the disconnect")
+
+	// Shutdown ends the holds outstanding: the drain does not sit them out.
+	var clients sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			if resp, err := http.Get(originURL + "?after=1"); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	waitFor(t, func() bool { return held() == 33 }, "32 more held requests")
+	start = time.Now()
+	pop.close()
+	svc.origin.close()
+	if took := time.Since(start); took > cdnDrainTimeout/2 {
+		t.Errorf("closing the tiers with 33 holds outstanding took %v", took)
+	}
+	clients.Wait()
+	if got := held(); got != 0 {
+		t.Errorf("%d requests still held after shutdown", got)
 	}
 }
 

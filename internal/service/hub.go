@@ -492,24 +492,15 @@ func (h *hub) onMedia(msg rtmp.Message) {
 // segmenter has cut its first segment. The warm-up scheduled at promotion
 // fetched an empty playlist, so the prefetch that actually populates the
 // anchors — and lets their cluster followers peer-fill instead of hitting
-// the origin — has to run again when there is a window to prefetch. If an
-// anchor's fill queue rejects the job, the flag reverts so a later media
-// message retries instead of losing the re-warm for good.
+// the origin — has to run again when there is a window to prefetch.
 func (h *hub) maybeWarmAfterFirstSegment(seg *hls.Segmenter) {
-	if h.warmedWindow.Load() || seg.SegmentCount() == 0 {
+	if h.warmedWindow.Load() || seg.SegmentCount() == 0 || !h.warmedWindow.CompareAndSwap(false, true) {
 		return
 	}
-	if !h.warmedWindow.CompareAndSwap(false, true) {
-		return
-	}
-	scheduled := true
 	for _, pop := range h.svc.cdn {
-		if pop.isClusterAnchor() && !pop.warm(h.b.ID) {
-			scheduled = false
+		if pop.isClusterAnchor() {
+			pop.warm(h.b.ID)
 		}
-	}
-	if !scheduled {
-		h.warmedWindow.Store(false)
 	}
 }
 

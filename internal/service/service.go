@@ -575,11 +575,7 @@ func (s *Service) RestorePOP(i int) {
 	}
 	p := s.cdn[i]
 	p.blackhole.Store(false)
-	var reps []*hls.Replica
-	p.each(func(_ string, rep *hls.Replica) { reps = append(reps, rep) })
-	for _, rep := range reps {
-		rep.WarmUp()
-	}
+	p.each(func(_ string, rep *hls.Replica) { rep.WarmUp() })
 }
 
 // RegionOutage blackholes every POP placed in the named region — the

@@ -43,9 +43,12 @@ type OriginSnapshot struct {
 	Broadcasts int
 	Replays    int
 	// Requests/Bytes count everything served to the POPs; the split
-	// distinguishes playlist revalidations from segment fills.
+	// distinguishes playlist requests (one per cut per polled replica)
+	// from segment fills. HeldPlaylists is how many of the former are held
+	// open right now, waiting for the next cut.
 	Requests, Bytes                   int64
 	PlaylistRequests, SegmentRequests int64
+	HeldPlaylists                     int64
 }
 
 // POPSnapshot is one edge's aggregated serving and fill metrics.
@@ -60,7 +63,7 @@ type POPSnapshot struct {
 	// total edge cache occupancy across them.
 	Broadcasts, CachedSegments int
 	// FillStats are the POP's cumulative fill counters (upstream fetches
-	// split by peer/origin, coalesced requests, playlist revalidations and
+	// split by peer/origin, coalesced requests, playlist fetches and
 	// stale serves, evictions, warm-ups, retries, negative hits), counted
 	// by every replica the POP has ever carried.
 	hls.FillStats
@@ -90,8 +93,9 @@ type POPSnapshot struct {
 	// FillQueueDropped counts the background jobs rejected by the POP's
 	// fill queue.
 	FillQueueDropped int64
-	// MaxPlaylistAge is the oldest live playlist currently cached at this
-	// edge — the POP's worst-case playlist lag at snapshot time.
+	// MaxPlaylistAge is the longest time since the origin last confirmed a
+	// live playlist at this edge: up to a segment duration when healthy,
+	// beyond that the replica is not polled or its watch is failing.
 	MaxPlaylistAge time.Duration
 }
 
@@ -120,7 +124,7 @@ func (s *Service) Snapshot() Snapshot {
 	snap.Delivery.HopelessDisconnects = s.delivery.hopeless.Load()
 
 	if s.origin != nil {
-		live, replays := s.origin.counts()
+		live, replays, held := s.origin.counts()
 		snap.Origin = OriginSnapshot{
 			Region:           s.originRegion.Name,
 			Broadcasts:       live,
@@ -129,6 +133,7 @@ func (s *Service) Snapshot() Snapshot {
 			Bytes:            s.origin.Bytes.Load(),
 			PlaylistRequests: s.origin.PlaylistRequests.Load(),
 			SegmentRequests:  s.origin.SegmentRequests.Load(),
+			HeldPlaylists:    held,
 		}
 	}
 	for _, pop := range s.cdn {

@@ -33,6 +33,10 @@ const (
 type endpoint struct {
 	addr string // host:port
 	srv  *http.Server
+	// closing ends when close begins: what a handler that holds a request
+	// open selects on, so the drain below never waits a hold out.
+	closing context.Context
+	stop    context.CancelFunc
 }
 
 // listen starts serving h on a fresh loopback port.
@@ -42,6 +46,7 @@ func (e *endpoint) listen(h http.Handler) error {
 		return err
 	}
 	e.addr = ln.Addr().String()
+	e.closing, e.stop = context.WithCancel(context.Background())
 	e.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go e.srv.Serve(ln)
 	return nil
@@ -55,6 +60,7 @@ func (e *endpoint) close() {
 	if e.srv == nil {
 		return
 	}
+	e.stop()
 	ctx, cancel := context.WithTimeout(context.Background(), cdnDrainTimeout)
 	defer cancel()
 	if e.srv.Shutdown(ctx) != nil {
@@ -80,28 +86,34 @@ type mount[T any] struct {
 // register mounts id with the handler build returns. Re-registering the
 // same segmenter is a no-op that keeps the current (warm) handler; a
 // different segmenter replaces it (a broadcast re-going-live during an
-// unregister linger must win over its ended predecessor).
-func (t *mounts[T]) register(id string, seg *hls.Segmenter, build func() T) {
+// unregister linger must win over its ended predecessor). It returns the
+// handler it took out of the table, the zero T when none.
+func (t *mounts[T]) register(id string, seg *hls.Segmenter, build func() T) (old T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cur, ok := t.m[id]; ok && cur.seg == seg {
-		return
+	cur, ok := t.m[id]
+	if ok && cur.seg == seg {
+		return old
 	}
 	if t.m == nil {
 		t.m = map[string]mount[T]{}
 	}
 	t.m[id] = mount[T]{seg, build()}
+	return cur.h
 }
 
 // unregister removes the mount — but only if it is still backed by seg, so
 // a lingering end-timer cannot tear down a re-registered live broadcast. A
-// nil seg unregisters unconditionally.
-func (t *mounts[T]) unregister(id string, seg *hls.Segmenter) {
+// nil seg unregisters unconditionally. It returns the handler it took out
+// of the table, the zero T when none.
+func (t *mounts[T]) unregister(id string, seg *hls.Segmenter) (old T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cur, ok := t.m[id]; ok && (seg == nil || cur.seg == seg) {
 		delete(t.m, id)
+		old = cur.h
 	}
+	return old
 }
 
 // get returns id's handler (the zero T when not mounted).
