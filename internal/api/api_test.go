@@ -1,8 +1,10 @@
 package api
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -215,5 +217,36 @@ func TestGETRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Errorf("status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestEndAtRacesDescriptions: rescheduling a broadcast's end while the API
+// describes it — through getBroadcasts and through a *Broadcast a reader
+// already holds — is race-free: a published Broadcast is never written.
+func TestEndAtRacesDescriptions(t *testing.T) {
+	srv, _, pop := newTestServer(t, 0)
+	b := pop.Live()[0]
+	req := &GetBroadcastsRequest{BroadcastIDs: []string{b.ID}}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			pop.EndAt(b.ID, pop.Now().Add(time.Duration(i+1)*time.Hour))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if resp, err := srv.getBroadcasts(context.Background(), req); err != nil || len(resp.Broadcasts) != 1 {
+				t.Errorf("getBroadcasts = %+v, %v; want the live broadcast", resp, err)
+				return
+			}
+			b.ViewersAt(pop.Now())
+		}
+	}()
+	wg.Wait()
+	if got, _ := pop.Get(b.ID); !got.End.Equal(pop.Now().Add(200 * time.Hour)) {
+		t.Errorf("End = %v after the last EndAt, want %v", got.End, pop.Now().Add(200*time.Hour))
 	}
 }

@@ -29,7 +29,9 @@ import (
 	"periscope/internal/randdist"
 )
 
-// Broadcast is one live (or ended) broadcast.
+// Broadcast is one live (or ended) broadcast. Once a Population has handed
+// it out it is immutable: API handlers read it with no lock, so a new End
+// is published as a new Broadcast (see EndAt and Relaunch).
 type Broadcast struct {
 	ID       string
 	Start    time.Time
@@ -325,7 +327,9 @@ func (p *Population) Advance(dt time.Duration) {
 
 // EndAt reschedules a live broadcast's end, the knob churn tests and
 // scenario drivers use to make a scheduled end land at a chosen virtual
-// time. It reports whether the broadcast was live.
+// time. It reports whether the broadcast was live. The rescheduled
+// broadcast replaces the live one; a reader still holding the old one keeps
+// a consistent copy.
 func (p *Population) EndAt(id string, t time.Time) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -333,7 +337,9 @@ func (p *Population) EndAt(id string, t time.Time) bool {
 	if !ok {
 		return false
 	}
-	b.End = t
+	nb := *b
+	nb.End = t
+	p.live[id] = &nb
 	return true
 }
 
@@ -347,9 +353,10 @@ func (p *Population) Relaunch(id string, dur time.Duration) (*Broadcast, bool) {
 	for i, b := range p.ended {
 		if b.ID == id {
 			p.ended = append(p.ended[:i], p.ended[i+1:]...)
-			b.End = p.now.Add(dur)
-			p.live[id] = b
-			return b, true
+			nb := *b
+			nb.End = p.now.Add(dur)
+			p.live[id] = &nb
+			return &nb, true
 		}
 	}
 	return nil, false

@@ -7,8 +7,8 @@ import (
 )
 
 // TestMain enforces the runtime half of the gostop contract: room
-// shards, control loops, generators and shard writers must all exit
-// when their room closes.
+// shard workers, control loops and generators must all exit when their
+// room closes.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

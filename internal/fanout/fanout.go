@@ -2,20 +2,20 @@
 // RTMP media hub (service) and the WebSocket chat room (chat) both fan a
 // message out to their attached connections through a Group.
 //
-// A publisher hands one descriptor to each of K shard workers, so its
-// inline cost is O(shards), not O(members). Each worker walks its disjoint
-// subset of members and offers every admitted member a queue item on a
-// bounded ring. A member with something to send waits on its shard's ready
-// queue for one of a small elastic pool of writers, so a message wakes
-// O(writers) goroutines, not O(members), and goroutines do not scale with
-// the audience. When members wait and no writer has come back for one
-// within stallAfter, the shard adds a writer: a slow or stalled socket
-// holds one writer, never its shard-mates. A full ring drops its oldest
-// item (drop-oldest never blocks), and a member penalised that way too
-// often is hopeless — evicted exactly once. What differs between the
-// planes (which members see a message, what a queue slot holds, how it is
-// written and released) is supplied as Hooks bound at construction; nothing
-// here knows which plane it serves.
+// A publisher appends one descriptor to each of K shards' FIFOs, so its
+// inline cost is O(shards), not O(members). A shard worker pops one, walks
+// the shard's members under the shard lock, puts each admitted idle
+// member's item straight into its batch and sends the batch with no lock
+// held; a member whose previous item is still in flight queues the new one
+// on its bounded ring instead. Walks are serialised and in FIFO order, so
+// each member gets one Send at a time, in order, and a message wakes
+// O(workers) goroutines, not O(members). Entries are claimed with one
+// fetch-add on the batch cursor, which is also the watchdog's progress
+// signal: when work waits and nothing was claimed for stallAfter, the shard
+// adds a worker that takes over the stuck batch — a stalled socket holds
+// one worker, never its shard-mates. A full ring drops its oldest item, and
+// a member penalised that way too often is evicted, exactly once. What
+// differs between the planes is supplied as Hooks bound at construction.
 package fanout
 
 import (
@@ -27,9 +27,8 @@ import (
 )
 
 // Hooks are the plane-specific halves of delivery. All six are required.
-// Admit and Discard can run under a shard lock (Discard under a member's
-// too) and must not block or call back into the Group; the others run with
-// no lock held.
+// Admit and Discard can run under a shard lock and must not block or call
+// back into the Group; the others run with no lock held.
 type Hooks[K Conn, S, D, Q any] struct {
 	// Share is called once for each shard a published descriptor is handed
 	// to, before the handoff; Done is called exactly once for each Share
@@ -44,7 +43,7 @@ type Hooks[K Conn, S, D, Q any] struct {
 	// ok=false skips the member. It owns m.State and may m.Push items that
 	// must precede the returned one.
 	Admit func(m *Member[K, S, Q], d D) (q Q, ok bool)
-	// Send writes one item to the member's connection from a shard writer
+	// Send writes one item to the member's connection from a shard worker
 	// and consumes the item; at most one Send runs for a member at a time,
 	// in queue order. An error closes the connection and retires the
 	// member's queue; the owner's read side then notices and Removes it.
@@ -60,7 +59,7 @@ type Hooks[K Conn, S, D, Q any] struct {
 }
 
 // Conn is what the core needs of a member's connection, which is also the
-// member's key: identity, and a Close that unblocks a writer stuck in Send.
+// member's key: identity, and a Close that unblocks a worker stuck in Send.
 type Conn interface {
 	comparable
 	Close() error
@@ -73,36 +72,23 @@ type Tally struct {
 	Dropped  int // drop-oldest penalties among the admitted
 }
 
-// A member is owned by at most one party at a time, which is what keeps
-// Send single-threaded and in order per member without a goroutine each.
-const (
-	idle    uint8 = iota // nothing queued, on no chain
-	ready                // items queued, chained for a writer
-	sending              // a writer is draining it; new items need no wakeup
-)
-
 // Member is one attached connection: its bounded queue plus the caller's
-// per-member state.
+// per-member state. Everything below Key and State is guarded by the shard
+// lock.
 type Member[K Conn, S, Q any] struct {
 	Key K
 	// State is caller-owned; only Admit touches it after Attach, and Admit
 	// calls for one member are serialised by its shard lock.
 	State S
 
-	shard int
-	drops int // guarded by the shard lock
-	pool  *pool[K, S, Q]
-	// next links the member into the one chain it is on while ready; it
-	// belongs to whoever holds that chain's lock.
-	next *Member[K, S, Q]
-
-	// mu is where the delivery walk and the writer meet, so a counted drop
-	// discards exactly one item. It is a leaf: nothing is acquired under it.
-	mu    sync.Mutex
-	ring  []Q // fixed; the queue is the n items from ring[head] on (mod len)
-	head  int
-	n     int
-	state uint8
+	shard, drops int
+	discard      func(Q)
+	ring         []Q // fixed; the queue is the n items from ring[head] on (mod len)
+	head, n      int
+	// owned is set while one of the member's items sits in a batch or is
+	// being sent: that is what keeps its Sends single-threaded and in order
+	// without a goroutine each. A member whose Send failed stays owned.
+	owned, dead bool
 }
 
 // Drops reports how many drop-oldest penalties the member has taken. Like
@@ -114,247 +100,71 @@ func (m *Member[K, S, Q]) Drops() int { return m.drops }
 // Push reports true. Outside the core only Admit may call it (the shard
 // lock serialises producers); it does not count a penalty.
 func (m *Member[K, S, Q]) Push(q Q) (dropped bool) {
-	m.mu.Lock()
 	if dropped = m.n == len(m.ring); dropped {
-		m.pool.discard(m.pop())
+		m.discard(m.pop())
 	}
-	i := m.head + m.n
-	if i >= len(m.ring) {
-		i -= len(m.ring)
-	}
-	m.ring[i] = q
+	m.ring[(m.head+m.n)%len(m.ring)] = q
 	m.n++
-	wake := m.state == idle
-	if wake {
-		m.state = ready
-	}
-	m.mu.Unlock()
-	if wake {
-		m.pool.woken.push(m)
-	}
 	return dropped
 }
 
-// pop takes the oldest item off a non-empty queue; the caller holds mu.
+// pop takes the oldest item off a non-empty queue.
 func (m *Member[K, S, Q]) pop() Q {
 	var zero Q
 	q := m.ring[m.head]
 	m.ring[m.head] = zero
-	if m.head++; m.head == len(m.ring) {
-		m.head = 0
-	}
+	m.head = (m.head + 1) % len(m.ring)
 	m.n--
 	return q
 }
 
 // purge discards everything queued right now. Whoever took the member out
-// of its shard calls it: every Push runs under the shard lock on a listed
-// member, so nothing is queued afterwards. An item a writer has already
-// popped is sent, not discarded — each goes to exactly one of the two.
+// of its shard calls it, under the shard lock: every Push runs there on a
+// listed member, so nothing is queued afterwards. An item already in a
+// batch is sent, not discarded — each goes to exactly one of the two.
 func (m *Member[K, S, Q]) purge() {
-	m.mu.Lock()
 	for m.n > 0 {
-		m.pool.discard(m.pop())
+		m.discard(m.pop())
 	}
-	m.mu.Unlock()
-}
-
-// chain is an intrusive FIFO of ready members: appending one walk's worth
-// of members to the ready queue is O(1) and allocates nothing, however
-// large the shard.
-type chain[K Conn, S, Q any] struct{ head, tail *Member[K, S, Q] }
-
-func (c *chain[K, S, Q]) push(m *Member[K, S, Q]) {
-	if c.tail == nil {
-		c.head = m
-	} else {
-		c.tail.next = m
-	}
-	c.tail = m
-}
-
-func (c *chain[K, S, Q]) pop() *Member[K, S, Q] {
-	m := c.head
-	if m == nil {
-		return nil
-	}
-	if c.head = m.next; c.head == nil {
-		c.tail = nil
-	}
-	m.next = nil
-	return m
-}
-
-// take moves everything on o to the end of c.
-func (c *chain[K, S, Q]) take(o *chain[K, S, Q]) {
-	if o.head == nil {
-		return
-	}
-	if c.tail == nil {
-		c.head = o.head
-	} else {
-		c.tail.next = o.head
-	}
-	c.tail = o.tail
-	*o = chain[K, S, Q]{}
 }
 
 const (
-	// idleWriters is how many writers a shard keeps parked. One: a shard is
+	// idleWorkers is how many workers a shard keeps parked. One: a shard is
 	// one core's worth of delivery, and a second would only split its batch.
-	idleWriters = 1
-	// stallAfter is how long members may wait with no writer coming back
-	// for one before the shard adds a writer. Far above a healthy socket
-	// write (microseconds), far below a media frame interval (33 ms).
+	idleWorkers = 1
+	// stallAfter is how long work may wait with no batch entry claimed
+	// before the shard adds a worker. Far above a healthy socket write
+	// (microseconds), far below a media frame interval (33 ms).
 	stallAfter = time.Millisecond
 )
 
-// pool is the sending half of a shard: the queue of members with something
-// to send and the writers that drain them. It starts no goroutine and no
-// timer until a member is first ready.
-type pool[K Conn, S, Q any] struct {
-	send    func(K, Q) error
-	discard func(Q)
-
-	// woken collects the members one delivery walk (or Attach) turned from
-	// idle to ready, so they reach the ready queue under one lock and wake
-	// a writer once per descriptor. Guarded by the shard lock.
-	woken chain[K, S, Q]
-
-	mu      sync.Mutex // the ready-queue lock; a leaf under the shard lock
-	wake    sync.Cond  // parked writers wait here
-	ready   chain[K, S, Q]
-	writers int // running, parked or not
-	parked  int
-	stopped bool
-	// turns counts members handed to writers. The watchdog reads it as
-	// progress: a writer stuck in Send, or busy with one deep queue, takes
-	// no turn, and then its shard-mates must not wait for it.
-	turns uint64
-	seen  uint64      // turns at the watchdog's last look
-	timer *time.Timer // the watchdog; armed only while members wait
-	armed bool
+// entry is one item on its way to one member.
+type entry[K Conn, S, Q any] struct {
+	m *Member[K, S, Q]
+	q Q
 }
 
-// flush moves the woken members to the ready queue and makes sure a writer
-// will come for them. The caller holds the shard lock.
-func (p *pool[K, S, Q]) flush() {
-	if p.woken.head == nil {
-		return
-	}
-	p.mu.Lock()
-	p.ready.take(&p.woken)
-	switch {
-	case p.parked > 0:
-		p.wake.Signal()
-	case p.writers == 0:
-		p.writers++
-		go p.write()
-	}
-	if !p.armed {
-		p.armed = true
-		p.seen = p.turns
-		if p.timer == nil {
-			p.timer = time.AfterFunc(stallAfter, p.watch)
-		} else {
-			p.timer.Reset(stallAfter)
-		}
-	}
-	p.mu.Unlock()
+// batch is what one worker sends between two visits to its shard's lock.
+// Its owner claims entries in order with one fetch-add each; a worker that
+// takes it over stops those claims with one swap and keeps the tail. The
+// fields after cursor are guarded by the shard lock.
+type batch[K Conn, S, Q any] struct {
+	entries []entry[K, S, Q]
+	cursor  atomic.Int64
+
+	seen    int64 // cursor at the watchdog's last look
+	stuck   bool  // the watchdog's last look saw no claim since the one before
+	taken   bool  // a takeover stopped the claims
+	settled int   // entries[:settled] were returned by a takeover
+	end     int   // the owner returns entries[settled:end]
 }
 
-// watch is the isolation rule. It runs stallAfter after members started
-// waiting and again while they still are: if no writer has taken a turn
-// since its last look, every writer is held by a socket, so it adds one.
-// A newly stalled socket therefore delays its shard-mates by at most
-// ~2×stallAfter, once, and holds one goroutine for as long as it blocks.
-func (p *pool[K, S, Q]) watch() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped || p.ready.head == nil {
-		p.armed = false
-		return
-	}
-	// A parked writer here has been signalled and is on its way.
-	if p.turns == p.seen && p.parked == 0 {
-		p.writers++
-		go p.write()
-	}
-	p.seen = p.turns
-	p.timer.Reset(stallAfter)
-}
-
-// write is one writer: it takes a ready member, owns it until its queue is
-// empty, and comes back for the next.
-func (p *pool[K, S, Q]) write() {
-	for m := p.next(); m != nil; m = p.next() {
-		p.drain(m)
-	}
-}
-
-// next parks until a member is ready and returns it, or returns nil when
-// the writer should exit: the pool has stopped, or the queue is empty and
-// enough writers are parked already (the pool grew past a stall that has
-// since cleared).
-func (p *pool[K, S, Q]) next() *Member[K, S, Q] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for !p.stopped {
-		if m := p.ready.pop(); m != nil {
-			p.turns++
-			return m
-		}
-		if p.parked >= idleWriters {
-			break
-		}
-		p.parked++
-		p.wake.Wait()
-		p.parked--
-	}
-	p.writers--
-	return nil
-}
-
-// drain sends m's queue in order until it is empty.
-func (p *pool[K, S, Q]) drain(m *Member[K, S, Q]) {
-	m.mu.Lock()
-	m.state = sending
-	for m.n > 0 {
-		q := m.pop()
-		m.mu.Unlock()
-		if p.send(m.Key, q) != nil {
-			m.Key.Close()
-			// The member stays attached and stays in the sending state, so
-			// no writer takes it again: what piles up behind the failed
-			// connection is discarded here and when its owner removes it.
-			m.purge()
-			return
-		}
-		m.mu.Lock()
-	}
-	m.state = idle
-	m.mu.Unlock()
-}
-
-// stop ends the writers (one stuck in Send exits when its connection is
-// closed) and the watchdog.
-func (p *pool[K, S, Q]) stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.ready = chain[K, S, Q]{}
-	if p.timer != nil {
-		p.timer.Stop()
-	}
-	p.mu.Unlock()
-	p.wake.Broadcast()
-}
-
-// shard owns a disjoint subset of the members and the queue of descriptors
-// its worker has yet to deliver. Its member list is the single arbiter
-// between Remove, hopeless eviction and Stop: whoever takes a member out of
-// it (under mu) purges that member's queue, nobody else does.
+// shard owns a disjoint subset of the members, the FIFO of descriptors its
+// workers have yet to walk and the batches they are sending. Its member
+// list is the single arbiter between Remove, hopeless eviction and Stop:
+// whoever takes a member out of it (under mu) purges that member's queue,
+// nobody else does.
 type shard[K Conn, S, D, Q any] struct {
-	ch chan D
 	// n mirrors len(members) so Publish can skip an empty shard without
 	// taking mu: most simulated broadcasts have 0-1 viewers, and an idle
 	// group must not pay K Shares and worker wakeups per message. A member
@@ -365,7 +175,18 @@ type shard[K Conn, S, D, Q any] struct {
 	members []*Member[K, S, Q]
 	stopped bool
 
-	pool pool[K, S, Q]
+	descs     []D // fixed; the FIFO is the dn descriptors from descs[dhead] on
+	dhead, dn int
+	space     sync.Cond          // publishers wait here while the FIFO is full
+	flight    []*batch[K, S, Q]  // batches whose owner is sending them
+	free      []*batch[K, S, Q]  // exited workers' batches, kept grown for the next
+	joined    []*Member[K, S, Q] // attached with first items no batch has taken yet
+
+	wake            sync.Cond   // parked workers wait here
+	workers, parked int         // running (parked or not), and parked
+	pops, seen      uint64      // descriptors walked, and at the watchdog's last look
+	timer           *time.Timer // the watchdog; armed only while work waits
+	armed           bool
 }
 
 // removeAt swap-deletes members[i]; the caller holds mu.
@@ -377,6 +198,17 @@ func (sh *shard[K, S, D, Q]) removeAt(i int) {
 	sh.n.Store(int32(last))
 }
 
+// stage gives an owned member's oldest queued item to b, or returns it to
+// idle when nothing is queued; one whose Send failed stays owned. The
+// caller holds mu.
+func stage[K Conn, S, Q any](b *batch[K, S, Q], m *Member[K, S, Q]) {
+	if m.n > 0 && !m.dead {
+		b.entries = append(b.entries, entry[K, S, Q]{m, m.pop()})
+	} else {
+		m.owned = m.dead
+	}
+}
+
 // Group fans descriptors of type D out to members keyed by K, each with
 // caller state S and a queue of items Q.
 type Group[K Conn, S, D, Q any] struct {
@@ -384,7 +216,6 @@ type Group[K Conn, S, D, Q any] struct {
 	shards      []*shard[K, S, D, Q]
 	memberDepth int
 	hopeless    int
-	quit        chan struct{}
 
 	mu      sync.Mutex
 	byKey   map[K]*Member[K, S, Q]
@@ -399,36 +230,92 @@ func DefaultShards(limit int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), limit))
 }
 
-// New builds a Group and starts its shard workers. shardDepth bounds each
-// shard's descriptor queue (workers never block, so it only absorbs
-// scheduling jitter; a publisher that outruns it blocks on the worker,
-// never on a member socket). memberDepth bounds each member's queue, and
-// hopeless is the number of penalties after which a member is evicted.
+// New builds a Group and starts one worker per shard. shardDepth bounds
+// each shard's descriptor FIFO (it only absorbs scheduling jitter; a
+// publisher that outruns it waits on the workers, never on a member
+// socket). memberDepth bounds each member's queue, and hopeless is the
+// number of penalties after which a member is evicted.
 func New[K Conn, S, D, Q any](shards, shardDepth, memberDepth, hopeless int, hooks Hooks[K, S, D, Q]) *Group[K, S, D, Q] {
 	g := &Group[K, S, D, Q]{
 		hooks:       hooks,
 		memberDepth: memberDepth,
 		hopeless:    hopeless,
-		quit:        make(chan struct{}),
 		byKey:       map[K]*Member[K, S, Q]{},
 	}
 	for i := 0; i < max(1, shards); i++ {
-		sh := &shard[K, S, D, Q]{ch: make(chan D, shardDepth)}
-		sh.pool.send, sh.pool.discard = hooks.Send, hooks.Discard
-		sh.pool.wake.L = &sh.pool.mu
+		sh := &shard[K, S, D, Q]{descs: make([]D, max(1, shardDepth))}
+		sh.space.L, sh.wake.L = &sh.mu, &sh.mu
+		sh.timer = time.AfterFunc(stallAfter, func() { g.watch(sh) })
+		sh.timer.Stop()
 		g.shards = append(g.shards, sh)
-		go g.work(sh)
+		g.spawn(sh)
 	}
 	return g
 }
 
+// spawn starts a worker with two batches; every worker is started here.
+// The caller holds sh.mu, or no other goroutine knows sh yet.
+func (g *Group[K, S, D, Q]) spawn(sh *shard[K, S, D, Q]) {
+	sh.workers++
+	for len(sh.free) < 2 {
+		sh.free = append(sh.free, &batch[K, S, Q]{entries: make([]entry[K, S, Q], 0, len(sh.members))})
+	}
+	n := len(sh.free)
+	go g.work(sh, sh.free[n-2], sh.free[n-1])
+	sh.free = sh.free[:n-2]
+}
+
+// kick arms the watchdog unless it is running and, for new work, wakes a
+// parked worker. The caller holds mu.
+func (sh *shard[K, S, D, Q]) kick(wake bool) {
+	if wake && sh.parked > 0 {
+		sh.wake.Signal()
+	}
+	if !sh.armed {
+		sh.armed = true
+		sh.timer.Reset(stallAfter)
+	}
+}
+
+// watch is the isolation rule. It runs every stallAfter while unclaimed
+// batch entries or descriptors wait. A batch whose cursor has not moved
+// since the last look is stuck and will be taken over by the next worker
+// to visit the lock; if nothing at all moved, every worker is held by a
+// socket, so it wakes a parked worker or starts one. A newly stalled socket
+// therefore delays its shard-mates by at most ~2×stallAfter, once, and
+// holds one goroutine for as long as it blocks.
+func (g *Group[K, S, D, Q]) watch(sh *shard[K, S, D, Q]) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	progress, waiting := sh.pops != sh.seen, sh.dn > 0 || len(sh.joined) > 0
+	sh.seen = sh.pops
+	for _, b := range sh.flight {
+		c := b.cursor.Load()
+		waiting = waiting || c < int64(len(b.entries))
+		b.stuck, b.seen = c == b.seen, c
+		progress = progress || !b.stuck
+	}
+	if sh.stopped || !waiting {
+		sh.armed = false
+		return
+	}
+	if !progress {
+		if sh.parked > 0 {
+			sh.wake.Signal()
+		} else {
+			g.spawn(sh)
+		}
+	}
+	sh.timer.Reset(stallAfter)
+}
+
 // Attach registers a member on the next shard round-robin and queues first
 // ahead of anything a delivery can offer it. It starts no goroutine of the
-// member's own: first reaches the connection through the shard's writers.
+// member's own: first reaches the connection through the shard's workers.
 // Once the Group has stopped it reports false instead, with first
 // discarded: the handoff of first is unconditional.
 func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
-	m := &Member[K, S, Q]{Key: key, State: state, ring: make([]Q, g.memberDepth)}
+	m := &Member[K, S, Q]{Key: key, State: state, discard: g.hooks.Discard, ring: make([]Q, g.memberDepth)}
 	g.mu.Lock()
 	m.shard = g.next % len(g.shards)
 	g.next++
@@ -436,7 +323,6 @@ func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
 	g.mu.Unlock()
 
 	sh := g.shards[m.shard]
-	m.pool = &sh.pool
 	sh.mu.Lock()
 	if sh.stopped {
 		// Nothing would ever stop a member attached now, so undo the
@@ -452,7 +338,10 @@ func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
 	for _, q := range first {
 		m.Push(q)
 	}
-	sh.pool.flush()
+	if m.owned = len(first) > 0; m.owned {
+		sh.joined = append(sh.joined, m)
+		sh.kick(true)
+	}
 	sh.members = append(sh.members, m)
 	sh.n.Store(int32(len(sh.members)))
 	sh.mu.Unlock()
@@ -472,12 +361,10 @@ func (g *Group[K, S, D, Q]) Remove(key K) bool {
 	}
 	sh := g.shards[m.shard]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	i := slices.Index(sh.members, m)
 	if i >= 0 {
 		sh.removeAt(i)
-	}
-	sh.mu.Unlock()
-	if i >= 0 {
 		m.purge()
 	}
 	return i >= 0
@@ -501,48 +388,147 @@ func (g *Group[K, S, D, Q]) Len() int {
 	return n
 }
 
-// Publish hands d to every shard that has members.
+// Publish appends d to the FIFO of every shard that has members, waiting
+// while one is full.
 func (g *Group[K, S, D, Q]) Publish(d D) {
 	for _, sh := range g.shards {
 		if sh.n.Load() == 0 {
 			continue
 		}
 		g.hooks.Share(d)
-		// A send that races Stop can strand d in the channel after the
-		// worker's final drain; its share is then never Done, which costs a
-		// pooled buffer one trip through the GC and nothing else.
-		select {
-		case sh.ch <- d:
-		case <-g.quit:
+		sh.mu.Lock()
+		for sh.dn == len(sh.descs) && !sh.stopped {
+			sh.space.Wait()
+		}
+		if sh.stopped {
+			sh.mu.Unlock()
 			g.hooks.Done(d, Tally{})
+			continue
+		}
+		sh.descs[(sh.dhead+sh.dn)%len(sh.descs)] = d
+		sh.dn++
+		sh.kick(true)
+		sh.mu.Unlock()
+	}
+}
+
+// work is one worker: a turn at the shard lock, then the batch it built.
+// Its two batches alternate: one is returned while the other is built.
+func (g *Group[K, S, D, Q]) work(sh *shard[K, S, D, Q], sent, next *batch[K, S, Q]) {
+	for g.turn(sh, sent, next) {
+		g.send(sh, next)
+		sent, next = next, sent
+	}
+}
+
+// send claims b's entries in order and sends each, until the end of the
+// batch or a takeover.
+func (g *Group[K, S, D, Q]) send(sh *shard[K, S, D, Q], b *batch[K, S, Q]) {
+	n := int64(len(b.entries))
+	for i := b.cursor.Add(1) - 1; i < n; i = b.cursor.Add(1) - 1 {
+		e := &b.entries[i]
+		if g.hooks.Send(e.m.Key, e.q) != nil {
+			e.m.Key.Close()
+			// The member stays owned, so no worker sends to it again: what
+			// piles up behind the failed connection is discarded here and
+			// when its owner removes it.
+			sh.mu.Lock()
+			e.m.dead = true
+			e.m.purge()
+			sh.mu.Unlock()
 		}
 	}
 }
 
-// work is one shard's worker loop.
-func (g *Group[K, S, D, Q]) work(sh *shard[K, S, D, Q]) {
-	for {
-		select {
-		case <-g.quit:
-			for {
-				select {
-				case d := <-sh.ch:
-					g.hooks.Done(d, Tally{})
-				default:
-					return
-				}
-			}
-		case d := <-sh.ch:
-			g.deliver(sh, d)
-		}
+// turn is one visit to the shard lock: it returns the members of the batch
+// b just sent (those with a backlog go into nb, the next one), takes over
+// stuck batches and walks one descriptor into nb, then closes what the walk
+// evicted and reports the descriptor done. It reports false when the worker
+// should exit: the shard has stopped, or it has no work and a worker is
+// parked.
+func (g *Group[K, S, D, Q]) turn(sh *shard[K, S, D, Q], b, nb *batch[K, S, Q]) bool {
+	sh.mu.Lock()
+	sh.flight = slices.DeleteFunc(sh.flight, func(f *batch[K, S, Q]) bool { return f == b })
+	for _, e := range b.entries[b.settled:b.end] {
+		stage(nb, e.m)
 	}
-}
-
-// deliver fans d out to one shard's members.
-func (g *Group[K, S, D, Q]) deliver(sh *shard[K, S, D, Q], d D) {
+	clear(b.entries)
+	b.entries, b.settled, b.end = b.entries[:0], 0, 0
+	var d D
 	var t Tally
 	var evicted []*Member[K, S, Q]
-	sh.mu.Lock()
+	walked := false
+	for !sh.stopped {
+		for _, c := range sh.flight {
+			if c.stuck && !c.taken {
+				takeover(c, nb)
+			}
+		}
+		for _, m := range sh.joined {
+			stage(nb, m)
+		}
+		sh.joined = nil
+		if walked = sh.dn > 0; walked {
+			var zero D
+			d, sh.descs[sh.dhead] = sh.descs[sh.dhead], zero
+			sh.dhead, sh.dn = (sh.dhead+1)%len(sh.descs), sh.dn-1
+			sh.pops++
+			sh.space.Signal()
+			t, evicted = g.walk(sh, nb, d)
+		}
+		if walked || len(nb.entries) > 0 || sh.parked >= idleWorkers {
+			break
+		}
+		sh.parked++
+		sh.wake.Wait()
+		sh.parked--
+	}
+	ok := walked || len(nb.entries) > 0
+	if len(nb.entries) > 0 {
+		nb.cursor.Store(0)
+		nb.seen, nb.stuck, nb.taken, nb.end = -1, false, false, len(nb.entries)
+		sh.flight = append(sh.flight, nb)
+		sh.kick(false)
+	} else if !ok {
+		sh.workers--
+		sh.free = append(sh.free, b, nb)
+	}
+	sh.mu.Unlock()
+	for _, m := range evicted {
+		g.forget(m)
+		m.Key.Close()
+		g.hooks.Evicted(m.Key)
+	}
+	if walked {
+		g.hooks.Done(d, t)
+	}
+	return ok
+}
+
+// takeover stops the claims on a stuck batch c: its owner keeps the entry
+// it is sending, the members of the entries it has already sent go back
+// (or into nb, when they have a backlog), and the unclaimed tail moves to
+// nb. The caller holds the shard lock.
+func takeover[K Conn, S, Q any](c, nb *batch[K, S, Q]) {
+	n := int64(len(c.entries))
+	s := c.cursor.Swap(n)
+	c.taken, c.end = true, int(min(s, n))
+	// The owner claims in order and only after its previous Send returned,
+	// so every entry before its last claim is sent; past the end, all are.
+	if c.settled = c.end; s <= n {
+		c.settled = max(0, c.end-1)
+	}
+	for _, e := range c.entries[:c.settled] {
+		stage(nb, e.m)
+	}
+	nb.entries = append(nb.entries, c.entries[c.end:]...)
+}
+
+// walk offers d to the shard's members: straight into b for an idle member,
+// onto its queue for one whose previous item is still in b or in flight.
+// The caller holds the shard lock; hopeless members are taken out of the
+// shard here and returned for the caller to close.
+func (g *Group[K, S, D, Q]) walk(sh *shard[K, S, D, Q], b *batch[K, S, Q], d D) (t Tally, evicted []*Member[K, S, Q]) {
 	for i := 0; i < len(sh.members); i++ {
 		m := sh.members[i]
 		q, ok := g.hooks.Admit(m, d)
@@ -551,40 +537,43 @@ func (g *Group[K, S, D, Q]) deliver(sh *shard[K, S, D, Q], d D) {
 			continue
 		}
 		t.Admitted++
-		if !m.Push(q) {
+		if !m.owned && m.n == 0 {
+			m.owned = true
+			b.entries = append(b.entries, entry[K, S, Q]{m, q})
 			continue
 		}
-		t.Dropped++
-		if m.drops++; m.drops >= g.hopeless {
-			// Hopeless consumer: take it out of the shard here, so no later
-			// descriptor can evict it again.
-			sh.removeAt(i)
-			i--
-			evicted = append(evicted, m)
+		if m.Push(q) {
+			t.Dropped++
+			if m.drops++; m.drops >= g.hopeless {
+				// Hopeless consumer: take it out of the shard here, so no later
+				// descriptor can evict it again.
+				sh.removeAt(i)
+				i--
+				m.purge()
+				evicted = append(evicted, m)
+			}
+		}
+		if !m.owned {
+			// Attach or Admit queued items ahead of q.
+			m.owned = true
+			stage(b, m)
 		}
 	}
-	sh.pool.flush()
-	sh.mu.Unlock()
-	for _, m := range evicted {
-		m.purge()
-		g.forget(m)
-		m.Key.Close()
-		g.hooks.Evicted(m.Key)
-	}
-	g.hooks.Done(d, t)
+	return t, evicted
 }
 
-// QueueDepth reports what is queued right now: items across all member queues,
-// and descriptors the shard workers have yet to pick up (one that a worker
-// is delivering at this moment is in neither).
+// QueueDepth reports what is queued right now: items across all member
+// queues and unclaimed batch entries, and descriptors the shard workers
+// have yet to walk.
 func (g *Group[K, S, D, Q]) QueueDepth() (items, descriptors int) {
 	for _, sh := range g.shards {
-		descriptors += len(sh.ch)
 		sh.mu.Lock()
+		descriptors += sh.dn
 		for _, m := range sh.members {
-			m.mu.Lock()
 			items += m.n
-			m.mu.Unlock()
+		}
+		for _, b := range sh.flight {
+			items += max(0, len(b.entries)-int(b.cursor.Load()))
 		}
 		sh.mu.Unlock()
 	}
@@ -592,8 +581,9 @@ func (g *Group[K, S, D, Q]) QueueDepth() (items, descriptors int) {
 }
 
 // Stop refuses further attaches, detaches every member (discarding its
-// queue), stops the workers, the writers and the watchdogs, and returns the
-// keys it detached so the caller can disconnect them. Idempotent.
+// queue; what is already in a batch is sent), stops the workers and the
+// watchdogs, and returns the keys it detached so the caller can disconnect
+// them. Idempotent.
 func (g *Group[K, S, D, Q]) Stop() []K {
 	g.mu.Lock()
 	if g.stopped {
@@ -604,19 +594,28 @@ func (g *Group[K, S, D, Q]) Stop() []K {
 	clear(g.byKey)
 	g.mu.Unlock()
 	var keys []K
+	var undelivered []D
 	for _, sh := range g.shards {
 		sh.mu.Lock()
 		sh.stopped = true
-		members := sh.members
-		sh.members = nil
-		sh.n.Store(0)
-		sh.mu.Unlock()
-		for _, m := range members {
+		for _, m := range sh.members {
 			m.purge()
 			keys = append(keys, m.Key)
 		}
-		sh.pool.stop()
+		sh.members = nil
+		sh.n.Store(0)
+		for ; sh.dn > 0; sh.dn-- {
+			undelivered = append(undelivered, sh.descs[sh.dhead])
+			sh.dhead = (sh.dhead + 1) % len(sh.descs)
+		}
+		clear(sh.descs)
+		sh.timer.Stop()
+		sh.wake.Broadcast()
+		sh.space.Broadcast()
+		sh.mu.Unlock()
 	}
-	close(g.quit)
+	for _, d := range undelivered {
+		g.hooks.Done(d, Tally{})
+	}
 	return keys
 }

@@ -11,7 +11,7 @@ import (
 	"periscope/internal/leakcheck"
 )
 
-// TestMain enforces that every shard worker and shard writer a test
+// TestMain enforces that every shard worker a test
 // started has exited by the end of the binary: Stop, Remove and eviction
 // must each leave no goroutine behind.
 func TestMain(m *testing.M) {
@@ -36,7 +36,7 @@ type conn struct {
 	entered chan struct{} // signalled when a stalled Send begins
 	sent    atomic.Int32
 	closes  atomic.Int32
-	// inSend and next police the writer pool's ownership rule on every
+	// inSend and next police the core's ownership rule on every
 	// test: one Send at a time per member, in queue order (drops leave gaps).
 	inSend atomic.Int32
 	next   atomic.Int64 // lowest seq the next Send may carry
@@ -133,16 +133,25 @@ func (r *rig) newItem(desc int) *item {
 	return it
 }
 
-// deliverN drives the core's delivery step inline on shard 0, so queue,
-// drop and eviction counts are deterministic. Descriptor ids count from
-// `from`; with keepUp set, each delivery waits for that member's writer to
-// have sent it, so only members that cannot keep up ever drop.
+// deliver publishes d and returns once every shard it was shared with has
+// walked it, so queue, drop and eviction counts are deterministic. It
+// polls instead of failing a test, so it may run off the test goroutine.
+func (r *rig) deliver(d desc) {
+	r.Publish(d)
+	for r.shares.Load() != r.dones.Load() {
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// deliverN delivers descriptors counting from `from` one at a time; with
+// keepUp set, each delivery waits for that member to have been sent it, so
+// only members that cannot keep up ever drop.
 func (r *rig) deliverN(t *testing.T, from, n int, keepUp *conn) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		r.deliver(r.shards[0], desc{id: i})
+		r.deliver(desc{id: i})
 		if keepUp != nil {
-			waitFor(t, "a healthy member's writer", func() bool { return int(keepUp.sent.Load()) == i+1 })
+			waitFor(t, "a healthy member's worker", func() bool { return int(keepUp.sent.Load()) == i+1 })
 		}
 	}
 }
@@ -197,8 +206,8 @@ func TestPushDropOldest(t *testing.T) {
 	} {
 		var discarded []int
 		m := &Member[*conn, struct{}, int]{
-			ring: make([]int, tc.depth),
-			pool: &pool[*conn, struct{}, int]{discard: func(q int) { discarded = append(discarded, q) }},
+			ring:    make([]int, tc.depth),
+			discard: func(q int) { discarded = append(discarded, q) },
 		}
 		for i := 0; i < tc.pushes; i++ {
 			if got, want := m.Push(i), i >= tc.depth; got != want {
@@ -272,7 +281,7 @@ func TestExactlyOnceAcrossDetach(t *testing.T) {
 			if !r.Attach(stalled, 0) || !r.Attach(healthy, 0) {
 				t.Fatal("attach refused")
 			}
-			// The stalled writer takes one item and blocks; the next depth
+			// The stalled worker takes one item and blocks; the next depth
 			// fill its queue; every delivery after that drops its oldest.
 			// The healthy member gets every one of them meanwhile.
 			r.deliverN(t, 0, 1, healthy)
@@ -314,16 +323,28 @@ func TestExactlyOnceAcrossDetach(t *testing.T) {
 	}
 }
 
-// TestDropIsExactlyOneDiscard floods a one-slot queue whose writer is
-// draining it at full speed, so drop-oldest keeps racing the writer's pop.
-// The two meet under the member lock: with nobody detached, the discarded
-// items are exactly the counted drops and everything else was sent.
+// TestDropIsExactlyOneDiscard floods a one-slot queue while the member's
+// Sends now and then hold their worker for a few stallAfter: the worker the
+// watchdog adds keeps walking the flood while the member's previous item is
+// still in flight, so drop-oldest keeps racing the pop that stages the next
+// one. The two meet under the shard lock: with nobody detached, the
+// discarded items are exactly the counted drops and everything else was
+// sent.
 func TestDropIsExactlyOneDiscard(t *testing.T) {
 	r := newRig(1, 1, 1<<30)
 	defer r.Stop()
+	r.send = func(c *conn, it *item) error {
+		if it.desc%10_000 == 1 {
+			time.Sleep(5 * stallAfter)
+		}
+		return r.stallableSend(c, it)
+	}
 	r.Attach(&conn{}, 0)
 	const deliveries = 50_000
-	r.deliverN(t, 0, deliveries, nil)
+	for i := 0; i < deliveries; i++ {
+		r.Publish(desc{id: i})
+	}
+	waitFor(t, "every share to be done", func() bool { return r.shares.Load() == r.dones.Load() })
 	sent, discarded := r.settle(t)
 	r.mu.Lock()
 	tally := r.tally
@@ -337,18 +358,18 @@ func TestDropIsExactlyOneDiscard(t *testing.T) {
 	}
 }
 
-// poolState reads a shard's writer bookkeeping.
-func poolState(r *rig, shard int) (writers, parked int) {
-	p := &r.shards[shard].pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.writers, p.parked
+// poolState reads a shard's worker bookkeeping.
+func poolState(r *rig, shard int) (workers, parked int) {
+	sh := r.shards[shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.workers, sh.parked
 }
 
 // TestStalledMemberHoldsOneWriter is the isolation rule on the real worker
 // path. A member whose Send blocks forever is first in line on a shard of
-// healthy members: the watchdog must give them another writer within a few
-// stallAfter — once, later messages find that writer parked — while the
+// healthy members: the watchdog must give them another worker within a few
+// stallAfter — once, later messages find that worker parked — while the
 // stalled member keeps taking drop-oldest penalties until it is evicted.
 // It costs one goroutine while it blocks and none afterwards.
 func TestStalledMemberHoldsOneWriter(t *testing.T) {
@@ -376,7 +397,7 @@ func TestStalledMemberHoldsOneWriter(t *testing.T) {
 		t.Errorf("first message reached the stalled member's shard-mates after %v, want under %v", d, bound)
 	}
 	<-stalled.entered
-	// One writer is inside the stalled Send, the one the watchdog added is
+	// One worker is inside the stalled Send, the one the watchdog added is
 	// parked: later messages pay no stall delay, so even the slowest of
 	// them stays far under what a watchdog round per message would cost.
 	total := 1 + depth + hopeless
@@ -392,7 +413,7 @@ func TestStalledMemberHoldsOneWriter(t *testing.T) {
 		t.Errorf("evicted connection closed %d times, want 1", got)
 	}
 	if w, _ := poolState(r, 0); w != 2 {
-		t.Errorf("%d writers while one socket blocks, want 2: the blocked one and one for everybody else", w)
+		t.Errorf("%d workers while one socket blocks, want 2: the blocked one and one for everybody else", w)
 	}
 	r.mu.Lock()
 	tally := r.tally
@@ -401,7 +422,7 @@ func TestStalledMemberHoldsOneWriter(t *testing.T) {
 		t.Errorf("tally %+v, want %+v", tally, want)
 	}
 	close(stalled.stall)
-	waitFor(t, "the surplus writer to exit", func() bool { w, p := poolState(r, 0); return w == 1 && p == 1 })
+	waitFor(t, "the surplus worker to exit", func() bool { w, p := poolState(r, 0); return w == 1 && p == 1 })
 	// Of the stalled member's items only the one in flight is sent.
 	if sent, discarded := r.settle(t); sent != total*healthyN+1 || discarded != total-1 {
 		t.Errorf("sent %d discarded %d, want %d and %d", sent, discarded, total*healthyN+1, total-1)
@@ -413,7 +434,7 @@ func TestStalledMemberHoldsOneWriter(t *testing.T) {
 // members it serves.
 func TestGoroutinesDoNotScaleWithMembers(t *testing.T) {
 	const shards, members = 4, 10_000
-	// Earlier tests' writers may still be exiting: wait for a quiet count.
+	// Earlier tests' workers may still be exiting: wait for a quiet count.
 	base := runtime.NumGoroutine()
 	waitFor(t, "the goroutine count to settle", func() bool {
 		time.Sleep(10 * time.Millisecond)
@@ -444,8 +465,8 @@ func TestGoroutinesDoNotScaleWithMembers(t *testing.T) {
 		}
 		peak = max(peak, runtime.NumGoroutine()-base)
 	}
-	// K workers and K parked writers; a loaded box may let the watchdog add
-	// a writer per shard, and its own callback is briefly a goroutine.
+	// K parked workers; a loaded box may let the watchdog add a worker or
+	// two per shard, and its own callback is briefly a goroutine.
 	if limit := 4 * shards; peak > limit {
 		t.Errorf("%d goroutines serving %d members, want at most %d (O(shards))", peak, members, limit)
 	}
@@ -467,7 +488,7 @@ func TestEvictionRacesRemove(t *testing.T) {
 		var removed atomic.Bool
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); r.deliver(r.shards[0], desc{id: 2}) }()
+		go func() { defer wg.Done(); r.deliver(desc{id: 2}) }()
 		go func() { defer wg.Done(); removed.Store(r.Remove(c)) }()
 		wg.Wait()
 
@@ -486,7 +507,7 @@ func TestEvictionRacesRemove(t *testing.T) {
 
 // TestAttachRacesStop: every Attach that races Stop is either accepted —
 // and then detached by that Stop — or refused; none is left attached to a
-// stopped group with a writer nobody will stop (leakcheck would see it),
+// stopped group with a worker nobody will stop (leakcheck would see it),
 // and the first item handed to it is consumed exactly once either way.
 func TestAttachRacesStop(t *testing.T) {
 	for i := 0; i < 50; i++ {
@@ -616,7 +637,7 @@ func TestPublishSharesPerBusyShard(t *testing.T) {
 	}
 	mu.Lock()
 	if len(order) != 2 || order[0] != -1 || order[1] != 1 {
-		t.Errorf("writer saw %v, want the first item then the delivery", order)
+		t.Errorf("worker sent %v, want the first item then the delivery", order)
 	}
 	mu.Unlock()
 
@@ -644,9 +665,28 @@ func TestPublishSharesPerBusyShard(t *testing.T) {
 	}
 }
 
-// TestWriterStopsOnSendError: a failed Send ends the writer; the member
-// stays attached (its owner removes it when the connection's read side
-// notices) and what piles up behind it is discarded, not leaked.
+// TestFirstItemsNeedNoDelivery: what Attach hands over reaches the socket
+// with no message published — a hub's joining viewer gets its sequence
+// headers at once, not with the next keyframe — and a member attached
+// without first items costs no worker a turn.
+func TestFirstItemsNeedNoDelivery(t *testing.T) {
+	r := newRig(1, 4, 8)
+	defer r.Stop()
+	c := &conn{}
+	r.Attach(c, 0, r.newItem(-1))
+	waitFor(t, "the first item to be sent", func() bool { return c.sent.Load() == 1 })
+	r.Attach(&conn{}, 0)
+	if items, descs := r.QueueDepth(); items != 0 || descs != 0 {
+		t.Errorf("QueueDepth = %d items, %d descriptors after the first item was sent, want 0, 0", items, descs)
+	}
+	if sent, _ := r.settle(t); sent != 1 {
+		t.Errorf("%d items sent, want the first item", sent)
+	}
+}
+
+// TestWriterStopsOnSendError: a failed Send retires the member's queue;
+// the member stays attached (its owner removes it when the connection's
+// read side notices) and what piles up behind it is discarded, not leaked.
 func TestWriterStopsOnSendError(t *testing.T) {
 	r := newRig(1, 4, 8)
 	defer r.Stop()
@@ -660,12 +700,120 @@ func TestWriterStopsOnSendError(t *testing.T) {
 	waitFor(t, "the first send to fail", func() bool { return r.items[0].sent.Load() == 1 })
 	r.deliverN(t, 1, 3, nil)
 	if !r.Remove(c) {
-		t.Fatal("member with a dead writer was no longer attached")
+		t.Fatal("member with a failed connection was no longer attached")
 	}
 	if sent, _ := r.settle(t); sent != 1 {
 		t.Errorf("%d items sent after the first failed, want 1", sent)
 	}
 	if got := c.closes.Load(); got != 1 {
 		t.Errorf("failed connection closed %d times, want 1", got)
+	}
+}
+
+// TestStalledMemberDoesNotBlockPublish: a member whose Send blocks forever
+// is alone on its shard, so the worker holding it is the shard's only one,
+// and twice the shard's FIFO depth is published behind it. The publisher
+// waits on workers, never on a socket: the watchdog's added worker walks
+// the FIFO (the stalled member takes drop-oldest penalties), so every
+// Publish returns within the stall bound.
+func TestStalledMemberDoesNotBlockPublish(t *testing.T) {
+	const bound = 500 * stallAfter
+	r := newRig(1, 4, 1<<30)
+	defer r.Stop()
+	stalled := stalledConn()
+	r.Attach(stalled, 0)
+	r.Publish(desc{id: 0})
+	<-stalled.entered
+	for id := 1; id <= 2*len(r.shards[0].descs); id++ {
+		start := time.Now()
+		r.Publish(desc{id: id})
+		if d := time.Since(start); d > bound {
+			t.Errorf("Publish #%d behind a stalled socket took %v, want under %v", id, d, bound)
+		}
+	}
+	waitFor(t, "every share to be done", func() bool { return r.shares.Load() == r.dones.Load() })
+	close(stalled.stall)
+	r.settle(t)
+}
+
+// TestStealKeepsPerMemberOrder: the first entry of a batch blocks forever
+// and 64 healthy shard-mates sit behind it while bursts keep coming. The
+// worker the watchdog adds takes over the rest of the stuck batch; every
+// healthy member is then sent every item exactly once and in order (the
+// rig polices both on every Send), and none of them drops.
+func TestStealKeepsPerMemberOrder(t *testing.T) {
+	const healthyN, messages = 64, 200
+	r := newRig(1, 64, 1<<30)
+	defer r.Stop()
+	stalled := stalledConn()
+	r.Attach(stalled, 0)
+	healthy := make([]*conn, healthyN)
+	for i := range healthy {
+		healthy[i] = &conn{}
+		r.Attach(healthy[i], 0)
+	}
+	// Bursts shorter than a ring: whichever workers run, none walks more
+	// than a ring's depth ahead of a healthy member's sends.
+	const burst = 32
+	for id := 0; id < messages; id++ {
+		r.Publish(desc{id: id})
+		if id%burst == burst-1 || id == messages-1 {
+			for _, c := range healthy {
+				waitFor(t, "a healthy member to be sent the burst", func() bool { return int(c.sent.Load()) == id+1 })
+			}
+		}
+	}
+	waitFor(t, "every share to be done", func() bool { return r.shares.Load() == r.dones.Load() })
+	r.mu.Lock()
+	dropped := r.tally.Dropped
+	r.mu.Unlock()
+	// Only the stalled member drops: its ring holds 64 of the 199 items
+	// behind the one it is stuck on.
+	if want := messages - 1 - 64; dropped != want {
+		t.Errorf("%d drops, want %d, all the stalled member's", dropped, want)
+	}
+	// Released, the stalled member is sent what it was stuck on and its ring.
+	close(stalled.stall)
+	if sent, discarded := r.settle(t); sent != messages*healthyN+1+64 || discarded != dropped {
+		t.Errorf("sent %d discarded %d, want %d and %d", sent, discarded, messages*healthyN+1+64, dropped)
+	}
+}
+
+// sink is a member key whose Send only counts.
+type sink struct{ sent *atomic.Int64 }
+
+func (sink) Close() error { return nil }
+
+// TestSteadyStateDeliveryAllocs: once its batches and rings have grown,
+// delivering a descriptor to a 1 000-member group allocates nothing — not
+// per member (an item, a wakeup, a queue node), not per batch.
+func TestSteadyStateDeliveryAllocs(t *testing.T) {
+	const members = 1000
+	var sent atomic.Int64
+	g := New(2, 16, 4, 8, Hooks[sink, struct{}, int, int]{
+		Share:   func(int) {},
+		Done:    func(int, Tally) {},
+		Admit:   func(_ *Member[sink, struct{}, int], d int) (int, bool) { return d, true },
+		Send:    func(k sink, _ int) error { k.sent.Add(1); return nil },
+		Discard: func(int) {},
+		Evicted: func(sink) {},
+	})
+	defer g.Stop()
+	for i := 0; i < members; i++ {
+		g.Attach(sink{sent: &sent}, struct{}{})
+	}
+	want := int64(0)
+	deliver := func() {
+		want += members
+		g.Publish(int(want))
+		for sent.Load() < want {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 10; i++ {
+		deliver()
+	}
+	if allocs := testing.AllocsPerRun(200, deliver); allocs != 0 {
+		t.Errorf("%v allocations per descriptor delivered to %d members, want 0", allocs, members)
 	}
 }

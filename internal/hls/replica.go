@@ -396,10 +396,11 @@ func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 
 // fillWithRetries runs one fill operation: up to r.attempts calls of do,
 // each bounded by an equal share of the overall fillTimeout budget, with
-// jittered doubling backoff between attempts. Terminal errors (4xx — the
-// upstream answered) and the end of parent short-circuit. hold extends
-// every deadline by the time the upstream may hold the request, so a hold
-// is never what breakerFailure sees as a timeout.
+// jittered doubling backoff between attempts (none after the last).
+// Terminal errors (4xx — the upstream answered) and the end of parent,
+// during an attempt or a backoff, short-circuit. hold extends every
+// deadline by the time the upstream may hold the request, so a hold is
+// never what breakerFailure sees as a timeout.
 func (r *Replica) fillWithRetries(parent context.Context, hold time.Duration, do func(ctx context.Context) error) error {
 	deadline := time.Now().Add(fillTimeout + hold)
 	var err error
@@ -412,7 +413,7 @@ func (r *Replica) fillWithRetries(parent context.Context, hold time.Duration, do
 		ctx, cancel := context.WithTimeout(parent, per)
 		err = do(ctx)
 		cancel()
-		if err == nil || !retryableFill(err) || parent.Err() != nil {
+		if err == nil || !retryableFill(err) || parent.Err() != nil || attempt == r.attempts-1 {
 			return err
 		}
 		wait := jitteredBackoff(r.backoff, attempt)
@@ -420,7 +421,11 @@ func (r *Replica) fillWithRetries(parent context.Context, hold time.Duration, do
 			break
 		}
 		r.c.FillRetries.Add(1)
-		time.Sleep(wait)
+		select {
+		case <-parent.Done():
+			return err
+		case <-time.After(wait):
+		}
 	}
 	return err
 }

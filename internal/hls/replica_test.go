@@ -282,6 +282,53 @@ func TestFillRetrySurvivesTransientError(t *testing.T) {
 	}
 }
 
+// TestFillGivesUpWithoutTrailingBackoff: a fill whose every attempt fails
+// with a 5xx reports the failure after its last attempt — no backoff is
+// slept and no retry counted for an attempt that never comes — and Close
+// during a backoff ends it instead of waiting it out.
+func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
+	const backoff = 40 * time.Millisecond
+	src := newFakeSource()
+	src.setSegErr(3, &UpstreamError{Status: http.StatusBadGateway})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: (&jobQueue{}).enqueue, RetryBackoff: backoff})
+	start := time.Now()
+	if _, err := rep.Segment(context.Background(), 3); err == nil {
+		t.Fatal("a fill whose every attempt failed reported success")
+	}
+	elapsed := time.Since(start)
+	attempts := DefaultFillAttempts
+	if got := src.fetchesFor(3); got != int64(attempts) {
+		t.Fatalf("%d upstream attempts, want %d", got, attempts)
+	}
+	if got := rep.Stats().FillRetries; got != int64(attempts-1) {
+		t.Errorf("FillRetries = %d, want %d: the last attempt is not followed by a retry", got, attempts-1)
+	}
+	// The ceilings of the backoffs between the attempts, plus a quarter
+	// backoff for scheduling; a backoff after the last attempt would add at
+	// least half of the next ceiling, twice that.
+	bound := backoff / 4
+	for i := 0; i < attempts-1; i++ {
+		bound += backoff << i
+	}
+	if elapsed >= bound {
+		t.Errorf("failed fill took %v, want under %v (the backoffs between its attempts)", elapsed, bound)
+	}
+
+	src.setPlaylistErr(&UpstreamError{Status: http.StatusBadGateway})
+	rep = NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: (&jobQueue{}).enqueue, RetryBackoff: time.Second})
+	rep.WarmUp()
+	for src.playlistFetches.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// The watch's first attempt failed: it is in (or about to enter) a
+	// backoff of at least 500 ms, well inside the fill's 5 s budget.
+	start = time.Now()
+	rep.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("Close during a fill backoff took %v, want a few ms", d)
+	}
+}
+
 // Terminal upstream answers (404: the origin is alive and says no) must
 // not burn retry attempts.
 func TestFillRetrySkipsTerminalErrors(t *testing.T) {

@@ -345,7 +345,9 @@ func TestViewerChurnDuringShardedFanout(t *testing.T) {
 
 // benchFanout drives one hub at n viewers with pool-drawn payloads, the
 // relay steady state: every payload is recycled by the refcounted fan-out
-// once the last queue drains.
+// once the last queue drains. Publishing floods the hub, so it also reports
+// the share of viewer-messages dropped oldest and the viewers evicted as
+// hopeless: ns/op compares only between runs that shed load alike.
 func benchFanout(b *testing.B, h *hub, n int) {
 	defer h.stop()
 	for i := 0; i < n; i++ {
@@ -359,6 +361,8 @@ func benchFanout(b *testing.B, h *hub, n int) {
 		pushMedia(h, tag, uint32(i*33))
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(h.stats.drops.Load())/float64(b.N*n), "drops/viewer-msg")
+	b.ReportMetric(float64(h.stats.hopeless.Load()), "evicted")
 }
 
 // BenchmarkHubFanout measures the sharded fan-out of paced media messages

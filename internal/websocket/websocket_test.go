@@ -3,11 +3,16 @@ package websocket
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -249,7 +254,7 @@ func TestFrameIsOneTransportWrite(t *testing.T) {
 		}
 		for i, w := range rec.writes {
 			peer := &Conn{br: bufio.NewReader(bytes.NewReader(w))}
-			fin, op, payload, err := peer.readFrame()
+			fin, op, payload, err := peer.readFrame(MaxMessage)
 			if err != nil || !fin || op != want[i].op || !bytes.Equal(payload, want[i].payload) {
 				t.Errorf("client=%v: write %d is not frame %d (op %d, %d bytes): fin=%v op=%d len=%d err=%v",
 					client, i, i, want[i].op, len(want[i].payload), fin, op, len(payload), err)
@@ -299,4 +304,114 @@ func TestCloseReleasesBlockedWriter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the blocked write outlived Close")
 	}
+}
+
+// hostilePeer is the far end of a net.Pipe whose near end is a server
+// Conn: it writes frames and collects what the server writes back.
+type hostilePeer struct {
+	net.Conn
+	got chan []byte // everything the server wrote, once its side closes
+}
+
+func newHostilePeer(t *testing.T) (*Conn, *hostilePeer) {
+	t.Helper()
+	server, peer := net.Pipe()
+	p := &hostilePeer{Conn: peer, got: make(chan []byte, 1)}
+	go func() {
+		var buf bytes.Buffer
+		buf.ReadFrom(peer)
+		p.got <- buf.Bytes()
+	}()
+	return &Conn{nc: server, br: bufio.NewReader(server)}, p
+}
+
+// maskedHeader is the header of a masked (client) frame announcing n
+// payload bytes in the 64-bit length form, with the all-zero mask key.
+func maskedHeader(op byte, fin bool, n uint64) []byte {
+	h := []byte{op, 0x80 | 127}
+	if fin {
+		h[0] |= 0x80
+	}
+	h = binary.BigEndian.AppendUint64(h, n)
+	return append(h, 0, 0, 0, 0)
+}
+
+// readRefused runs ReadMessage on c and returns its error, failing the
+// test if it accepts a message or does not return in time.
+func readRefused(t *testing.T, c *Conn) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, msg, err := c.ReadMessage()
+		if err == nil {
+			err = fmt.Errorf("accepted a %d-byte message", len(msg))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		c.nc.Close()
+		t.Fatal("ReadMessage neither refused nor returned the oversized message")
+		return nil
+	}
+}
+
+// wantCloseTooBig checks that the server answered with close code 1009.
+func wantCloseTooBig(t *testing.T, c *Conn, p *hostilePeer) {
+	t.Helper()
+	c.nc.Close()
+	got := <-p.got
+	if want := []byte{0x80 | OpClose, 2, 0x03, 0xF1}; !bytes.Equal(got, want) {
+		t.Errorf("server wrote % x, want a close frame with code 1009 (% x)", got, want)
+	}
+}
+
+// TestHugeFrameRefusedBeforeAllocation: a peer announcing a 64 MiB frame
+// is refused on its header — the payload is never allocated — and told
+// why with close code 1009.
+func TestHugeFrameRefusedBeforeAllocation(t *testing.T) {
+	c, p := newHostilePeer(t)
+	defer p.Close()
+	go p.Write(maskedHeader(OpBinary, true, 64<<20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := readRefused(t, c)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errTooBig) {
+		t.Errorf("ReadMessage = %v, want the message refused as too big", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= MaxMessage {
+		t.Errorf("refusing the frame allocated %d bytes, want under MaxMessage (%d)", grew, MaxMessage)
+	}
+	wantCloseTooBig(t, c, p)
+}
+
+// TestFragmentFloodRefusedAtBound: a message sent as ever more small
+// continuation frames, none too big on its own, is refused once the
+// reassembled total would pass MaxMessage.
+func TestFragmentFloodRefusedAtBound(t *testing.T) {
+	const frag = 100
+	c, p := newHostilePeer(t)
+	defer p.Close()
+	var sent atomic.Int64 // payload bytes the server has taken
+	go func() {
+		op := byte(OpText)
+		for i := 0; i < 4*MaxMessage/frag; i++ {
+			if _, err := p.Write(append(maskedHeader(op, false, frag), make([]byte, frag)...)); err != nil {
+				return
+			}
+			sent.Add(frag)
+			op = OpContinuation
+		}
+		p.Write(maskedHeader(OpContinuation, true, 0))
+	}()
+	if err := readRefused(t, c); !errors.Is(err, errTooBig) {
+		t.Errorf("ReadMessage = %v, want the message refused as too big", err)
+	}
+	if got := sent.Load(); got > MaxMessage+frag {
+		t.Errorf("the server read %d payload bytes before refusing, want at most MaxMessage (%d) and a frame", got, MaxMessage)
+	}
+	wantCloseTooBig(t, c, p)
 }
