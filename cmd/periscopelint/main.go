@@ -1,5 +1,5 @@
 // Command periscopelint runs the repo's custom go/analysis suite
-// (internal/lint): refpair, lockio, atomicmix, ctxdetach, plus the
+// (internal/lint): refpair, lockio, ctxdetach, plus the
 // cross-package fact-driven checks lockorder, gostop and snapmono.
 //
 // It speaks the unitchecker protocol, so the canonical invocation is as

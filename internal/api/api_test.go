@@ -3,7 +3,9 @@ package api
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,6 +117,37 @@ func TestGetBroadcastsUnknownIDsSkipped(t *testing.T) {
 	}
 	if len(resp.Broadcasts) != 0 {
 		t.Errorf("got %d, want 0", len(resp.Broadcasts))
+	}
+}
+
+// paddedGetBroadcasts is a getBroadcasts body carrying a field the server
+// ignores, to size a request past any legitimate one.
+type paddedGetBroadcasts struct {
+	GetBroadcastsRequest
+	Pad string `json:"pad"`
+}
+
+// TestOversizedBodyIsRefused: a getBroadcasts at the id cap is answered,
+// the same request padded to 4 MiB is refused with a 413 in the error
+// envelope instead of being read whole.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	_, c, pop := newTestServer(t, 0)
+	var ids []string
+	for _, b := range pop.Live() {
+		if ids = append(ids, b.ID); len(ids) == DefaultServerConfig().MaxBroadcastIDs {
+			break
+		}
+	}
+	ep := Endpoint[paddedGetBroadcasts, GetBroadcastsResponse]{Name: GetBroadcastsEndpoint.Name}
+	req := paddedGetBroadcasts{GetBroadcastsRequest: GetBroadcastsRequest{BroadcastIDs: ids}}
+	if resp, err := Call(c, ep, req); err != nil || len(resp.Broadcasts) != len(ids) {
+		t.Fatalf("getBroadcasts of %d ids: %d descriptions, %v", len(ids), len(resp.Broadcasts), err)
+	}
+	req.Pad = strings.Repeat("x", 4<<20)
+	_, err := Call(c, ep, req)
+	var apiErr *Error
+	if !errors.As(err, &apiErr) || apiErr.HTTPStatus != http.StatusRequestEntityTooLarge {
+		t.Fatalf("4 MiB getBroadcasts body: %v, want a 413 *api.Error", err)
 	}
 }
 

@@ -88,14 +88,25 @@ func EndpointNames() []string {
 	}
 }
 
+// maxRequestBody bounds a request body at ≈ 28× the largest legitimate
+// one, a getBroadcasts of 100 ids (≈ 2.3 KB of JSON).
+const maxRequestBody = 64 << 10
+
 // mount registers a typed handler for an endpoint on the mux. The wrapper
 // owns the whole decode → validate → handle → encode cycle; handlers see
 // only their typed request and return a typed response or a structured
-// error.
+// error. A body past maxRequestBody is refused with a 413 before any of it
+// is decoded further.
 func mount[Req, Resp any](mux *http.ServeMux, ep Endpoint[Req, Resp], fn func(context.Context, *Req) (Resp, *Error)) {
 	mux.Handle(ep.Path(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req)
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			writeError(w, Errorf(http.StatusRequestEntityTooLarge, CodeTooLarge, "request body over %d bytes", maxRequestBody))
+			return
+		case err != nil && !errors.Is(err, io.EOF):
 			writeError(w, Errorf(http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err))
 			return
 		}

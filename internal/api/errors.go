@@ -13,6 +13,7 @@ import (
 // than parsing message strings.
 const (
 	CodeBadRequest       = "bad_request"
+	CodeTooLarge         = "too_large"
 	CodeInvalidArea      = "invalid_area"
 	CodeTooManyIDs       = "too_many_ids"
 	CodeMethodNotAllowed = "method_not_allowed"

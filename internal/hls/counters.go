@@ -39,8 +39,8 @@ type FillStats struct {
 	StaleServes int64
 	// Evictions counts segments dropped by the sliding cache window.
 	Evictions int64
-	// PrefetchDropped counts prefetch jobs the fill queue rejected or the
-	// fill concurrency cap skipped.
+	// PrefetchDropped counts listed segments a watch round did not
+	// prefetch because the fill concurrency cap was full.
 	PrefetchDropped int64
 	// FillCapWaits counts demand fills that found the per-broadcast fill
 	// concurrency cap saturated and had to queue — a non-zero value is the

@@ -204,8 +204,7 @@ func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
 	for seq := 0; seq < 6; seq++ {
 		hot.inner.setSegment(seq, []byte{byte(seq)})
 	}
-	q := &jobQueue{}
-	repA := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 2, Enqueue: q.enqueue})
+	repA := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 2})
 	if got := repA.Stats().FillCap; got != 2 {
 		t.Fatalf("FillCap = %d, want 2", got)
 	}
@@ -228,7 +227,7 @@ func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
 	// the cap is per broadcast, not per POP.
 	cold := newFakeSource()
 	cold.setSegment(0, []byte("other"))
-	repB := NewReplica(ReplicaConfig{Source: cold, Enqueue: q.enqueue})
+	repB := NewReplica(ReplicaConfig{Source: cold})
 	done := make(chan error, 1)
 	go func() {
 		_, err := repB.Segment(context.Background(), 0)
@@ -253,41 +252,65 @@ func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestReplicaPrefetchSkipsWhenCapSaturated: background prefetch jobs must
-// not park fill workers behind a saturated broadcast.
+// TestReplicaPrefetchSkipsWhenCapSaturated: a watch round's prefetches
+// must not queue behind a saturated broadcast's demand fills.
 func TestReplicaPrefetchSkipsWhenCapSaturated(t *testing.T) {
 	hot := newGatedSource()
 	hot.inner.setPlaylist(livePlaylist(0, 1))
 	hot.inner.setSegment(0, []byte{0})
 	hot.inner.setSegment(1, []byte{1})
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 1, Enqueue: q.enqueue})
+	rep := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 1})
 	defer rep.Close()
 
 	// Saturate the cap with a demand fill held open at the source.
 	go rep.Segment(context.Background(), 0)
 	waitUntil(t, func() bool { return hot.cur.Load() == 1 })
 
-	// A playlist fill schedules prefetches; running them while saturated
-	// must skip, not block.
-	if _, _, err := rep.Playlist(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, func() bool { return q.size() > 0 })
-	ran := make(chan struct{})
+	// The first poll is answered once the round has offered its listed
+	// segments for prefetch; while saturated the offer must skip, not block.
+	polled := make(chan error, 1)
 	go func() {
-		q.runAll()
-		close(ran)
+		_, _, err := rep.Playlist(context.Background())
+		polled <- err
 	}()
 	select {
-	case <-ran:
+	case err := <-polled:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("prefetch job blocked on the saturated fill cap")
+		t.Fatal("prefetch blocked on the saturated fill cap")
 	}
 	if rep.Stats().PrefetchDropped == 0 {
 		t.Error("skipped prefetch not counted")
 	}
+	if got := hot.cur.Load(); got != 1 {
+		t.Errorf("%d upstream fetches under a fill cap of 1", got)
+	}
 	close(hot.release)
+}
+
+// TestReplicaCloseEndsPrefetches: the prefetches a watch round starts end
+// with their replica. Close returns promptly and leaves no upstream fetch
+// of the replica's running, even against a source that never answers.
+func TestReplicaCloseEndsPrefetches(t *testing.T) {
+	hung := newGatedSource()
+	hung.inner.setPlaylist(livePlaylist(0, 1, 2))
+	defer close(hung.release)
+	rep := NewReplica(ReplicaConfig{Source: hung})
+	if _, _, err := rep.Playlist(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return hung.cur.Load() == 3 })
+
+	start := time.Now()
+	rep.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("Close with three prefetches hanging upstream took %v", took)
+	}
+	if n := hung.cur.Load(); n != 0 {
+		t.Errorf("%d upstream fetches still running after Close", n)
+	}
 }
 
 func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
@@ -296,20 +319,19 @@ func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
 	for seq := 4; seq <= 6; seq++ {
 		src.setSegment(seq, bytes.Repeat([]byte{byte(seq)}, 32))
 	}
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: src, Enqueue: q.enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src})
 	defer rep.Close()
 
 	// A warm-up nobody polls is one round of the watch: the playlist
-	// fetch, the prefetches it queues, and the goroutine is gone.
+	// fetch, the prefetches it starts, and the goroutines are gone.
 	rep.WarmUp()
 	rep.wg.Wait()
 	if st := rep.Stats(); st.Warmups != 1 || st.PlaylistRefreshes != 1 || rep.watch.Load() != watchOff {
 		t.Fatalf("after the warm-up: %d warm-ups, %d playlist fetches, watch state %d; want 1, 1, off",
 			st.Warmups, st.PlaylistRefreshes, rep.watch.Load())
 	}
-	if n := q.runAll(); n != 3 {
-		t.Fatalf("warm-up queued %d prefetches, want 3", n)
+	if n := src.segmentFetches.Load(); n != 3 {
+		t.Fatalf("warm-up prefetched %d segments, want 3", n)
 	}
 	for seq := 4; seq <= 6; seq++ {
 		if _, ok := rep.CachedSegment(seq); !ok {
@@ -329,8 +351,8 @@ func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
 	src.setSegment(7, bytes.Repeat([]byte{7}, 32))
 	rep.WarmUp()
 	rep.wg.Wait()
-	if n := q.runAll(); n != 1 {
-		t.Fatalf("re-warm queued %d prefetches, want 1 (segment 7)", n)
+	if n := src.segmentFetches.Load() - 3; n != 1 {
+		t.Fatalf("re-warm prefetched %d segments, want 1 (segment 7)", n)
 	}
 	if _, ok := rep.CachedSegment(7); !ok {
 		t.Error("re-warm did not prefetch the newly listed segment")

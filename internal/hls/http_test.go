@@ -19,7 +19,6 @@ func TestResolveKeepsStatusAndKind(t *testing.T) {
 	src.setSegErr(4, ErrBreakerOpen)
 	rep := NewReplica(ReplicaConfig{
 		Source: src, FillAttempts: 1, TargetDuration: time.Second,
-		Enqueue: (&jobQueue{}).enqueue, // no background prefetch
 	})
 	defer rep.Close()
 	srv := httptest.NewServer(rep)
@@ -69,7 +68,7 @@ func TestResolveCacheOnly(t *testing.T) {
 	src.setPlaylist(livePlaylist(1, 2))
 	src.setSegment(1, []byte("segment-one"))
 	src.setSegment(2, []byte("segment-two"))
-	rep := NewReplica(ReplicaConfig{Source: src, Enqueue: (&jobQueue{}).enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src})
 	get := func(file string, cacheOnly bool) Response {
 		return Resolve(httptest.NewRequest(http.MethodGet, "/peer/cast/"+file, nil), rep, cacheOnly)
 	}

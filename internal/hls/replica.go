@@ -26,80 +26,6 @@ type SegmentSource interface {
 	FetchSegment(ctx context.Context, seq int) ([]byte, error)
 }
 
-// FillWorker is a POP's background fill executor: a small pool of
-// goroutines draining a bounded job queue. Jobs block on origin HTTP
-// fetches, so more than one worker is needed or a single slow broadcast
-// would head-of-line-block every other replica's prefetches on the same
-// POP. Background work (segment prefetch) is best-effort — when the queue
-// is full the job is dropped and the demand path fills synchronously
-// instead.
-type FillWorker struct {
-	ch   chan func()
-	quit chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
-
-	// Dropped counts jobs rejected because the queue was full or the
-	// worker had stopped.
-	Dropped atomic.Int64
-}
-
-// NewFillWorker starts a pool with the given queue depth and worker count.
-func NewFillWorker(depth, workers int) *FillWorker {
-	if depth <= 0 {
-		depth = 256
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	w := &FillWorker{
-		ch:   make(chan func(), depth),
-		quit: make(chan struct{}),
-	}
-	w.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go w.run()
-	}
-	return w
-}
-
-func (w *FillWorker) run() {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-w.quit:
-			return
-		case job := <-w.ch:
-			job()
-		}
-	}
-}
-
-// Enqueue offers a job without blocking; it reports whether the job was
-// accepted.
-func (w *FillWorker) Enqueue(job func()) bool {
-	select {
-	case <-w.quit:
-		w.Dropped.Add(1)
-		return false
-	default:
-	}
-	select {
-	case w.ch <- job:
-		return true
-	default:
-		w.Dropped.Add(1)
-		return false
-	}
-}
-
-// Stop terminates the pool; queued jobs are discarded. It is idempotent
-// and returns after every worker goroutine has exited.
-func (w *FillWorker) Stop() {
-	w.once.Do(func() { close(w.quit) })
-	w.wg.Wait()
-}
-
 // ReplicaConfig tunes one edge replica.
 type ReplicaConfig struct {
 	// Source is the origin fill path (required).
@@ -126,12 +52,9 @@ type ReplicaConfig struct {
 	// MaxConcurrentFills caps this broadcast's concurrent upstream segment
 	// fetches (origin or peer), so one hot broadcast cannot monopolize its
 	// peers or the POP's egress: demand fills past the cap queue (counted
-	// as FillCapWaits), background prefetches are skipped instead of tying
-	// up fill workers. Defaults to DefaultFillConcurrency.
+	// as FillCapWaits), prefetches past it are skipped. Defaults to
+	// DefaultFillConcurrency.
 	MaxConcurrentFills int
-	// Enqueue runs a background job (the POP's FillWorker); when nil the
-	// replica spawns a goroutine per job.
-	Enqueue func(func()) bool
 	// Counters is the block the replica counts into — the parent's when a
 	// longer-lived owner such as a POP reports for many replicas. Nil
 	// gives the replica its own block.
@@ -140,12 +63,16 @@ type ReplicaConfig struct {
 	Now func() time.Time
 }
 
-// fillResult is one in-flight origin fetch shared by every request that
-// arrived while it was running (single-flight).
+// fillResult is one upstream fetch shared by every request that arrived
+// while it was running (single-flight). In the replica's miss path a
+// failed segment fill stays on as the sequence's negative entry: until is
+// zero while the fetch runs and, on failure, is set under the replica
+// lock (with data and err) before done closes.
 type fillResult struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done  chan struct{}
+	data  []byte
+	err   error
+	until time.Time
 }
 
 // Replica is a POP's async cache of one broadcast: segments fill
@@ -159,7 +86,6 @@ type Replica struct {
 	attempts int
 	backoff  time.Duration
 	negTTL   time.Duration
-	enqueue  func(func()) bool
 	now      func() time.Time
 	// c is the cumulative counter block: the replica's own, or its
 	// parent's (shared with sibling replicas).
@@ -168,11 +94,12 @@ type Replica struct {
 	// per-broadcast fill concurrency cap).
 	fillSem chan struct{}
 
-	mu       sync.Mutex
-	segs     map[int][]byte
-	maxSeq   int // highest sequence observed (stored or listed)
-	inflight map[int]*fillResult
-	negCache map[int]negEntry
+	mu     sync.Mutex
+	segs   map[int][]byte
+	maxSeq int // highest sequence observed (stored or listed)
+	// fills is the miss path: per sequence, the fill in flight or the
+	// failed one still answering for it.
+	fills map[int]*fillResult
 
 	// win is the playlist served, stored by the watch only. polled is
 	// raised by viewer polls and lowered by the watch once a round; watch is
@@ -182,12 +109,14 @@ type Replica struct {
 	polled atomic.Bool
 	watch  atomic.Int32
 	cur    atomic.Pointer[fillResult]
-	// wmu orders watch starts against each other and against Close, which
-	// calls stop (the running watch's cancel) and waits on wg for its exit.
+	// ctx is the replica's lifetime: it carries the watch and every
+	// prefetch the watch starts, and each of them counts in wg. Close
+	// cancels it and waits on wg; wmu orders watch starts against each
+	// other and against Close.
+	ctx    context.Context
+	cancel context.CancelFunc
 	wmu    sync.Mutex
 	wg     sync.WaitGroup
-	stop   context.CancelFunc
-	closed bool
 }
 
 // window is one immutable answer of the source: what every poll is served
@@ -200,13 +129,6 @@ type window struct {
 }
 
 const watchOff, watchOK, watchFailing int32 = 0, 1, 2
-
-// negEntry is one negative-cache record: the error a recent fill ended
-// with and how long to keep answering with it.
-type negEntry struct {
-	err   error
-	until time.Time
-}
 
 // DefaultFillConcurrency is the per-broadcast cap on concurrent upstream
 // segment fetches.
@@ -229,9 +151,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.TargetDuration <= 0 {
 		cfg.TargetDuration = DefaultSegmentTarget
 	}
-	if cfg.Enqueue == nil {
-		cfg.Enqueue = func(job func()) bool { go job(); return true }
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -250,6 +169,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.Counters == nil {
 		cfg.Counters = new(FillCounters)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Replica{
 		src:      cfg.Source,
 		keep:     cfg.Window + 2, // parity with Segmenter.maxKeep
@@ -257,14 +177,14 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		attempts: cfg.FillAttempts,
 		backoff:  cfg.RetryBackoff,
 		negTTL:   cfg.NegativeTTL,
-		enqueue:  cfg.Enqueue,
 		now:      cfg.Now,
 		c:        cfg.Counters,
 		fillSem:  make(chan struct{}, cfg.MaxConcurrentFills),
 		segs:     map[int][]byte{},
 		maxSeq:   -1,
-		inflight: map[int]*fillResult{},
-		negCache: map[int]negEntry{},
+		fills:    map[int]*fillResult{},
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 }
 
@@ -311,23 +231,23 @@ func (r *Replica) Segment(ctx context.Context, seq int) ([]byte, error) {
 		r.mu.Unlock()
 		return data, nil
 	}
-	if e, ok := r.negCache[seq]; ok {
-		if r.now().Before(e.until) {
-			r.mu.Unlock()
-			r.c.NegativeHits.Add(1)
-			return nil, e.err
-		}
-		delete(r.negCache, seq)
-	}
-	f, ok := r.inflight[seq]
-	if ok {
+	f := r.pendingLocked(seq)
+	switch {
+	case f == nil:
+		f = &fillResult{done: make(chan struct{})}
+		r.fills[seq] = f
+		r.mu.Unlock()
+		go func() {
+			r.acquireFill()
+			r.fill(context.Background(), seq, f)
+		}()
+	case f.until.IsZero():
 		r.mu.Unlock()
 		r.c.SingleFlightHits.Add(1)
-	} else {
-		f = &fillResult{done: make(chan struct{})}
-		r.inflight[seq] = f
+	default:
 		r.mu.Unlock()
-		go r.fillSegment(seq, f)
+		r.c.NegativeHits.Add(1)
+		return nil, f.err
 	}
 	select {
 	case <-f.done:
@@ -337,8 +257,20 @@ func (r *Replica) Segment(ctx context.Context, seq int) ([]byte, error) {
 	}
 }
 
-// acquireFill takes a slot of the per-broadcast fill cap, counting the
-// acquisitions that had to wait for one.
+// pendingLocked returns seq's miss-path entry while it still answers for
+// the sequence: a fill in flight, or a failed one inside its negative TTL.
+func (r *Replica) pendingLocked(seq int) *fillResult {
+	f := r.fills[seq]
+	if f != nil && !f.until.IsZero() && !r.now().Before(f.until) {
+		return nil
+	}
+	return f
+}
+
+// acquireFill takes a slot of the per-broadcast fill cap for a demand
+// fill, counting the acquisitions that had to wait for one: a broadcast
+// with a segment storm queues here instead of monopolizing its peers and
+// the origin link.
 func (r *Replica) acquireFill() {
 	select {
 	case r.fillSem <- struct{}{}:
@@ -348,27 +280,17 @@ func (r *Replica) acquireFill() {
 	}
 }
 
-func (r *Replica) releaseFill() { <-r.fillSem }
-
-// fillSegment performs the detached origin fetch backing one single-flight
-// entry and publishes the result to every waiter. The fetch holds one slot
-// of the per-broadcast fill cap, so a broadcast with a segment storm queues
-// here instead of monopolizing its peers and the origin link.
-func (r *Replica) fillSegment(seq int, f *fillResult) {
-	r.acquireFill()
-	r.fillSegmentReserved(seq, f)
-}
-
-// fillSegmentReserved runs the upstream fetch with a fill-cap slot already
-// held, publishes the result, and releases the slot. The attempt budget
-// lives inside the single flight: a transient attempt failure is retried
-// with jittered backoff (within the overall fillTimeout) before anything
-// is published, so one lost request no longer fails every coalesced
-// waiter. A fill that still ends in error seeds the negative cache.
-func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
-	defer r.releaseFill()
+// fill runs the upstream fetch behind one miss-path entry on a fill-cap
+// slot its caller holds, publishes the result to every waiter, and frees
+// the slot. The attempt budget lives inside the single flight: a
+// transient attempt failure is retried with jittered backoff (within the
+// overall fillTimeout) before anything is published, so one lost request
+// no longer fails every coalesced waiter. A fill that still ends in error
+// stays in fills as the sequence's negative entry for negTTL.
+func (r *Replica) fill(ctx context.Context, seq int, f *fillResult) {
+	defer func() { <-r.fillSem }()
 	var data []byte
-	err := r.fillWithRetries(context.Background(), 0, func(ctx context.Context) error {
+	err := r.fillWithRetries(ctx, 0, func(ctx context.Context) error {
 		var aerr error
 		data, aerr = r.src.FetchSegment(ctx, seq)
 		return aerr
@@ -381,16 +303,16 @@ func (r *Replica) fillSegmentReserved(seq int, f *fillResult) {
 	}
 
 	r.mu.Lock()
-	delete(r.inflight, seq)
+	f.data, f.err = data, err
 	if err == nil {
+		delete(r.fills, seq)
 		r.storeSegLocked(seq, data)
-	} else if r.negTTL > 0 {
+	} else {
 		now := r.now()
-		r.sweepNegLocked(now)
-		r.negCache[seq] = negEntry{err: err, until: now.Add(r.negTTL)}
+		f.until = now.Add(r.negTTL)
+		r.sweepLocked(now)
 	}
 	r.mu.Unlock()
-	f.data, f.err = data, err
 	close(f.done)
 }
 
@@ -474,19 +396,19 @@ func (r *Replica) evictLocked() {
 			r.c.Evictions.Add(1)
 		}
 	}
-	r.sweepNegLocked(r.now())
+	r.sweepLocked(r.now())
 }
 
-// sweepNegLocked drops expired negative-cache entries. A lookup only
-// retires the entry of the sequence being asked for again, and the
-// entries are mostly 404s for sequences behind the window that nobody
-// asks for twice: without the sweep (when the window slides and before
-// every insert) a client walking old sequence numbers grows the map by
-// one entry per sequence for as long as the replica lives.
-func (r *Replica) sweepNegLocked(now time.Time) {
-	for k, e := range r.negCache {
-		if !now.Before(e.until) {
-			delete(r.negCache, k)
+// sweepLocked drops the failed fills whose negative TTL has run out. A
+// lookup only replaces the entry of the sequence being asked for again,
+// and the entries are mostly 404s for sequences behind the window that
+// nobody asks for twice: without the sweep (when the window slides and
+// after every failure) a client walking old sequence numbers grows the map
+// by one entry per sequence for as long as the replica lives.
+func (r *Replica) sweepLocked(now time.Time) {
+	for k, f := range r.fills {
+		if !f.until.IsZero() && !now.Before(f.until) {
+			delete(r.fills, k)
 		}
 	}
 }
@@ -511,14 +433,13 @@ func (r *Replica) WarmUp() {
 	}
 }
 
-// Close stops the watch for good and returns once it has exited: nothing
-// is held open at the source afterwards. The cache is still served.
+// Close ends the watch and every prefetch it started, for good, and
+// returns once they have exited: nothing is held open or fetching at the
+// source on the replica's behalf afterwards (a demand fill in flight runs
+// on, detached, for its waiters). The cache is still served.
 func (r *Replica) Close() {
 	r.wmu.Lock()
-	r.closed = true
-	if r.stop != nil {
-		r.stop()
-	}
+	r.cancel()
 	r.wmu.Unlock()
 	r.wg.Wait()
 }
@@ -556,13 +477,10 @@ func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 }
 
 // startWatch makes sure the watch runs, unless the replica is closed or
-// its playlist final, and returns its round. The watch gets a goroutine of
-// its own: on a fill worker, a held request would park one.
+// its playlist final, and returns its round.
 func (r *Replica) startWatch() (rd *fillResult, started bool) {
-	var ctx context.Context
 	r.wmu.Lock()
-	if w := r.win.Load(); r.watch.Load() == watchOff && !r.closed && (w == nil || !w.pl.Ended) {
-		ctx, r.stop = context.WithCancel(context.Background())
+	if w := r.win.Load(); r.watch.Load() == watchOff && r.ctx.Err() == nil && (w == nil || !w.pl.Ended) {
 		r.cur.Store(&fillResult{done: make(chan struct{})})
 		r.watch.Store(watchOK)
 		r.wg.Add(1)
@@ -570,7 +488,7 @@ func (r *Replica) startWatch() (rd *fillResult, started bool) {
 	}
 	r.wmu.Unlock()
 	if started {
-		go r.runWatch(ctx)
+		go r.runWatch(r.ctx)
 	}
 	return r.cur.Load(), started
 }
@@ -605,7 +523,7 @@ func (r *Replica) runWatch(ctx context.Context) {
 			r.maxSeq = max(r.maxSeq, w.newest)
 			r.evictLocked()
 			r.mu.Unlock()
-			r.prefetch(w.pl)
+			r.prefetch(ctx, w.pl)
 		}
 		if idle++; r.polled.Swap(false) {
 			idle = 0
@@ -654,58 +572,38 @@ func (r *Replica) fetchWindow(ctx context.Context, after int) (w *window, err er
 	return w, err
 }
 
-// prefetchSegment fills seq on a background worker if it is neither
-// cached nor in flight AND a fill-cap slot is immediately free. The
-// check-and-reserve is atomic (non-blocking send under the replica lock),
-// so a capped hot broadcast can never park a fill worker behind its
-// demand queue — the skipped segment is re-offered by the watch's next
-// round.
-func (r *Replica) prefetchSegment(seq int) {
-	r.mu.Lock()
-	if _, have := r.segs[seq]; have {
-		r.mu.Unlock()
-		return
-	}
-	if _, filling := r.inflight[seq]; filling {
-		r.mu.Unlock()
-		return
-	}
-	if e, bad := r.negCache[seq]; bad && r.now().Before(e.until) {
-		// A demand fill just failed here; don't spend background budget
-		// re-probing until the negative entry ages out.
-		r.mu.Unlock()
-		return
-	}
-	select {
-	case r.fillSem <- struct{}{}:
-	default:
-		r.mu.Unlock()
-		r.c.PrefetchDropped.Add(1)
-		return
-	}
-	f := &fillResult{done: make(chan struct{})}
-	r.inflight[seq] = f
-	r.mu.Unlock()
-	// Demand requests arriving now coalesce onto this fill (single-flight).
-	r.fillSegmentReserved(seq, f)
-}
-
-// prefetch warms the cache with listed segments the edge does not hold
-// yet, so a viewer arriving after the refresh hits warm segments instead
-// of paying the origin round-trip.
-func (r *Replica) prefetch(pl MediaPlaylist) {
+// prefetch warms the cache with listed segments the edge neither holds
+// nor has pending, so a viewer arriving after the round hits warm segments
+// instead of paying the origin round-trip. Each fill reserves a fill-cap
+// slot under the replica lock without waiting: when the cap is full the
+// segment is skipped (PrefetchDropped) and re-offered by the next round,
+// so a capped hot broadcast queues nothing behind its demand fills and
+// holds up no other broadcast. The fills run on ctx, the replica's
+// lifetime, and count in wg — added here, on the watch goroutine, while
+// the watch's own count is held — so Close ends them.
+func (r *Replica) prefetch(ctx context.Context, pl MediaPlaylist) {
 	for _, s := range pl.Segments {
 		seq := s.Sequence
 		r.mu.Lock()
-		_, have := r.segs[seq]
-		_, filling := r.inflight[seq]
-		r.mu.Unlock()
-		if have || filling {
+		if _, have := r.segs[seq]; have || r.pendingLocked(seq) != nil {
+			r.mu.Unlock()
 			continue
 		}
-		accepted := r.enqueue(func() { r.prefetchSegment(seq) })
-		if !accepted {
+		select {
+		case r.fillSem <- struct{}{}:
+		default:
+			r.mu.Unlock()
 			r.c.PrefetchDropped.Add(1)
+			continue
 		}
+		// Demand requests arriving now coalesce onto this fill.
+		f := &fillResult{done: make(chan struct{})}
+		r.fills[seq] = f
+		r.mu.Unlock()
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.fill(ctx, seq, f)
+		}()
 	}
 }

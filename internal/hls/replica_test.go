@@ -129,43 +129,6 @@ func (s *fakeSource) FetchSegment(ctx context.Context, seq int) ([]byte, error) 
 	return data, nil
 }
 
-// jobQueue is a deterministic background executor: jobs accumulate until
-// the test runs them explicitly.
-type jobQueue struct {
-	mu   sync.Mutex
-	jobs []func()
-}
-
-func (q *jobQueue) enqueue(job func()) bool {
-	q.mu.Lock()
-	q.jobs = append(q.jobs, job)
-	q.mu.Unlock()
-	return true
-}
-
-func (q *jobQueue) runAll() int {
-	q.mu.Lock()
-	jobs := q.jobs
-	q.jobs = nil
-	q.mu.Unlock()
-	for _, j := range jobs {
-		j()
-	}
-	return len(jobs)
-}
-
-func (q *jobQueue) size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.jobs)
-}
-
-func (q *jobQueue) clear() {
-	q.mu.Lock()
-	q.jobs = nil
-	q.mu.Unlock()
-}
-
 func livePlaylist(seqs ...int) MediaPlaylist {
 	pl := MediaPlaylist{TargetDuration: 4}
 	if len(seqs) > 0 {
@@ -183,8 +146,7 @@ func TestReplicaSingleFlightSegmentFill(t *testing.T) {
 	gate := make(chan struct{})
 	src.gate = gate
 
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: q.enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4})
 
 	const viewers = 100
 	var wg sync.WaitGroup
@@ -239,11 +201,9 @@ func TestFillRetrySurvivesTransientError(t *testing.T) {
 	// First two attempts fail with a retryable 502, third succeeds.
 	src.failNext(0, 2, &UpstreamError{Status: http.StatusBadGateway})
 
-	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
 		Source:       src,
 		Window:       4,
-		Enqueue:      q.enqueue,
 		RetryBackoff: time.Millisecond,
 	})
 
@@ -290,7 +250,7 @@ func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
 	const backoff = 40 * time.Millisecond
 	src := newFakeSource()
 	src.setSegErr(3, &UpstreamError{Status: http.StatusBadGateway})
-	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: (&jobQueue{}).enqueue, RetryBackoff: backoff})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, RetryBackoff: backoff})
 	start := time.Now()
 	if _, err := rep.Segment(context.Background(), 3); err == nil {
 		t.Fatal("a fill whose every attempt failed reported success")
@@ -315,7 +275,7 @@ func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
 	}
 
 	src.setPlaylistErr(&UpstreamError{Status: http.StatusBadGateway})
-	rep = NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: (&jobQueue{}).enqueue, RetryBackoff: time.Second})
+	rep = NewReplica(ReplicaConfig{Source: src, Window: 4, RetryBackoff: time.Second})
 	rep.WarmUp()
 	for src.playlistFetches.Load() == 0 {
 		time.Sleep(time.Millisecond)
@@ -333,8 +293,7 @@ func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
 // not burn retry attempts.
 func TestFillRetrySkipsTerminalErrors(t *testing.T) {
 	src := newFakeSource()
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: q.enqueue, RetryBackoff: time.Millisecond})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, RetryBackoff: time.Millisecond})
 	if _, err := rep.Segment(context.Background(), 7); err == nil {
 		t.Fatal("want 404 error")
 	}
@@ -352,11 +311,9 @@ func TestNegativeCacheShieldsUpstream(t *testing.T) {
 		defer clockMu.Unlock()
 		return clock
 	}
-	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
 		Source:       src,
 		Window:       4,
-		Enqueue:      q.enqueue,
 		FillAttempts: 1,
 		NegativeTTL:  time.Second,
 		Now:          now,
@@ -417,13 +374,17 @@ func TestNegativeCacheIsSwept(t *testing.T) {
 	negLen := func(rep *Replica) int {
 		rep.mu.Lock()
 		defer rep.mu.Unlock()
-		return len(rep.negCache)
+		n := 0
+		for _, f := range rep.fills {
+			if !f.until.IsZero() {
+				n++
+			}
+		}
+		return n
 	}
-	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
 		Source:       src,
 		Window:       4,
-		Enqueue:      q.enqueue,
 		FillAttempts: 1,
 		NegativeTTL:  time.Second,
 		Now:          now,
@@ -466,8 +427,7 @@ func TestReplicaFillSurvivesInitiatorDisconnect(t *testing.T) {
 	gate := make(chan struct{})
 	src.gate = gate
 
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, Enqueue: q.enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4})
 
 	initiatorCtx, cancelInitiator := context.WithCancel(context.Background())
 	initiatorErr := make(chan error, 1)
@@ -514,14 +474,12 @@ func TestReplicaServesLastWindowWhileWatchFails(t *testing.T) {
 	src.setPlaylist(livePlaylist(0))
 
 	var clock atomic.Int64 // seconds past the epoch below
-	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
 		Source:         src,
 		Window:         4,
 		TargetDuration: 20 * time.Millisecond, // a round every 10 ms
 		FillAttempts:   1,
 		RetryBackoff:   time.Millisecond,
-		Enqueue:        q.enqueue,
 		Now:            func() time.Time { return time.Unix(1000+clock.Load(), 0) },
 	})
 	defer rep.Close()
@@ -583,25 +541,22 @@ func TestReplicaFinalPlaylistEndsWatch(t *testing.T) {
 	src.setPlaylist(ended)
 
 	var clock atomic.Int64
-	q := &jobQueue{}
 	rep := NewReplica(ReplicaConfig{
 		Source:         src,
 		TargetDuration: 20 * time.Millisecond,
-		Enqueue:        q.enqueue,
 		Now:            func() time.Time { return time.Unix(1000+clock.Load(), 0) },
 	})
 	if _, pl, err := rep.Playlist(context.Background()); err != nil || !pl.Ended {
 		t.Fatalf("pl=%+v err=%v", pl, err)
 	}
-	rep.wg.Wait() // the watch is gone, not merely idle
+	rep.wg.Wait() // the watch and its prefetches are gone, not merely idle
 	if got := rep.watch.Load(); got != watchOff {
 		t.Fatalf("watch state %d after a final playlist, want off", got)
 	}
-	// The final round prefetched its two listed segments; discard them.
-	if n := q.size(); n != 2 {
-		t.Fatalf("final round queued %d prefetches, want 2", n)
+	// The final round prefetched its two listed segments.
+	if n := src.segmentFetches.Load(); n != 2 {
+		t.Fatalf("final round prefetched %d segments, want 2", n)
 	}
-	q.clear()
 
 	clock.Store(3600)
 	for i := 0; i < 10; i++ {
@@ -610,8 +565,9 @@ func TestReplicaFinalPlaylistEndsWatch(t *testing.T) {
 		}
 	}
 	rep.WarmUp()
-	if n := q.runAll(); n != 0 {
-		t.Errorf("final playlist scheduled %d background jobs", n)
+	rep.wg.Wait()
+	if n := src.segmentFetches.Load() - 2; n != 0 {
+		t.Errorf("final playlist started %d more prefetches", n)
 	}
 	st := rep.Stats()
 	if st.StaleServes != 0 || !st.Final || st.PlaylistAge != 0 || st.Warmups != 0 {
@@ -627,8 +583,7 @@ func TestReplicaFinalPlaylistEndsWatch(t *testing.T) {
 func TestReplicaEvictionParity(t *testing.T) {
 	origin := NewSegmenter(DefaultSegmentTarget, 4)
 	src := newFakeSource()
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: src, Window: origin.WindowSize(), Enqueue: q.enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: origin.WindowSize()})
 
 	const total = 20
 	for seq := 0; seq < total; seq++ {
@@ -662,13 +617,12 @@ func TestReplicaPrefetchWarmsListedSegments(t *testing.T) {
 	for seq := 5; seq <= 7; seq++ {
 		src.setSegment(seq, []byte{byte(seq)})
 	}
-	q := &jobQueue{}
-	rep := NewReplica(ReplicaConfig{Source: src, Enqueue: q.enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src})
 	defer rep.Close()
 	if _, _, err := rep.Playlist(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	q.runAll()
+	waitUntil(t, func() bool { return rep.Stats().Fills == 3 })
 	if st := rep.Stats(); st.CachedSegments != 3 || st.Fills != 3 {
 		t.Fatalf("prefetch stats = %+v, want 3 cached/3 fills", st)
 	}
@@ -689,13 +643,11 @@ func TestReplicaServeHTTPOverOriginHTTP(t *testing.T) {
 	origin := httptest.NewServer(&Origin{Seg: seg})
 	defer origin.Close()
 
-	w := NewFillWorker(64, 4)
-	defer w.Stop()
 	rep := NewReplica(ReplicaConfig{
-		Source:  &FillClient{BaseURL: origin.URL},
-		Window:  seg.WindowSize(),
-		Enqueue: w.Enqueue,
+		Source: &FillClient{BaseURL: origin.URL},
+		Window: seg.WindowSize(),
 	})
+	defer rep.Close()
 	edge := httptest.NewServer(rep)
 	defer edge.Close()
 
@@ -731,30 +683,6 @@ func TestReplicaServeHTTPOverOriginHTTP(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusNotFound {
 		t.Errorf("missing segment status = %d, want 404", r3.StatusCode)
-	}
-}
-
-func TestFillWorkerDropsWhenSaturated(t *testing.T) {
-	w := NewFillWorker(1, 1)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	if !w.Enqueue(func() { close(started); <-block }) {
-		t.Fatal("first job rejected")
-	}
-	<-started
-	if !w.Enqueue(func() {}) { // fills the queue slot
-		t.Fatal("queued job rejected")
-	}
-	if w.Enqueue(func() {}) {
-		t.Error("saturated queue accepted a job")
-	}
-	if w.Dropped.Load() != 1 {
-		t.Errorf("Dropped = %d, want 1", w.Dropped.Load())
-	}
-	close(block)
-	w.Stop()
-	if w.Enqueue(func() {}) {
-		t.Error("stopped worker accepted a job")
 	}
 }
 

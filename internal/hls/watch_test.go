@@ -161,7 +161,7 @@ func TestWatchPacesNonHoldingSource(t *testing.T) {
 	src := newFakeSource()
 	src.setPlaylist(livePlaylist(0))
 	const target = 200 * time.Millisecond
-	rep := NewReplica(ReplicaConfig{Source: src, TargetDuration: target, Enqueue: (&jobQueue{}).enqueue})
+	rep := NewReplica(ReplicaConfig{Source: src, TargetDuration: target})
 	defer rep.Close()
 
 	start := time.Now()
@@ -192,7 +192,7 @@ func TestColdPlaylistFailureIsNotARetryStorm(t *testing.T) {
 	const attempts, target = 2, 2 * time.Second
 	rep := NewReplica(ReplicaConfig{
 		Source: src, FillAttempts: attempts, RetryBackoff: 20 * time.Millisecond,
-		TargetDuration: target, Enqueue: (&jobQueue{}).enqueue,
+		TargetDuration: target,
 	})
 	defer rep.Close()
 

@@ -14,7 +14,7 @@ import (
 // GoStopAnalyzer checks that every long-lived goroutine launched from a
 // constructor path (New*/Open*/Start*/Dial* and everything those reach
 // inside the package) is provably stoppable. A background loop with no
-// stop path outlives its owner: the fill workers, churn loops and
+// stop path outlives its owner: the replica watches, churn loops and
 // heart/presence tickers this testbed runs by the thousand must all die
 // with their subsystem, or a test fleet (and eventually a production
 // fleet) leaks goroutines on every construct/teardown cycle.

@@ -11,9 +11,6 @@
 //     sync.Mutex/RWMutex is held, unless the mutex guards that very
 //     connection (the seed chat bug: room.Broadcast wrote every member's
 //     websocket under the room lock).
-//   - atomicmix: a struct field accessed through sync/atomic must never
-//     also be read or written plainly anywhere in the package (the PR 3
-//     websocket races on BytesRead/BytesWritten/closed).
 //   - ctxdetach: a goroutine whose result is awaited by coalesced
 //     waiters (single-flight fills) must not capture the initiating
 //     request's context.Context (the PR 4 initiator-disconnect bug: one
@@ -54,7 +51,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		RefPairAnalyzer,
 		LockIOAnalyzer,
-		AtomicMixAnalyzer,
 		CtxDetachAnalyzer,
 		LockOrderAnalyzer,
 		GoStopAnalyzer,

@@ -21,10 +21,6 @@ func TestLockIO(t *testing.T) {
 	linttest.Run(t, lint.LockIOAnalyzer, "lockio")
 }
 
-func TestAtomicMix(t *testing.T) {
-	linttest.Run(t, lint.AtomicMixAnalyzer, "atomicmix")
-}
-
 func TestCtxDetach(t *testing.T) {
 	linttest.Run(t, lint.CtxDetachAnalyzer, "ctxdetach")
 }
@@ -96,7 +92,7 @@ func TestSuppressionMultiPackage(t *testing.T) {
 
 // TestSuiteComplete pins the suite composition CI runs.
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"refpair", "lockio", "atomicmix", "ctxdetach", "lockorder", "gostop", "snapmono"}
+	want := []string{"refpair", "lockio", "ctxdetach", "lockorder", "gostop", "snapmono"}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(got), len(want))

@@ -36,7 +36,9 @@ import (
 // (`f--`, `f -= x`, negative adds), and atomic Store/Swap. Counter
 // classification is exported as an object fact on the field, so a
 // package folding another package's Stats cannot zero or subtract from
-// those fields either.
+// those fields either. It still earns its place in today's idiom, where
+// every counter is a typed sync/atomic wrapper: a seeded
+// `c.Fills.Store(0)` on an hls.FillCounters block trips it.
 var SnapMonoAnalyzer = &analysis.Analyzer{
 	Name:      "snapmono",
 	Doc:       "forbid resets and decrements of counter fields that fold into Snapshot/Stats aggregates",

@@ -38,16 +38,6 @@ import (
 // pointer-sharing fiction; fills (peer vs origin), coalesced requests,
 // staleness, warm-ups and evictions surface in the service snapshot.
 
-// popFillQueueDepth bounds each POP's background fill queue (segment
-// prefetches across all of its replicas).
-const popFillQueueDepth = 1024
-
-// popFillWorkers is the per-POP fill pool size: prefetch jobs block on
-// origin HTTP fetches, so a few run in parallel or one slow broadcast would
-// head-of-line-block every other replica's prefetches. Playlist watches do
-// not run here: a held request would park a worker for a segment duration.
-const popFillWorkers = 8
-
 // originTier serves every registered broadcast's playlist and segments to
 // the POPs — the single fill source of the CDN.
 type originTier struct {
@@ -117,8 +107,9 @@ func (o *originTier) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // "located somewhere in Europe and in San Francisco" — the default
 // placement). Each registered broadcast is an hls.Replica filling
 // hierarchically: peer POPs nearer than the origin first (cache-only,
-// over /peer/), then the origin tier. One fill worker pool per POP runs
-// the background segment prefetches.
+// over /peer/), then the origin tier. Each replica prefetches on its own
+// fill cap, so a broadcast whose upstream hangs holds up no other
+// broadcast's prefetches.
 type cdnPOP struct {
 	endpoint
 	mounts[*hls.Replica]
@@ -126,7 +117,6 @@ type cdnPOP struct {
 	svc    *Service
 	index  int
 	region geo.Region
-	fill   *hls.FillWorker
 
 	// originLink/originHTTP shape the POP→origin fill path; peers are the
 	// fill candidates strictly nearer than the origin, nearest first, each
@@ -273,7 +263,6 @@ func newCDNPOP(svc *Service, index int, region geo.Region) (*cdnPOP, error) {
 	if err := pop.listen(pop); err != nil {
 		return nil, err
 	}
-	pop.fill = hls.NewFillWorker(popFillQueueDepth, popFillWorkers)
 	return pop, nil
 }
 
@@ -303,7 +292,6 @@ func (p *cdnPOP) register(id string, seg *hls.Segmenter) {
 			Window:         seg.WindowSize(),
 			TargetDuration: seg.Target(),
 			FillAttempts:   p.svc.cfg.CDNFillAttempts,
-			Enqueue:        p.fill.Enqueue,
 			Counters:       &p.fills,
 		})
 	})
@@ -383,8 +371,8 @@ func (p *cdnPOP) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	res.Write(w)
 }
 
-// close drains the POP gracefully, then the replicas' watches and the fill
-// worker stop.
+// close drains the POP gracefully, then the replicas' watches and
+// prefetches stop.
 func (p *cdnPOP) close() {
 	p.endpoint.close()
 	var reps []*hls.Replica // Close waits for a goroutine: not under the table's lock
@@ -392,7 +380,6 @@ func (p *cdnPOP) close() {
 	for _, rep := range reps {
 		rep.Close()
 	}
-	p.fill.Stop()
 	// Drop the fill paths' keep-alive sockets: a decommissioned POP must
 	// not strand origin/peer connections (and their transport
 	// goroutines) just because they were warm.
@@ -423,19 +410,18 @@ func (s *Service) SetPOPOriginFault(i int, p netem.FaultProfile) {
 // playlist lag) walk the replicas.
 func (p *cdnPOP) stats() POPSnapshot {
 	st := POPSnapshot{
-		FillStats:        p.fills.Load(),
-		Index:            p.index,
-		Region:           p.region.Name,
-		Requests:         p.Requests.Load(),
-		Bytes:            p.Bytes.Load(),
-		PeerRequests:     p.PeerRequests.Load(),
-		PeerServes:       p.PeerServes.Load(),
-		PeerBytesOut:     p.PeerBytesOut.Load(),
-		Health:           p.health().String(),
-		FillErrorRate:    p.fillErrorRate(),
-		Reroutes:         p.reroutes.Load(),
-		FillCap:          hls.DefaultFillConcurrency,
-		FillQueueDropped: p.fill.Dropped.Load(),
+		FillStats:     p.fills.Load(),
+		Index:         p.index,
+		Region:        p.region.Name,
+		Requests:      p.Requests.Load(),
+		Bytes:         p.Bytes.Load(),
+		PeerRequests:  p.PeerRequests.Load(),
+		PeerServes:    p.PeerServes.Load(),
+		PeerBytesOut:  p.PeerBytesOut.Load(),
+		Health:        p.health().String(),
+		FillErrorRate: p.fillErrorRate(),
+		Reroutes:      p.reroutes.Load(),
+		FillCap:       hls.DefaultFillConcurrency,
 	}
 	if p.originBreaker != nil {
 		st.OriginBreaker = p.originBreaker.State().String()
@@ -457,6 +443,10 @@ func (p *cdnPOP) stats() POPSnapshot {
 	})
 	return st
 }
+
+// originRegionName places the origin tier, a stand-in for Periscope's own
+// datacenter; POP→origin link RTTs derive from it.
+const originRegionName = "us-east"
 
 // defaultPOPRegions is the placement when the config names none: the
 // paper's two edges ("located somewhere in Europe and in San Francisco").

@@ -6,7 +6,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +29,7 @@ func newTestCDN(t testing.TB) (*Service, *cdnPOP) {
 		t.Fatal(err)
 	}
 	svc := &Service{cfg: DefaultConfig(), origin: origin, regions: geo.Regions()}
-	svc.originRegion, _ = geo.RegionByName(svc.regions, svc.cfg.CDNOriginRegion)
+	svc.originRegion, _ = geo.RegionByName(svc.regions, originRegionName)
 	reg, _ := geo.RegionByName(svc.regions, "us-west")
 	pop, err := newCDNPOP(svc, 0, reg)
 	if err != nil {
@@ -179,11 +181,86 @@ func TestPOPPlaylistServedFromEdgeCache(t *testing.T) {
 	}
 	waitFor(t, func() bool { return held() == 1 }, "the next held request")
 	live.cut()
-	waitFor(t, func() bool { return svc.origin.PlaylistRequests.Load() == 3 }, "the second cut's answer")
+	// The origin counts an answer before writing it; the edge once it has read it.
+	waitFor(t, func() bool {
+		return svc.origin.PlaylistRequests.Load() == 3 && pop.stats().PlaylistRefreshes >= 3
+	}, "the second cut's answer, sent and received")
 	// Between the two cuts: 20 polls, one origin request.
 	if st := pop.stats(); st.StaleServes != 0 || st.PlaylistRefreshes != 3 {
 		t.Errorf("%d stale serves, %d playlist fetches; want 0 and 3 (the first poll's, then one per cut)",
 			st.StaleServes, st.PlaylistRefreshes)
+	}
+}
+
+// hangingTransport holds every segment request of the named broadcasts
+// until release closes or the request is cancelled, counting the requests
+// it holds; everything else passes straight through.
+type hangingTransport struct {
+	*http.Transport
+	ids     []string
+	held    *atomic.Int64
+	release chan struct{}
+}
+
+func (h hangingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	for _, id := range h.ids {
+		if strings.HasPrefix(req.URL.Path, "/hls/"+id+"/") && strings.HasSuffix(req.URL.Path, ".ts") {
+			h.held.Add(1)
+			select {
+			case <-h.release:
+			case <-req.Context().Done():
+				return nil, req.Context().Err()
+			}
+		}
+	}
+	return h.Transport.RoundTrip(req)
+}
+
+// TestPOPPrefetchIsolatedFromHungBroadcasts: each broadcast prefetches on
+// its own fill cap, so two broadcasts whose origin hangs — each listing at
+// least as many segments as its cap — hold up no other broadcast's
+// prefetches on the same POP.
+func TestPOPPrefetchIsolatedFromHungBroadcasts(t *testing.T) {
+	svc, pop := newTestCDN(t)
+	var held atomic.Int64
+	release := make(chan struct{})
+	pop.originHTTP = &http.Client{Transport: hangingTransport{
+		Transport: &http.Transport{},
+		ids:       []string{"hung-a", "hung-b"},
+		held:      &held,
+		release:   release,
+	}}
+	t.Cleanup(func() { close(release) }) // before the POP closes
+	segs := map[string]*hls.Segmenter{}
+	for _, id := range []string{"hung-a", "hung-b", "third"} {
+		segs[id] = buildSegments(6*time.Second, 800*time.Millisecond, 0, false)
+		if n := len(segs[id].Playlist().Segments); n < hls.DefaultFillConcurrency {
+			t.Fatalf("%s lists %d segments, want at least %d", id, n, hls.DefaultFillConcurrency)
+		}
+		svc.origin.register(id, segs[id])
+		pop.register(id, segs[id])
+	}
+
+	pop.warm("hung-a")
+	pop.warm("hung-b")
+	waitFor(t, func() bool { return held.Load() == 2*hls.DefaultFillConcurrency }, "the hung broadcasts' prefetches parked at the origin")
+
+	start := time.Now()
+	pop.warm("third")
+	rep := pop.replica("third")
+	cached := func() bool {
+		for _, s := range segs["third"].Playlist().Segments {
+			if _, ok := rep.CachedSegment(s.Sequence); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for !cached() {
+		if time.Since(start) > time.Second {
+			t.Fatalf("third broadcast's listed segments not cached %v after its warm-up", time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

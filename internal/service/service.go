@@ -52,10 +52,6 @@ type Config struct {
 	// two "us-west" entries are a two-POP cluster). Empty means the two
 	// edges the study saw: us-west and eu-west.
 	CDNPOPRegions []string
-	// CDNOriginRegion locates the origin tier ("us-east" by default, a
-	// stand-in for Periscope's own datacenter); POP→origin link RTTs
-	// derive from it.
-	CDNOriginRegion string
 	// CDNLinkRTTScale scales the geographically derived RTT on every fill
 	// link (POP→origin and POP→peer). 0 means the default scale of 1;
 	// negative disables modelled latency entirely (tests, benchmarks) —
@@ -97,7 +93,6 @@ func DefaultConfig() Config {
 		PopConfig:           pc,
 		HLSViewerThreshold:  100,
 		SegmentTarget:       3600 * time.Millisecond,
-		CDNOriginRegion:     "us-east",
 		CDNLinkRTTScale:     1,
 		CDNUnregisterLinger: 15 * time.Second,
 		APIRateLimit:        2,
@@ -155,9 +150,6 @@ func Start(cfg Config) (*Service, error) {
 	if cfg.HLSViewerThreshold <= 0 {
 		cfg.HLSViewerThreshold = 100
 	}
-	if cfg.CDNOriginRegion == "" {
-		cfg.CDNOriginRegion = "us-east"
-	}
 	s := &Service{
 		cfg:     cfg,
 		Pop:     broadcastmodel.New(cfg.PopConfig, time.Now()),
@@ -179,12 +171,7 @@ func Start(cfg Config) (*Service, error) {
 
 	// CDN origin tier: the authoritative fill source, placed in a region
 	// so POP→origin RTTs have a geography.
-	originRegion, ok := geo.RegionByName(s.regions, cfg.CDNOriginRegion)
-	if !ok {
-		s.Close()
-		return nil, fmt.Errorf("service: unknown CDN origin region %q", cfg.CDNOriginRegion)
-	}
-	s.originRegion = originRegion
+	s.originRegion, _ = geo.RegionByName(s.regions, originRegionName)
 	origin, err := newOriginTier()
 	if err != nil {
 		s.Close()

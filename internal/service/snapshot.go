@@ -90,9 +90,6 @@ type POPSnapshot struct {
 	// FillCap is the per-broadcast fill concurrency limit FillCapWaits
 	// queues on: a saturated cap is observable, not silent.
 	FillCap int
-	// FillQueueDropped counts the background jobs rejected by the POP's
-	// fill queue.
-	FillQueueDropped int64
 	// MaxPlaylistAge is the longest time since the origin last confirmed a
 	// live playlist at this edge: up to a segment duration when healthy,
 	// beyond that the replica is not polled or its watch is failing.

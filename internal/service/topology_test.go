@@ -26,7 +26,7 @@ func newTestTopology(t testing.TB, popRegions ...string) (*Service, []*cdnPOP) {
 		t.Fatal(err)
 	}
 	svc := &Service{cfg: cfg, origin: origin, regions: geo.Regions()}
-	svc.originRegion, _ = geo.RegionByName(svc.regions, cfg.CDNOriginRegion)
+	svc.originRegion, _ = geo.RegionByName(svc.regions, originRegionName)
 	regions, err := resolvePOPRegions(cfg, svc.regions)
 	if err != nil {
 		origin.close()
@@ -99,7 +99,7 @@ func TestCDNTopologyLinkRTTs(t *testing.T) {
 	}
 	defer origin.close()
 	svc := &Service{cfg: cfg, origin: origin, regions: geo.Regions()}
-	svc.originRegion, _ = geo.RegionByName(svc.regions, cfg.CDNOriginRegion)
+	svc.originRegion, _ = geo.RegionByName(svc.regions, originRegionName)
 	regions, _ := resolvePOPRegions(cfg, svc.regions)
 	for i, reg := range regions {
 		pop, err := newCDNPOP(svc, i, reg)
