@@ -13,6 +13,7 @@ package avc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -69,21 +70,63 @@ var ErrNoNAL = errors.New("avc: no NAL unit found")
 // EscapeRBSP inserts emulation-prevention bytes (0x03) so that the byte
 // patterns 0x000000, 0x000001 and 0x000002 never appear in the payload.
 func EscapeRBSP(rbsp []byte) []byte {
-	out := make([]byte, 0, len(rbsp)+len(rbsp)/64+8)
+	return appendEscaped(make([]byte, 0, len(rbsp)+len(rbsp)/64+8), rbsp)
+}
+
+// appendEscaped appends rbsp to dst with emulation prevention.
+func appendEscaped(dst, rbsp []byte) []byte {
 	zeros := 0
 	for _, b := range rbsp {
 		if zeros >= 2 && b <= 3 {
-			out = append(out, 0x03)
+			dst = append(dst, 0x03)
 			zeros = 0
 		}
-		out = append(out, b)
+		dst = append(dst, b)
 		if b == 0 {
 			zeros++
 		} else {
 			zeros = 0
 		}
 	}
-	return out
+	return dst
+}
+
+// appendReescaped appends EscapeRBSP(UnescapeRBSP(ebsp)) to dst without
+// building the RBSP in between: in and out count the RBSP's trailing zeros
+// as the unescaper and the escaper see them (each resets at its own 0x03).
+// A byte with fewer than two zeros behind it on both sides is neither
+// dropped nor escaped, so the run up to the next zero is copied as is.
+func appendReescaped(dst, ebsp []byte) []byte {
+	in, out := 0, 0
+	for i := 0; i < len(ebsp); i++ {
+		b := ebsp[i]
+		if b != 0 && in < 2 && out < 2 {
+			run := bytes.IndexByte(ebsp[i:], 0)
+			if run < 0 {
+				run = len(ebsp) - i
+			}
+			dst = append(dst, ebsp[i:i+run]...)
+			in, out = 0, 0
+			i += run - 1
+			continue
+		}
+		if in >= 2 && b == 0x03 && i+1 < len(ebsp) && ebsp[i+1] <= 3 {
+			in = 0
+			continue // the unescaper drops it
+		}
+		if out >= 2 && b <= 3 {
+			dst = append(dst, 0x03)
+			out = 0
+		}
+		dst = append(dst, b)
+		if b == 0 {
+			in++
+			out++
+		} else {
+			in, out = 0, 0
+		}
+	}
+	return dst
 }
 
 // UnescapeRBSP removes emulation-prevention bytes.
@@ -112,14 +155,37 @@ var startCode = []byte{0, 0, 0, 1}
 
 // MarshalAnnexB serializes NAL units with 4-byte start codes and emulation
 // prevention, the framing used inside MPEG-TS (HLS segments).
-func MarshalAnnexB(units []NALUnit) []byte {
-	var buf bytes.Buffer
+func MarshalAnnexB(units []NALUnit) []byte { return AppendAnnexB(nil, units) }
+
+// AppendAnnexB appends units to dst in MarshalAnnexB's framing.
+func AppendAnnexB(dst []byte, units []NALUnit) []byte {
 	for _, u := range units {
-		buf.Write(startCode)
-		buf.WriteByte(u.Header())
-		buf.Write(EscapeRBSP(u.RBSP))
+		dst = append(dst, startCode...)
+		dst = append(dst, u.Header())
+		dst = appendEscaped(dst, u.RBSP)
 	}
-	return buf.Bytes()
+	return dst
+}
+
+// AppendAnnexBFromAVCC appends the Annex B form of an AVCC NAL stream to
+// dst — byte for byte MarshalAnnexB(ParseAVCC(avcc)) — in one pass over
+// avcc and with no allocation beyond dst's growth. It fails exactly when
+// ParseAVCC does; dst's contents are then unspecified.
+func AppendAnnexBFromAVCC(dst, avcc []byte) ([]byte, error) {
+	for len(avcc) > 0 {
+		ebsp, rest, err := nextAVCC(avcc)
+		if err == nil {
+			err = checkHeader(ebsp[0])
+		}
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, startCode...)
+		dst = append(dst, ebsp[0])
+		dst = appendReescaped(dst, ebsp[1:])
+		avcc = rest
+	}
+	return dst, nil
 }
 
 // ParseAnnexB splits an Annex B stream into NAL units, accepting both
@@ -176,8 +242,8 @@ func decodeNAL(ebsp []byte) (NALUnit, error) {
 		return NALUnit{}, ErrNoNAL
 	}
 	h := ebsp[0]
-	if h&0x80 != 0 {
-		return NALUnit{}, fmt.Errorf("avc: forbidden_zero_bit set in NAL header %#x", h)
+	if err := checkHeader(h); err != nil {
+		return NALUnit{}, err
 	}
 	return NALUnit{
 		RefIDC: h >> 5 & 0x3,
@@ -186,41 +252,56 @@ func decodeNAL(ebsp []byte) (NALUnit, error) {
 	}, nil
 }
 
+func checkHeader(h byte) error {
+	if h&0x80 != 0 {
+		return fmt.Errorf("avc: forbidden_zero_bit set in NAL header %#x", h)
+	}
+	return nil
+}
+
 // MarshalAVCC serializes NAL units with 4-byte big-endian length prefixes,
 // the framing used inside FLV/RTMP video tags.
-func MarshalAVCC(units []NALUnit) []byte {
-	var buf bytes.Buffer
+func MarshalAVCC(units []NALUnit) []byte { return AppendAVCC(nil, units) }
+
+// AppendAVCC appends units to dst in MarshalAVCC's framing.
+func AppendAVCC(dst []byte, units []NALUnit) []byte {
 	for _, u := range units {
-		body := append([]byte{u.Header()}, EscapeRBSP(u.RBSP)...)
-		var l [4]byte
-		l[0] = byte(len(body) >> 24)
-		l[1] = byte(len(body) >> 16)
-		l[2] = byte(len(body) >> 8)
-		l[3] = byte(len(body))
-		buf.Write(l[:])
-		buf.Write(body)
+		at := len(dst)
+		dst = append(dst, 0, 0, 0, 0, u.Header())
+		dst = appendEscaped(dst, u.RBSP)
+		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // ParseAVCC splits a length-prefixed NAL stream into units.
 func ParseAVCC(data []byte) ([]NALUnit, error) {
 	var units []NALUnit
 	for len(data) > 0 {
-		if len(data) < 4 {
-			return units, errors.New("avc: truncated AVCC length")
+		ebsp, rest, err := nextAVCC(data)
+		if err != nil {
+			return units, err
 		}
-		n := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
-		data = data[4:]
-		if n > len(data) || n == 0 {
-			return units, fmt.Errorf("avc: AVCC unit length %d exceeds remaining %d", n, len(data))
-		}
-		u, err := decodeNAL(data[:n])
+		u, err := decodeNAL(ebsp)
 		if err != nil {
 			return units, err
 		}
 		units = append(units, u)
-		data = data[n:]
+		data = rest
 	}
 	return units, nil
+}
+
+// nextAVCC splits the first unit off a non-empty AVCC stream: its bytes
+// (never empty) and what follows it.
+func nextAVCC(data []byte) (unit, rest []byte, err error) {
+	if len(data) < 4 {
+		return nil, nil, errors.New("avc: truncated AVCC length")
+	}
+	n := binary.BigEndian.Uint32(data)
+	data = data[4:]
+	if uint64(n) > uint64(len(data)) || n == 0 {
+		return nil, nil, fmt.Errorf("avc: AVCC unit length %d exceeds remaining %d", n, len(data))
+	}
+	return data[:n], data[n:], nil
 }

@@ -57,14 +57,19 @@ type VideoTagData struct {
 }
 
 // Marshal encodes the video tag data bytes.
-func (v VideoTagData) Marshal() []byte {
-	out := make([]byte, 5, 5+len(v.Data))
-	out[0] = byte(v.FrameType<<4 | CodecAVC)
-	out[1] = byte(v.PacketType)
-	out[2] = byte(v.CompositionTime >> 16)
-	out[3] = byte(v.CompositionTime >> 8)
-	out[4] = byte(v.CompositionTime)
-	return append(out, v.Data...)
+func (v VideoTagData) Marshal() []byte { return v.Append(make([]byte, 0, 5+len(v.Data))) }
+
+// Append appends the encoded video tag data to dst. With Data nil it
+// appends the 5-byte header alone, for a caller that appends the NAL
+// units after it (avc.AppendAVCC) instead of building them separately.
+func (v VideoTagData) Append(dst []byte) []byte {
+	dst = append(dst,
+		byte(v.FrameType<<4|CodecAVC),
+		byte(v.PacketType),
+		byte(v.CompositionTime>>16),
+		byte(v.CompositionTime>>8),
+		byte(v.CompositionTime))
+	return append(dst, v.Data...)
 }
 
 // ParseVideoTagData decodes video tag data bytes.
@@ -94,11 +99,12 @@ type AudioTagData struct {
 }
 
 // Marshal encodes the audio tag data bytes (AAC, 44.1 kHz, stereo, 16-bit).
-func (a AudioTagData) Marshal() []byte {
-	out := make([]byte, 2, 2+len(a.Data))
-	out[0] = SoundFormatAAC<<4 | 3<<2 | 1<<1 | 1 // 44k, 16-bit, stereo
-	out[1] = byte(a.PacketType)
-	return append(out, a.Data...)
+func (a AudioTagData) Marshal() []byte { return a.Append(make([]byte, 0, 2+len(a.Data))) }
+
+// Append appends the encoded audio tag data to dst.
+func (a AudioTagData) Append(dst []byte) []byte {
+	dst = append(dst, SoundFormatAAC<<4|3<<2|1<<1|1, byte(a.PacketType)) // 44k, 16-bit, stereo
+	return append(dst, a.Data...)
 }
 
 // ParseAudioTagData decodes audio tag data bytes.

@@ -2,8 +2,6 @@ package hls
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -150,19 +148,7 @@ func (c *Client) deliverReady() int {
 }
 
 func (c *Client) fetchPlaylist(ctx context.Context) (MediaPlaylist, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/playlist.m3u8", nil)
-	if err != nil {
-		return MediaPlaylist{}, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return MediaPlaylist{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return MediaPlaylist{}, fmt.Errorf("hls: playlist status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := get(ctx, c.http, c.cfg.BaseURL+"/playlist.m3u8")
 	if err != nil {
 		return MediaPlaylist{}, err
 	}
@@ -175,19 +161,7 @@ func (c *Client) fetchPlaylist(ctx context.Context) (MediaPlaylist, error) {
 
 func (c *Client) fetchSegment(ctx context.Context, seg Segment) (FetchedSegment, error) {
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/"+seg.URI, nil)
-	if err != nil {
-		return FetchedSegment{}, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return FetchedSegment{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return FetchedSegment{}, fmt.Errorf("hls: segment status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := get(ctx, c.http, c.cfg.BaseURL+"/"+seg.URI)
 	if err != nil {
 		return FetchedSegment{}, err
 	}

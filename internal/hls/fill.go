@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// UpstreamError reports a non-200 origin response, preserving the status
+// UpstreamError reports a non-200 upstream response, preserving the status
 // so the edge can mirror 404s (expired segments) instead of masking them
 // as gateway failures.
 type UpstreamError struct {
@@ -30,12 +30,28 @@ type FillClient struct {
 	HTTP *http.Client
 }
 
-func (c *FillClient) get(ctx context.Context, url string) ([]byte, error) {
+// maxBody bounds the body of a playlist or segment response. Every tier
+// frames its answers with Content-Length, so a larger declared length is
+// refused before anything is allocated. It sits well above the largest
+// segment the testbed cuts (a 4-minute segment at 2 Mbps, ≈ 60 MB).
+const maxBody = 256 << 20
+
+// maxErrorDrain bounds what is read of a non-200 body to keep the
+// connection reusable; a longer one costs the connection instead.
+const maxErrorDrain = 64 << 10
+
+// errUnframedBody is returned for a 200 response with no Content-Length.
+var errUnframedBody = errors.New("hls: response body has no Content-Length")
+
+// get fetches url and reads a 200 body into one buffer of exactly its
+// declared length — the one copy a body costs on this hop. A body that
+// declares no length or more than maxBody is refused, and one that ends
+// early is an error, never a short result.
+func get(ctx context.Context, hc *http.Client, url string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	hc := c.HTTP
 	if hc == nil {
 		hc = http.DefaultClient
 	}
@@ -45,10 +61,20 @@ func (c *FillClient) get(ctx context.Context, url string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrorDrain))
 		return nil, &UpstreamError{Status: resp.StatusCode}
 	}
-	return io.ReadAll(resp.Body)
+	switch n := resp.ContentLength; {
+	case n < 0:
+		return nil, errUnframedBody
+	case n > maxBody:
+		return nil, fmt.Errorf("hls: %d-byte body exceeds the %d-byte bound", n, maxBody)
+	}
+	body := make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // afterKey carries a watch round's "after" — the newest sequence the edge
@@ -62,12 +88,12 @@ func (c *FillClient) FetchPlaylist(ctx context.Context) ([]byte, error) {
 	if after, ok := ctx.Value(afterKey{}).(int); ok {
 		url += "?after=" + strconv.Itoa(after)
 	}
-	return c.get(ctx, url)
+	return get(ctx, c.HTTP, url)
 }
 
 // FetchSegment implements SegmentSource.
 func (c *FillClient) FetchSegment(ctx context.Context, seq int) ([]byte, error) {
-	return c.get(ctx, c.BaseURL+"/"+SegmentName(seq))
+	return get(ctx, c.HTTP, c.BaseURL+"/"+SegmentName(seq))
 }
 
 // TieredSource is the hierarchical fill path of a geo-aware edge, the

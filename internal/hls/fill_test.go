@@ -3,6 +3,9 @@ package hls
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,5 +383,47 @@ func TestReplicaWarmUpPrefetchesWindow(t *testing.T) {
 	rep.WarmUp()
 	if st := rep.Stats(); st.Warmups != 2 {
 		t.Errorf("warm-up of a watched replica counted: Warmups = %d, want 2", st.Warmups)
+	}
+}
+
+// TestFillRefusesHostileBodies: a fill reads exactly the body the upstream
+// declares, so an upstream that declares a terabyte, declares no length or
+// stops mid-segment fails the fill — before allocating the declared size,
+// and without a short segment reaching the cache.
+func TestFillRefusesHostileBodies(t *testing.T) {
+	segment := bytes.Repeat([]byte{0x47, 1, 2, 3}, 16<<10)
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+	}{
+		{"terabyte Content-Length", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.FormatInt(1<<40, 10))
+			w.Write(segment)
+		}},
+		{"chunked", func(w http.ResponseWriter, r *http.Request) {
+			w.Write(segment[:100])
+			w.(http.Flusher).Flush()
+			w.Write(segment[100:])
+		}},
+		{"truncated mid-segment", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(segment)))
+			w.Write(segment[:len(segment)/2])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(tc.handler)
+			defer srv.Close()
+			rep := NewReplica(ReplicaConfig{Source: &FillClient{BaseURL: srv.URL}, FillAttempts: 1})
+			defer rep.Close()
+			if data, err := rep.Segment(context.Background(), 1); err == nil {
+				t.Fatalf("fill succeeded with %d of %d bytes", len(data), len(segment))
+			}
+			if data, ok := rep.CachedSegment(1); ok {
+				t.Errorf("cache holds a %d-byte segment", len(data))
+			}
+			if st := rep.Stats(); st.FillErrors != 1 || st.FillBytes != 0 || st.CachedSegments != 0 {
+				t.Errorf("stats = %+v, want one failed fill and nothing cached", st)
+			}
+		})
 	}
 }

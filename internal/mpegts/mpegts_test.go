@@ -2,9 +2,13 @@ package mpegts
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"periscope/internal/avc"
+	"periscope/internal/media"
 )
 
 func TestCRC32KnownValue(t *testing.T) {
@@ -262,5 +266,51 @@ func TestMuxerSpliceableSegments(t *testing.T) {
 	}
 	if d.ContinuityErrors != 0 {
 		t.Errorf("continuity errors across segments: %d", d.ContinuityErrors)
+	}
+}
+
+// TestMuxerSizesSegmentFromLast: on a steady stream each segment after the
+// first costs the muxer about one buffer of its own size, sized from the
+// segment before it, instead of regrowing from nothing by half at a time
+// (≈ 3× the segment, and a copy at every step).
+func TestMuxerSizesSegmentFromLast(t *testing.T) {
+	cfg := media.DefaultEncoderConfig()
+	cfg.DropProb = 0
+	enc := media.NewEncoder(cfg, time.Unix(1000, 0))
+	// Render the stream first so the measurement sees only the muxer.
+	type accessUnit struct {
+		pts, dts time.Duration
+		key      bool
+		annexB   []byte
+	}
+	var aus []accessUnit
+	for len(aus) == 0 || aus[len(aus)-1].pts < 40*time.Second {
+		f := enc.NextFrame()
+		aus = append(aus, accessUnit{f.PTS, f.DTS, f.Keyframe, avc.MarshalAnnexB(f.NALs)})
+	}
+
+	const target = 3600 * time.Millisecond
+	m := NewMuxer()
+	var ms runtime.MemStats
+	allocated := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	segments, start, before := 0, time.Duration(0), allocated()
+	for _, au := range aus {
+		if au.key && au.pts-start >= target {
+			seg := m.Bytes()
+			ratio := float64(allocated()-before) / float64(len(seg))
+			t.Logf("segment %d: %d bytes, muxer allocated %.2f× that", segments, len(seg), ratio)
+			if segments > 0 && ratio > 1.3 {
+				t.Errorf("segment %d: muxer allocated %.2f× its %d bytes, want ≤ 1.3×", segments, ratio, len(seg))
+			}
+			segments++
+			start, before = au.pts, allocated()
+		}
+		m.WriteVideo(au.pts, au.dts, au.key, au.annexB)
+	}
+	if segments < 5 {
+		t.Fatalf("only %d segments cut", segments)
 	}
 }

@@ -13,30 +13,44 @@ const pidLimit = 0x2000
 // off without copying; PES packets are marshalled straight into TS
 // packets with no intermediate full-payload allocation.
 type Muxer struct {
-	out       []byte
+	out []byte
+	// last is the length of the stream the previous Bytes call handed off:
+	// the next buffer starts at that size plus headroom, so a steady stream
+	// fills each segment's buffer in one allocation instead of regrowing it.
+	last      int
 	cc        [pidLimit]uint8
-	pat       PAT
-	pmt       PMT
+	psi       [2]psiTable
 	wrotePSI  bool
 	psiPeriod int // access units between PSI refreshes
 	auCount   int
 }
 
+// psiTable is one PSI section ready to packetize: pointer_field = 0, then
+// the section. The tables never change, so they are marshalled once.
+type psiTable struct {
+	pid     uint16
+	payload []byte
+}
+
 // NewMuxer returns a muxer ready to accept access units.
 func NewMuxer() *Muxer {
-	return &Muxer{
-		pat: PAT{
-			TransportStreamID: 1,
-			ProgramNumber:     1,
-			PMTPID:            PIDPMT,
+	pat := PAT{
+		TransportStreamID: 1,
+		ProgramNumber:     1,
+		PMTPID:            PIDPMT,
+	}
+	pmt := PMT{
+		ProgramNumber: 1,
+		PCRPID:        PIDVideo,
+		Streams: []PMTStream{
+			{StreamType: StreamTypeAVC, PID: PIDVideo},
+			{StreamType: StreamTypeAAC, PID: PIDAudio},
 		},
-		pmt: PMT{
-			ProgramNumber: 1,
-			PCRPID:        PIDVideo,
-			Streams: []PMTStream{
-				{StreamType: StreamTypeAVC, PID: PIDVideo},
-				{StreamType: StreamTypeAAC, PID: PIDAudio},
-			},
+	}
+	return &Muxer{
+		psi: [2]psiTable{
+			{PIDPAT, append([]byte{0}, pat.Marshal()...)},
+			{PIDPMT, append([]byte{0}, pmt.Marshal()...)},
 		},
 		psiPeriod: 64,
 	}
@@ -48,22 +62,11 @@ func (m *Muxer) nextCC(pid uint16) uint8 {
 	return v
 }
 
-// writePSI emits the PAT and PMT, each in its own packet with a pointer
-// field.
+// writePSI emits the PAT and PMT, each starting its own packet.
 func (m *Muxer) writePSI() {
-	for _, t := range []struct {
-		pid uint16
-		sec []byte
-	}{{PIDPAT, m.pat.Marshal()}, {PIDPMT, m.pmt.Marshal()}} {
-		var sec [1 + PacketSize]byte // pointer_field = 0, then the section
-		var payload []byte
-		if len(t.sec) < len(sec) {
-			payload = sec[: 1+copy(sec[1:], t.sec) : len(sec)]
-		} else {
-			// Oversized section (many streams/descriptors): fall back to a
-			// heap buffer rather than truncating.
-			payload = append(make([]byte, 1, 1+len(t.sec)), t.sec...)
-		}
+	for _, t := range m.psi {
+		payload := t.payload
+		m.reserve(len(payload))
 		first := true
 		for len(payload) > 0 {
 			var pkt [PacketSize]byte
@@ -100,6 +103,26 @@ func (m *Muxer) maybePSI() {
 	m.auCount++
 }
 
+// reserve makes room in the output for the packets carrying n payload
+// bytes (counting room for a PCR adaptation field, so the packet loop
+// never regrows the buffer). A segment's first buffer is sized from the
+// previous segment; past that, or with no previous segment, the buffer
+// grows by half.
+func (m *Muxer) reserve(n int) {
+	const pcrField = 8 // adaptation field length, flags, PCR
+	need := len(m.out) + (n+pcrField+PacketSize-5)/(PacketSize-4)*PacketSize
+	if cap(m.out) >= need {
+		return
+	}
+	size := need + need/2
+	if m.out == nil && m.last > 0 {
+		size = max(need, m.last+m.last/8)
+	}
+	grown := make([]byte, len(m.out), size)
+	copy(grown, m.out)
+	m.out = grown
+}
+
 // writePES packetizes one PES directly into TS packets: the PES header is
 // marshalled into a stack buffer and the elementary payload is consumed
 // in place, so the access unit is copied exactly once (into the output).
@@ -107,15 +130,7 @@ func (m *Muxer) writePES(pid uint16, pes PES, rai bool, pcr *uint64) {
 	var hdr [pesMaxHeaderLen]byte
 	head := hdr[:pes.marshalHeader(hdr[:])]
 	data := pes.Data
-
-	// Reserve output space for every packet of this PES in one step.
-	total := len(head) + len(data)
-	pkts := (total + PacketSize - 5) / (PacketSize - 4)
-	if need := len(m.out) + pkts*PacketSize; cap(m.out) < need {
-		grown := make([]byte, len(m.out), need+need/2)
-		copy(grown, m.out)
-		m.out = grown
-	}
+	m.reserve(len(head) + len(data))
 
 	first := true
 	for len(head)+len(data) > 0 {
@@ -147,6 +162,9 @@ func (m *Muxer) writePES(pid uint16, pes PES, rai bool, pcr *uint64) {
 func (m *Muxer) Bytes() []byte {
 	out := m.out
 	m.out = nil
+	if len(out) > 0 {
+		m.last = len(out)
+	}
 	return out
 }
 

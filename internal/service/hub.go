@@ -254,6 +254,7 @@ func (f *hlsFeed) publish(m feedMsg) {
 }
 
 func (f *hlsFeed) run() {
+	var annexB []byte // reused for every video frame; the segmenter keeps none of it
 	for {
 		select {
 		case <-f.quit:
@@ -261,7 +262,7 @@ func (f *hlsFeed) run() {
 			return
 		case m := <-f.ch:
 			if seg := f.h.seg.Load(); seg != nil {
-				feedSegmenter(seg, m.typeID, m.timestamp, m.sp.Bytes(), m.vt)
+				annexB = feedSegmenter(seg, annexB, m.typeID, m.timestamp, m.sp.Bytes(), m.vt)
 				f.h.maybeWarmAfterFirstSegment(seg)
 			}
 			m.sp.Release()
@@ -385,6 +386,9 @@ func (h *hub) produce(cli *rtmp.Client, enc *media.Encoder, rng *rand.Rand) {
 	sizer := aac.NewFrameSizer(acfg, rng.Int63())
 	start := time.Now()
 	var audioPTS time.Duration
+	// tag is rebuilt for every media message: WriteVideo/WriteAudio write
+	// it out before they return and keep nothing.
+	var tag []byte
 	for {
 		select {
 		case <-h.stopCh:
@@ -401,29 +405,35 @@ func (h *hub) produce(cli *rtmp.Client, enc *media.Encoder, rng *rand.Rand) {
 			}
 		}
 		if !f.Dropped {
-			frameType := flv.VideoInterFrame
-			if f.Keyframe {
-				frameType = flv.VideoKeyFrame
-			}
-			tag := flv.VideoTagData{
-				FrameType:       frameType,
-				PacketType:      flv.AVCNALU,
-				CompositionTime: int32((f.PTS - f.DTS).Milliseconds()),
-				Data:            avc.MarshalAVCC(f.NALs),
-			}.Marshal()
+			tag = appendVideoTag(tag[:0], f)
 			if err := cli.WriteVideo(uint32(f.DTS.Milliseconds()), tag); err != nil {
 				return
 			}
 		}
 		// Interleave audio frames up to the video position.
 		for audioPTS <= f.PTS {
-			atag := flv.AudioTagData{PacketType: flv.AACRaw, Data: sizer.NextFrame()}.Marshal()
-			if err := cli.WriteAudio(uint32(audioPTS.Milliseconds()), atag); err != nil {
+			tag = flv.AudioTagData{PacketType: flv.AACRaw, Data: sizer.NextFrame()}.Append(tag[:0])
+			if err := cli.WriteAudio(uint32(audioPTS.Milliseconds()), tag); err != nil {
 				return
 			}
 			audioPTS += aac.FrameDuration
 		}
 	}
+}
+
+// appendVideoTag appends the FLV video tag of one encoded frame to dst:
+// the tag header, then the NAL units escaped straight into AVCC framing.
+func appendVideoTag(dst []byte, f media.Frame) []byte {
+	frameType := flv.VideoInterFrame
+	if f.Keyframe {
+		frameType = flv.VideoKeyFrame
+	}
+	dst = flv.VideoTagData{
+		FrameType:       frameType,
+		PacketType:      flv.AVCNALU,
+		CompositionTime: int32((f.PTS - f.DTS).Milliseconds()),
+	}.Append(dst)
+	return avc.AppendAVCC(dst, f.NALs)
 }
 
 // addViewer attaches an RTMP viewer; it receives the sequence headers
@@ -507,29 +517,32 @@ func (h *hub) maybeWarmAfterFirstSegment(seg *hls.Segmenter) {
 // feedSegmenter repackages FLV tags into the MPEG-TS segmenter — the
 // "transcode, repackage and deliver to Fastly" step the paper hypothesises
 // for popular broadcasts. The segmenter copies into TS packets before
-// returning, so the caller may release the payload afterwards.
-func feedSegmenter(seg *hls.Segmenter, typeID uint8, timestamp uint32, payload []byte, vt flv.VideoTagData) {
+// returning, so the caller may release the payload afterwards. annexB is
+// the caller's scratch buffer for a video frame's Annex B form; it is
+// returned, possibly grown, for the next call.
+func feedSegmenter(seg *hls.Segmenter, annexB []byte, typeID uint8, timestamp uint32, payload []byte, vt flv.VideoTagData) []byte {
 	now := time.Now()
 	switch typeID {
 	case rtmp.TypeVideo:
 		if vt.PacketType != flv.AVCNALU {
-			return
+			break
 		}
-		units, err := avc.ParseAVCC(vt.Data)
-		if err != nil {
-			return
+		var err error
+		if annexB, err = avc.AppendAnnexBFromAVCC(annexB[:0], vt.Data); err != nil {
+			break
 		}
 		dts := time.Duration(timestamp) * time.Millisecond
 		pts := dts + time.Duration(vt.CompositionTime)*time.Millisecond
-		seg.WriteVideo(now, pts, dts, vt.FrameType == flv.VideoKeyFrame, avc.MarshalAnnexB(units))
+		seg.WriteVideo(now, pts, dts, vt.FrameType == flv.VideoKeyFrame, annexB)
 	case rtmp.TypeAudio:
 		at, err := flv.ParseAudioTagData(payload)
 		if err != nil || at.PacketType != flv.AACRaw {
-			return
+			break
 		}
 		pts := time.Duration(timestamp) * time.Millisecond
 		seg.WriteAudio(now, pts, at.Data)
 	}
+	return annexB
 }
 
 // enableHLS attaches a segmenter (with its feed worker), mounts it at the
