@@ -301,12 +301,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.NotFound(w, r)
 			return
 		}
+		// Admitted before the handshake is answered: the send right
+		// follows handshake order.
+		canSend, salt := room.admit()
 		conn, err := websocket.Upgrade(w, r)
 		if err != nil {
+			room.withdraw()
 			return
 		}
-		canSend, ok := room.Join(conn)
-		if !ok {
+		if !room.attach(conn, salt) {
 			// The room closed between the lookup and the join.
 			conn.Close()
 			return

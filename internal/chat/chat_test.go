@@ -146,6 +146,21 @@ func TestChatFullBlocksLateSenders(t *testing.T) {
 	}
 }
 
+// TestFailedHandshakeSpendsNoSendRight: a request to a chat URL that is
+// not a WebSocket handshake is admitted before the handshake and withdrawn
+// when it fails, so it takes no member's send right.
+func TestFailedHandshakeSpendsNoSendRight(t *testing.T) {
+	_, hs, room := startChat(t, "b6", RoomConfig{JoinCap: 1, Seed: 4})
+	resp, err := hs.Client().Get(hs.URL + "/chat/b6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n := room.Joined(); n != 0 {
+		t.Errorf("a failed handshake counts as %d joins", n)
+	}
+}
+
 func waitMembers(t *testing.T, room *Room, n int) {
 	t.Helper()
 	deadline := time.After(3 * time.Second)

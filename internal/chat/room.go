@@ -359,17 +359,41 @@ func (r *Room) publish(m Message, sampled bool) {
 // is full — late joiners only listen (they may still heart). ok is false
 // when the room has closed; the caller owns closing the connection then.
 func (r *Room) Join(c MemberConn) (canSend, ok bool) {
-	r.mu.Lock()
-	r.joined++
-	canSend = r.joined <= r.cfg.JoinCap
-	salt := r.saltRng.Uint32()
-	r.mu.Unlock()
-	if !r.fan.Attach(c, chatMember{salt: salt}) {
+	canSend, salt := r.admit()
+	if !r.attach(c, salt) {
 		return false, false
+	}
+	return canSend, true
+}
+
+// admit counts a joiner and decides its send right, in admission order.
+// The server admits before it answers the WebSocket handshake, so a
+// client that connects after another's handshake completed is counted
+// after it.
+func (r *Room) admit() (canSend bool, salt uint32) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.joined++
+	return r.joined <= r.cfg.JoinCap, r.saltRng.Uint32()
+}
+
+// withdraw uncounts an admitted joiner whose handshake failed, so a
+// request that never becomes a member does not spend a send right.
+func (r *Room) withdraw() {
+	r.mu.Lock()
+	r.joined--
+	r.mu.Unlock()
+}
+
+// attach adds an admitted joiner to the fan-out group; false when the
+// room has closed.
+func (r *Room) attach(c MemberConn, salt uint32) bool {
+	if !r.fan.Attach(c, chatMember{salt: salt}) {
+		return false
 	}
 	r.counters.membersJoined.Add(1)
 	r.presenceDirty.Store(true)
-	return canSend, true
+	return true
 }
 
 // Leave detaches a connection. It is a no-op when the delivery path

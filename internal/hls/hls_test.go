@@ -137,7 +137,35 @@ func TestSegmenterCutsNearTarget(t *testing.T) {
 }
 
 func TestSegmenterWindowSlides(t *testing.T) {
-	seg := feedSegmenter(t, 60*time.Second, DefaultSegmentTarget)
+	seg := NewSegmenter(DefaultSegmentTarget, 4)
+	feedSegmenterFor(t, seg, 60*time.Second)
+	// Segment answers exactly the newest MaxKeep sequences, during the
+	// stream and after Finish's trailing cut.
+	checkHorizon := func(when string) {
+		t.Helper()
+		newest := seg.SegmentCount() - 1
+		if newest < seg.MaxKeep() {
+			t.Fatalf("%s: only %d segments cut", when, newest+1)
+		}
+		for seq := 0; seq <= newest+1; seq++ {
+			got, ok := seg.Segment(seq)
+			if want := seq > newest-seg.MaxKeep() && seq <= newest; ok != want || ok && got.Sequence != seq {
+				t.Errorf("%s: Segment(%d) = %d, %v; want present %v (newest %d)", when, seq, got.Sequence, ok, want, newest)
+			}
+		}
+	}
+	checkHorizon("during the stream")
+	seg.Finish(time.Unix(3000, 0))
+	checkHorizon("after Finish")
+	// An unbounded window keeps every segment, as the §5.2 corpus needs.
+	all := NewSegmenter(DefaultSegmentTarget, 1<<30)
+	feedSegmenterFor(t, all, 60*time.Second)
+	all.Finish(time.Unix(3000, 0))
+	for seq := 0; seq < all.SegmentCount(); seq++ {
+		if _, ok := all.Segment(seq); !ok {
+			t.Errorf("unbounded window: segment %d of %d missing", seq, all.SegmentCount())
+		}
+	}
 	pl := seg.Playlist()
 	if len(pl.Segments) > 4 {
 		t.Errorf("window holds %d segments, max 4", len(pl.Segments))

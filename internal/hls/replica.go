@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,17 +95,16 @@ type Replica struct {
 	// per-broadcast fill concurrency cap).
 	fillSem chan struct{}
 
-	mu     sync.Mutex
-	segs   map[int][]byte
-	maxSeq int // highest sequence observed (stored or listed)
-	// fills is the miss path: per sequence, the fill in flight or the
-	// failed one still answering for it.
+	// mu guards fills, the miss path: per sequence, the fill in flight or
+	// the failed one still answering for it. It also orders the stores of
+	// win, which installLocked alone makes.
+	mu    sync.Mutex
 	fills map[int]*fillResult
 
-	// win is the playlist served, stored by the watch only. polled is
-	// raised by viewer polls and lowered by the watch once a round; watch is
-	// watchOff or how the running watch's last round went; cur is its round
-	// under way or, between rounds, the last one.
+	// win is what the replica serves, playlist and segments, read with no
+	// lock. polled is raised by viewer polls and lowered by the watch once
+	// a round; watch is watchOff or how the running watch's last round
+	// went; cur is its round under way or, between rounds, the last one.
 	win    atomic.Pointer[window]
 	polled atomic.Bool
 	watch  atomic.Int32
@@ -119,13 +119,33 @@ type Replica struct {
 	wg     sync.WaitGroup
 }
 
-// window is one immutable answer of the source: what every poll is served
-// until the watch installs the next one.
+// window is one immutable state of the replica: the source's last answer,
+// served to every poll, and the segments held, served to every hit, until
+// the watch installs the next answer or a fill lands.
 type window struct {
-	raw    []byte
+	raw    []byte // nil until the source first answers
 	pl     MediaPlaylist
 	newest int       // highest listed sequence, -1 when none
 	at     time.Time // when the source confirmed it
+	// segs are the held segments, none at or below top − keep; top is the
+	// highest sequence stored or listed.
+	segs []heldSegment
+	top  int
+}
+
+type heldSegment struct {
+	seq  int
+	data []byte
+}
+
+// segment returns the held segment seq.
+func (w *window) segment(seq int) ([]byte, bool) {
+	for _, s := range w.segs {
+		if s.seq == seq {
+			return s.data, true
+		}
+	}
+	return nil, false
 }
 
 const watchOff, watchOK, watchFailing int32 = 0, 1, 2
@@ -170,7 +190,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		cfg.Counters = new(FillCounters)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Replica{
+	r := &Replica{
 		src:      cfg.Source,
 		keep:     cfg.Window + 2, // parity with Segmenter.maxKeep
 		floor:    min(cfg.TargetDuration/2, holdCap),
@@ -180,12 +200,12 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		now:      cfg.Now,
 		c:        cfg.Counters,
 		fillSem:  make(chan struct{}, cfg.MaxConcurrentFills),
-		segs:     map[int][]byte{},
-		maxSeq:   -1,
 		fills:    map[int]*fillResult{},
 		ctx:      ctx,
 		cancel:   cancel,
 	}
+	r.win.Store(&window{newest: -1, top: -1})
+	return r
 }
 
 // ReplicaStats is a point-in-time view of a replica: the counters of the
@@ -207,15 +227,10 @@ type ReplicaStats struct {
 
 // Stats snapshots the replica's counters and gauges.
 func (r *Replica) Stats() ReplicaStats {
-	st := ReplicaStats{FillStats: r.c.Load(), FillCap: cap(r.fillSem)}
-	r.mu.Lock()
-	st.CachedSegments = len(r.segs)
-	r.mu.Unlock()
-	if w := r.win.Load(); w != nil {
-		st.Final = w.pl.Ended
-		if !st.Final {
-			st.PlaylistAge = r.now().Sub(w.at)
-		}
+	w := r.win.Load()
+	st := ReplicaStats{FillStats: r.c.Load(), FillCap: cap(r.fillSem), CachedSegments: len(w.segs), Final: w.pl.Ended}
+	if w.raw != nil && !st.Final {
+		st.PlaylistAge = r.now().Sub(w.at)
 	}
 	return st
 }
@@ -226,8 +241,12 @@ func (r *Replica) Stats() ReplicaStats {
 // requester's context (bounded by fillTimeout): one viewer disconnecting
 // must not fail the fetch for every coalesced waiter.
 func (r *Replica) Segment(ctx context.Context, seq int) ([]byte, error) {
+	if data, ok := r.win.Load().segment(seq); ok {
+		return data, nil
+	}
 	r.mu.Lock()
-	if data, ok := r.segs[seq]; ok {
+	// Look again under mu: a fill that landed since is not fetched twice.
+	if data, ok := r.win.Load().segment(seq); ok {
 		r.mu.Unlock()
 		return data, nil
 	}
@@ -306,7 +325,7 @@ func (r *Replica) fill(ctx context.Context, seq int, f *fillResult) {
 	f.data, f.err = data, err
 	if err == nil {
 		delete(r.fills, seq)
-		r.storeSegLocked(seq, data)
+		r.installLocked(nil, &heldSegment{seq, data})
 	} else {
 		now := r.now()
 		f.until = now.Add(r.negTTL)
@@ -373,29 +392,29 @@ func jitteredBackoff(base time.Duration, attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// storeSegLocked inserts a filled segment and slides the cache window: the
-// replica keeps the same fetch horizon as the origin segmenter, so edge
-// occupancy cannot grow past window+grace however long the broadcast runs.
-func (r *Replica) storeSegLocked(seq int, data []byte) {
-	if seq <= r.maxSeq-r.keep {
-		// Already outside the window (a very late fill); do not resurrect.
-		r.c.Evictions.Add(1)
-		return
+// installLocked stores the window that succeeds the current one: the
+// source's answer next, or a copy of the current one when nil, holding the
+// current segments plus add, a landed fill, when not nil. The replica
+// keeps the same fetch horizon as the origin segmenter: what falls at or
+// below the new top − keep is not carried over, each drop an eviction. So
+// occupancy cannot grow past window+grace however long the broadcast runs,
+// segments the edge never re-fetches still age out as the playlist moves,
+// and a very late fill is never resurrected.
+func (r *Replica) installLocked(next *window, add *heldSegment) {
+	cur := r.win.Load()
+	if next == nil {
+		c := *cur
+		next = &c
 	}
-	r.segs[seq] = data
-	if seq > r.maxSeq {
-		r.maxSeq = seq
+	next.top = max(cur.top, next.newest)
+	segs := append(make([]heldSegment, 0, len(cur.segs)+1), cur.segs...)
+	if add != nil {
+		next.top = max(next.top, add.seq)
+		segs = append(segs, *add)
 	}
-	r.evictLocked()
-}
-
-func (r *Replica) evictLocked() {
-	for k := range r.segs {
-		if k <= r.maxSeq-r.keep {
-			delete(r.segs, k)
-			r.c.Evictions.Add(1)
-		}
-	}
+	next.segs = slices.DeleteFunc(segs, func(s heldSegment) bool { return s.seq <= next.top-r.keep })
+	r.c.Evictions.Add(int64(len(segs) - len(next.segs)))
+	r.win.Store(next)
 	r.sweepLocked(r.now())
 }
 
@@ -417,10 +436,7 @@ func (r *Replica) sweepLocked(now time.Time) {
 // cache-only read backing the peer-fill protocol, which must never trigger
 // a recursive fill.
 func (r *Replica) CachedSegment(seq int) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	data, ok := r.segs[seq]
-	return data, ok
+	return r.win.Load().segment(seq)
 }
 
 // WarmUp starts the watch without a viewer — one round, nobody polling —
@@ -444,23 +460,23 @@ func (r *Replica) Close() {
 	r.wg.Wait()
 }
 
-// Playlist returns the marshalled playlist and its parsed form. A window
-// is served at once, an atomic load; served while no watch confirms it or
-// the watch's last round failed, it counts stale and (re)starts the watch.
-// Polls that find none share the watch's round or, between rounds, its
-// last error.
+// Playlist returns the marshalled playlist and its parsed form. A window's
+// playlist is served at once, an atomic load; served while no watch
+// confirms it or the watch's last round failed, it counts stale and
+// (re)starts the watch. Polls that find none yet share the watch's round
+// or, between rounds, its last error.
 func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 	if !r.polled.Load() {
 		r.polled.Store(true)
 	}
 	w := r.win.Load()
-	if w != nil && (w.pl.Ended || r.watch.Load() == watchOK) {
+	if w.raw != nil && (w.pl.Ended || r.watch.Load() == watchOK) {
 		return w.raw, w.pl, nil
 	}
 	rd, _ := r.startWatch()
-	if w != nil {
+	if w.raw != nil {
 		r.c.StaleServes.Add(1)
-	} else if w = r.win.Load(); w == nil { // re-read: rd may be a later round than the first
+	} else if w = r.win.Load(); w.raw == nil { // re-read: rd may be a later round than the first
 		if rd == nil {
 			return nil, MediaPlaylist{}, errors.New("hls: replica closed")
 		}
@@ -469,7 +485,7 @@ func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 		case <-ctx.Done():
 			return nil, MediaPlaylist{}, ctx.Err()
 		}
-		if w = r.win.Load(); w == nil {
+		if w = r.win.Load(); w.raw == nil {
 			return nil, MediaPlaylist{}, rd.err
 		}
 	}
@@ -480,7 +496,7 @@ func (r *Replica) Playlist(ctx context.Context) ([]byte, MediaPlaylist, error) {
 // its playlist final, and returns its round.
 func (r *Replica) startWatch() (rd *fillResult, started bool) {
 	r.wmu.Lock()
-	if w := r.win.Load(); r.watch.Load() == watchOff && r.ctx.Err() == nil && (w == nil || !w.pl.Ended) {
+	if r.watch.Load() == watchOff && r.ctx.Err() == nil && !r.win.Load().pl.Ended {
 		r.cur.Store(&fillResult{done: make(chan struct{})})
 		r.watch.Store(watchOK)
 		r.wg.Add(1)
@@ -516,12 +532,8 @@ func (r *Replica) runWatch(ctx context.Context) {
 				pause = r.floor - time.Since(began)
 			}
 			after = w.newest
-			// The one store of r.win. The eviction horizon follows it, so
-			// segments the edge never re-fetches still age out.
-			r.win.Store(w)
 			r.mu.Lock()
-			r.maxSeq = max(r.maxSeq, w.newest)
-			r.evictLocked()
+			r.installLocked(w, nil)
 			r.mu.Unlock()
 			r.prefetch(ctx, w.pl)
 		}
@@ -585,7 +597,7 @@ func (r *Replica) prefetch(ctx context.Context, pl MediaPlaylist) {
 	for _, s := range pl.Segments {
 		seq := s.Sequence
 		r.mu.Lock()
-		if _, have := r.segs[seq]; have || r.pendingLocked(seq) != nil {
+		if _, have := r.win.Load().segment(seq); have || r.pendingLocked(seq) != nil {
 			r.mu.Unlock()
 			continue
 		}

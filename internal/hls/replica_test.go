@@ -607,6 +607,18 @@ func TestReplicaEvictionParity(t *testing.T) {
 	if src.segmentFetches.Load() != before+1 {
 		t.Errorf("evicted segment did not re-fill from origin")
 	}
+	// The late fill lands below the horizon: it is not held again, and
+	// dropping it counts as one more eviction.
+	if _, ok := rep.CachedSegment(0); ok {
+		t.Error("late fill of evicted segment 0 is cached again")
+	}
+	late := rep.Stats()
+	if late.CachedSegments != origin.MaxKeep() {
+		t.Errorf("after the late fill the edge caches %d segments, want %d", late.CachedSegments, origin.MaxKeep())
+	}
+	if late.Evictions != st.Evictions+1 {
+		t.Errorf("evictions after the late fill = %d, want %d", late.Evictions, st.Evictions+1)
+	}
 }
 
 // TestReplicaPrefetchWarmsListedSegments verifies that a playlist fill

@@ -34,31 +34,31 @@ type StoredSegment struct {
 // at keyframe boundaries once the target duration has accumulated. It
 // maintains a sliding window playlist like a live HLS origin.
 type Segmenter struct {
+	// mu is the ingest lock: it orders writes, cuts and publications.
 	mu sync.Mutex
 
 	target     time.Duration
 	windowSize int
+	maxKeep    int
 
 	mux       *mpegts.Muxer
 	curStart  time.Duration // PTS of first frame in current segment
 	curEnd    time.Duration
 	haveFrame bool
+	ended     bool
 
-	seq     int
-	window  []StoredSegment
-	ended   bool
-	maxKeep int
-	all     map[int]StoredSegment // segments still fetchable (window + grace)
-
-	// pub is the playlist as of the last cut: rendered once there, read
-	// by every poll and fill without the lock.
+	// pub is the origin as of the last cut: rendered once there, read by
+	// every poll, fill and segment lookup without the lock.
 	pub atomic.Pointer[publication]
 }
 
-// publication is one immutable state of the live playlist. A fill request
-// that already lists newest waits on next, closed by the following
-// publication (the next cut, or Finish).
+// publication is one immutable state of the live origin: the segments
+// still fetchable (at most maxKeep, in sequence order) and the playlist
+// listing their newest windowSize. A fill request that already lists
+// newest waits on next, closed by the following publication (the next
+// cut, or Finish).
 type publication struct {
+	segs   []StoredSegment
 	raw    []byte
 	pl     MediaPlaylist
 	newest int // highest listed sequence, -1 when none
@@ -77,11 +77,10 @@ func NewSegmenter(target time.Duration, windowSize int) *Segmenter {
 	s := &Segmenter{
 		target:     target,
 		windowSize: windowSize,
-		mux:        mpegts.NewMuxer(),
-		all:        map[int]StoredSegment{},
 		maxKeep:    windowSize + 2,
+		mux:        mpegts.NewMuxer(),
 	}
-	s.publishLocked()
+	s.publishLocked(nil)
 	return s
 }
 
@@ -120,7 +119,8 @@ func (s *Segmenter) WriteAudio(now time.Time, pts time.Duration, adts []byte) {
 	}
 }
 
-// cutLocked finalizes the current segment.
+// cutLocked finalizes the current segment and publishes it with the
+// newest maxKeep-1 segments before it.
 func (s *Segmenter) cutLocked(now time.Time) {
 	data := s.mux.Bytes()
 	if len(data) == 0 {
@@ -130,27 +130,19 @@ func (s *Segmenter) cutLocked(now time.Time) {
 	if dur <= 0 {
 		dur = s.target
 	}
+	prev := s.pub.Load()
 	seg := StoredSegment{
-		Sequence:  s.seq,
+		Sequence:  prev.newest + 1,
 		Duration:  dur,
 		Data:      data,
 		Completed: now,
 	}
-	s.seq++
-	s.window = append(s.window, seg)
-	s.all[seg.Sequence] = seg
-	if len(s.window) > s.windowSize {
-		s.window = s.window[1:]
-	}
-	// Expire segments far outside the window.
-	for k := range s.all {
-		if k < s.seq-s.maxKeep {
-			delete(s.all, k)
-		}
-	}
+	// Clipped, so the append copies: the expired segments go with the
+	// previous publication instead of staying reachable from this one.
+	kept := prev.segs[max(len(prev.segs)+1-s.maxKeep, 0):]
 	s.haveFrame = false
 	s.curStart, s.curEnd = 0, 0
-	s.publishLocked()
+	s.publishLocked(append(slices.Clip(kept), seg))
 }
 
 // Finish flushes the trailing partial segment and marks the playlist ended.
@@ -161,19 +153,20 @@ func (s *Segmenter) Finish(now time.Time) {
 		s.cutLocked(now)
 	}
 	s.ended = true
-	s.publishLocked()
+	s.publishLocked(s.pub.Load().segs)
 }
 
 // Playlist returns the live playlist as of the last cut. Its Segments are
 // shared with every other caller and must not be modified.
 func (s *Segmenter) Playlist() MediaPlaylist { return s.pub.Load().pl }
 
-// publishLocked renders the playlist and swaps it in, waking the fill
-// requests held on the previous publication.
-func (s *Segmenter) publishLocked() {
+// publishLocked renders the playlist of segs' newest windowSize and swaps
+// the publication in, waking the fill requests held on the previous one.
+func (s *Segmenter) publishLocked(segs []StoredSegment) {
 	p := MediaPlaylist{Ended: s.ended}
+	win := segs[max(len(segs)-s.windowSize, 0):]
 	var maxDur float64
-	for _, seg := range s.window {
+	for _, seg := range win {
 		d := seg.Duration.Seconds()
 		maxDur = math.Max(maxDur, d)
 		p.Segments = append(p.Segments, Segment{
@@ -186,25 +179,26 @@ func (s *Segmenter) publishLocked() {
 	if p.TargetDuration == 0 {
 		p.TargetDuration = int(math.Ceil(s.target.Seconds()))
 	}
-	if len(s.window) > 0 {
-		p.MediaSequence = s.window[0].Sequence
-	} else {
-		p.MediaSequence = s.seq
+	if len(win) > 0 {
+		p.MediaSequence = win[0].Sequence
 	}
 	// Clipped: an append by a caller must not land in the shared array.
 	p.Segments = slices.Clip(p.Segments)
-	next := &publication{raw: p.Marshal(), pl: p, newest: s.seq - 1, next: make(chan struct{})}
+	next := &publication{segs: segs, raw: p.Marshal(), pl: p, newest: p.MediaSequence + len(win) - 1, next: make(chan struct{})}
 	if prev := s.pub.Swap(next); prev != nil {
 		close(prev.next)
 	}
 }
 
-// Segment returns a stored segment by sequence number.
+// Segment returns a fetchable segment by sequence number: one of the
+// newest MaxKeep cut so far.
 func (s *Segmenter) Segment(seq int) (StoredSegment, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seg, ok := s.all[seq]
-	return seg, ok
+	p := s.pub.Load()
+	// Sequences are consecutive, newest last: the lookup is an index.
+	if i := seq - p.newest + len(p.segs) - 1; i >= 0 && i < len(p.segs) {
+		return p.segs[i], true
+	}
+	return StoredSegment{}, false
 }
 
 // SegmentCount reports how many segments have been produced in total.

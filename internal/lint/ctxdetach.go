@@ -33,6 +33,11 @@ import (
 // Goroutines whose completion is not select-joined against ctx.Done
 // (e.g. a player fetching its own segments and wg.Wait-ing) are the
 // caller's own work, legitimately cancel with it, and are not flagged.
+//
+// It still earns its place in today's idiom, where one fill function
+// (hls.Replica.fill) serves demand and prefetch and a hit is a lock-free
+// window load: a seeded r.fill(ctx, seq, f) in Replica.Segment's fill
+// goroutine trips it.
 var CtxDetachAnalyzer = &analysis.Analyzer{
 	Name:     "ctxdetach",
 	Doc:      "report single-flight fill goroutines that capture a request-scoped context",

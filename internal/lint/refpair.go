@@ -29,6 +29,13 @@ import (
 // (the hub/feed convention) and the path is no longer tracked. The
 // idiomatic hot path therefore stays quiet: Retain before each handoff,
 // one final Release of the creating reference.
+//
+// It still earns its place with one production SharePayload site
+// (service.hub's publish, behind fanout's exactly-once Send-or-Discard
+// hooks): a seeded early return between SharePayload and fan.Publish
+// trips it. It does not see past the handoff: once sp has gone to
+// fan.Publish the path is untracked, so a dropped final sp.Release() or
+// a second one after Publish passes it silently.
 var RefPairAnalyzer = &analysis.Analyzer{
 	Name:     "refpair",
 	Doc:      "check SharePayload/Retain/Release pairing on every exit path of a function",
