@@ -38,7 +38,9 @@ import (
 // --- Table 1 ---
 
 // BenchmarkTable1APICommands exercises the three Table-1 API commands
-// against a live API server and reports per-command latency.
+// through api.Client against a live API server over loopback, so its
+// allocs/op count both ends: the client's request build and answer read,
+// and the gateway's chain, decode and encode.
 func BenchmarkTable1APICommands(b *testing.B) {
 	pc := broadcastmodel.DefaultConfig()
 	pc.TargetConcurrent = 500
@@ -57,6 +59,7 @@ func BenchmarkTable1APICommands(b *testing.B) {
 	for _, bc := range pop.Live()[:10] {
 		ids = append(ids, bc.ID)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cli.MapGeoBroadcastFeed(api.MapGeoBroadcastFeedRequest{

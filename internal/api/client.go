@@ -135,22 +135,43 @@ func (c *Client) sleep(d time.Duration) {
 // paths, types, and the error envelope by construction.
 func Call[Req, Resp any](c *Client, ep Endpoint[Req, Resp], req Req) (Resp, error) {
 	var resp Resp
+	err := call(c, ep, req, &resp)
+	return resp, err
+}
+
+// call is Call decoding into *resp, so a caller that knows the answer's
+// size can preset the capacity encoding/json appends into.
+func call[Req, Resp any](c *Client, ep Endpoint[Req, Resp], req Req, resp *Resp) error {
 	attempts := c.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.do(ep.Name, req, &resp)
+		err := c.do(ep.Name, req, resp)
 		var rl ErrRateLimited
 		if !errors.As(err, &rl) || attempt+1 >= attempts {
-			return resp, err
+			return err
 		}
 		c.sleep(c.Retry.backoffFor(attempt, rl.RetryAfter))
 	}
 }
 
-// do performs one HTTP attempt against the named endpoint.
+// maxAnswerBody bounds an answer or error envelope the client reads at
+// ≈ 50× the largest one the default caps allow, a getBroadcasts of 100
+// ids (≈ 20 KB of JSON). The gateway frames every answer, so a larger
+// declared length is refused before anything is allocated.
+const maxAnswerBody = 1 << 20
+
+// maxErrorDrain bounds what is read of an unframed or oversized refusal
+// to keep the connection reusable; a longer one costs the connection.
+const maxErrorDrain = 64 << 10
+
+// do performs one HTTP attempt against the named endpoint. A framed body
+// within maxAnswerBody is read into one pooled buffer of exactly its
+// declared length, which goes back to the pool only after decoding:
+// json.Unmarshal copies every string it keeps out of its input. A 200
+// that is unframed, oversized or ends early is an error, never a short
+// answer.
 func (c *Client) do(name string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -168,9 +189,21 @@ func (c *Client) do(name string, req, resp any) error {
 		return err
 	}
 	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		return err
+	var data []byte
+	switch n := httpResp.ContentLength; {
+	case n >= 0 && n <= maxAnswerBody:
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer putBody(buf)
+		buf.Reset()
+		buf.Grow(int(n))
+		data = buf.AvailableBuffer()[:n]
+		if _, err := io.ReadFull(httpResp.Body, data); err != nil {
+			return fmt.Errorf("api: %s: %d-byte answer: %w", name, n, err)
+		}
+	case httpResp.StatusCode == http.StatusOK:
+		return fmt.Errorf("api: %s: answer declares %d bytes, not a length within %d", name, n, maxAnswerBody)
+	default:
+		io.Copy(io.Discard, io.LimitReader(httpResp.Body, maxErrorDrain))
 	}
 	switch httpResp.StatusCode {
 	case http.StatusOK:
@@ -212,7 +245,9 @@ func (c *Client) MapGeoBroadcastFeed(req MapGeoBroadcastFeedRequest) (MapGeoBroa
 
 // GetBroadcasts fetches descriptions (with viewer counts) for IDs.
 func (c *Client) GetBroadcasts(ids []string) (GetBroadcastsResponse, error) {
-	return Call(c, GetBroadcastsEndpoint, GetBroadcastsRequest{BroadcastIDs: ids})
+	resp := GetBroadcastsResponse{Broadcasts: make([]BroadcastDesc, 0, len(ids))}
+	err := call(c, GetBroadcastsEndpoint, GetBroadcastsRequest{BroadcastIDs: ids}, &resp)
+	return resp, err
 }
 
 // PlaybackMeta uploads end-of-session statistics.

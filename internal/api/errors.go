@@ -60,13 +60,19 @@ func writeError(w http.ResponseWriter, e *Error) {
 
 func writeJSON(w http.ResponseWriter, v any) { writeBody(w, http.StatusOK, v) }
 
-// bodyPool holds the buffers answers are encoded into. The largest answer
-// the caps allow, a getBroadcasts of 100 ids, is ≈ 20 KB; a buffer that
-// grew past maxPooledBody is left to the GC so the pool never pins an
-// outsized one.
+// bodyPool holds the buffers answers are encoded into by the gateway and
+// read into by the client. The largest answer the caps allow, a
+// getBroadcasts of 100 ids, is ≈ 20 KB; a buffer that grew past
+// maxPooledBody is left to the GC so the pool never pins an outsized one.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 64 << 10
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
 
 // writeBody encodes v whole before writing any of it, then sends it in
 // one Write under an explicit Content-Length: an answer past net/http's
@@ -74,11 +80,7 @@ const maxPooledBody = 64 << 10
 func writeBody(w http.ResponseWriter, status int, v any) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyPool.Put(buf)
-		}
-	}()
+	defer putBody(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // Middleware wraps an http.Handler with one cross-cutting concern. The
@@ -14,8 +13,7 @@ type Middleware func(http.Handler) http.Handler
 
 // Chain applies middlewares around h so that mw[0] is the outermost layer
 // (first to see the request, last to see the response). The gateway order
-// is: recovery, method check, request context/deadline, session keying,
-// rate limiting, metrics.
+// is: recovery, method check, session keying, rate limiting, metrics.
 func Chain(h http.Handler, mw ...Middleware) http.Handler {
 	for i := len(mw) - 1; i >= 0; i-- {
 		h = mw[i](h)
@@ -65,23 +63,6 @@ func RequirePOST() Middleware {
 				return
 			}
 			next.ServeHTTP(w, r)
-		})
-	}
-}
-
-// RequestContext attaches a deadline to each request's context. net/http
-// does not abort a running handler, so the deadline is advisory: handlers
-// and downstream providers that block (remote video planes, databases)
-// honour it via ctx. timeout <= 0 disables the deadline.
-func RequestContext(timeout time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		if timeout <= 0 {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), timeout)
-			defer cancel()
-			next.ServeHTTP(w, r.WithContext(ctx))
 		})
 	}
 }

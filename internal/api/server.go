@@ -40,8 +40,6 @@ type ServerConfig struct {
 	// MaxBroadcastIDs caps the ids accepted per getBroadcasts request
 	// (default 100); larger lists get a too_many_ids error.
 	MaxBroadcastIDs int
-	// RequestTimeout bounds each request's context deadline (default 10s).
-	RequestTimeout time.Duration
 	// Seed drives the teleport randomness.
 	Seed int64
 }
@@ -55,15 +53,13 @@ func DefaultServerConfig() ServerConfig {
 		RateLimitIdleTTL: 5 * time.Minute,
 		MapVisibleCap:    50,
 		MaxBroadcastIDs:  100,
-		RequestTimeout:   10 * time.Second,
 		Seed:             1,
 	}
 }
 
 // Server is the Periscope-style API gateway: the five Table-1 endpoints
 // mounted through the typed registry, wrapped by the middleware chain
-// (recovery, method check, request deadline, session keying, rate
-// limiting, metrics).
+// (recovery, method check, session keying, rate limiting, metrics).
 type Server struct {
 	Pop     *broadcastmodel.Population
 	Video   VideoAccessProvider
@@ -86,9 +82,6 @@ func NewServer(pop *broadcastmodel.Population, video VideoAccessProvider, cfg Se
 	}
 	if cfg.MaxBroadcastIDs <= 0 {
 		cfg.MaxBroadcastIDs = 100
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
 	}
 	s := &Server{
 		Pop:     pop,
@@ -117,7 +110,6 @@ func NewServer(pop *broadcastmodel.Population, video VideoAccessProvider, cfg Se
 	s.handler = Chain(mux,
 		Recovery(func(any) { s.metrics.Panics.Add(1) }),
 		RequirePOST(),
-		RequestContext(cfg.RequestTimeout),
 		SessionAuth(),
 		RateLimit(s.limiter, s.metrics),
 		CollectMetrics(s.metrics),

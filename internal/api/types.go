@@ -12,11 +12,10 @@
 //
 // Around the endpoints sits a composable middleware chain (middleware.go),
 // applied outermost-first: panic recovery, POST-method enforcement,
-// per-request context deadline, per-session auth keying, rate limiting,
-// and metrics. Rate limiting is a sharded token-bucket table
-// (ratelimit.go): keys hash to independent shards so concurrent sessions
-// do not serialize on one lock, and idle buckets are evicted so the table
-// stays bounded across long campaigns. Over-eager clients get the
+// per-session auth keying, rate limiting, and metrics. Rate limiting is a
+// sharded token-bucket table (ratelimit.go): keys hash to independent
+// shards so concurrent sessions do not serialize on one lock, and idle
+// buckets are evicted so the table stays bounded across long campaigns. Over-eager clients get the
 // structured 429 envelope with a Retry-After hint — the behaviour that
 // forced the crawler design of §4 — and the Client can retry with
 // jittered backoff honouring that hint (RetryPolicy).

@@ -214,7 +214,7 @@ func Start(cfg Config) (*Service, error) {
 	}
 
 	// API gateway: defaults for the typed-endpoint chain (sharded
-	// limiter, ID cap, request deadline) with the service's rate policy.
+	// limiter, ID cap) with the service's rate policy.
 	scfg := api.DefaultServerConfig()
 	scfg.RateLimit = cfg.APIRateLimit
 	scfg.Burst = cfg.APIBurst
