@@ -168,10 +168,13 @@ const maxErrorDrain = 64 << 10
 
 // do performs one HTTP attempt against the named endpoint. A framed body
 // within maxAnswerBody is read into one pooled buffer of exactly its
-// declared length, which goes back to the pool only after decoding:
-// json.Unmarshal copies every string it keeps out of its input. A 200
-// that is unframed, oversized or ends early is an error, never a short
-// answer.
+// declared length, which goes back to the pool only after decoding: the
+// decoders copy every string they keep out of their input. A 200 that is
+// unframed, oversized or ends early is an error, never a short answer.
+// The two description answers, *MapGeoBroadcastFeedResponse and
+// *GetBroadcastsResponse, are read by scanDescriptions (decodeAnswer);
+// every other answer, and any input the scanner does not recognise, by
+// json.Unmarshal.
 func (c *Client) do(name string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -210,7 +213,7 @@ func (c *Client) do(name string, req, resp any) error {
 		if resp == nil {
 			return nil
 		}
-		return json.Unmarshal(data, resp)
+		return decodeAnswer(data, resp)
 	case http.StatusTooManyRequests:
 		c.rateLimited.Add(1)
 		return ErrRateLimited{RetryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After"))}

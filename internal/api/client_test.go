@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"periscope/internal/broadcastmodel"
 )
@@ -209,9 +210,11 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 	scfg := DefaultServerConfig()
 	scfg.RateLimit = 0
 	wire, direct := NewServer(pop, stubVideo{}, scfg), NewServer(pop, stubVideo{}, scfg)
+	var last []byte // the body of the gateway's latest answer
 	c := NewClient("http://api.test", "sess", &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		rec := httptest.NewRecorder()
 		wire.ServeHTTP(rec, r)
+		last = rec.Body.Bytes()
 		return rec.Result(), nil
 	})})
 	ctx := context.Background()
@@ -222,6 +225,23 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: client decoded %+v, handler returned %+v", name, got, want)
+		}
+	}
+	// The scanner itself, not json.Unmarshal behind it, reads every
+	// description answer the gateway writes, and the client's decode
+	// took it: the scanner interns the states, where json.Unmarshal
+	// allocates each one.
+	scanned := func(name string, got, want []BroadcastDesc) {
+		t.Helper()
+		var ds []BroadcastDesc
+		if !scanDescriptions(last, &ds) || !reflect.DeepEqual(ds, want) {
+			t.Errorf("%s: the scanner declined the gateway's answer %q", name, last)
+		}
+		for _, d := range got {
+			if p := unsafe.StringData(d.State); p != unsafe.StringData("RUNNING") && p != unsafe.StringData("ENDED") {
+				t.Errorf("%s: the client decoded state %q by json.Unmarshal, not the scanner", name, d.State)
+				return
+			}
 		}
 	}
 
@@ -236,6 +256,7 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 		got, err := c.GetBroadcasts(req.BroadcastIDs)
 		want, apiErr := direct.getBroadcasts(ctx, &req)
 		twin("getBroadcasts of "+strconv.Itoa(n), got, want, err, apiErr)
+		scanned("getBroadcasts of "+strconv.Itoa(n), got.Broadcasts, want.Broadcasts)
 	}
 	for _, req := range []MapGeoBroadcastFeedRequest{
 		{P1Lat: -90, P1Lng: -180, P2Lat: 90, P2Lng: 180},
@@ -245,6 +266,7 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 		got, err := c.MapGeoBroadcastFeed(req)
 		want, apiErr := direct.mapGeo(ctx, &req)
 		twin("mapGeoBroadcastFeed", got, want, err, apiErr)
+		scanned("mapGeoBroadcastFeed", got.Broadcasts, want.Broadcasts)
 	}
 	for i := 0; i < 5; i++ {
 		got, err := Call(c, TeleportEndpoint, TeleportRequest{})

@@ -76,12 +76,15 @@ func putBody(buf *bytes.Buffer) {
 
 // writeBody encodes v whole before writing any of it, then sends it in
 // one Write under an explicit Content-Length: an answer past net/http's
-// 2 KB response buffer is length-framed, not chunked.
+// 2 KB response buffer is length-framed, not chunked. The two description
+// answers, MapGeoBroadcastFeedResponse and GetBroadcastsResponse, are
+// appended by appendDescriptions (encodeAnswer); everything else, and a
+// description answer it declines, is encoded by json.Encoder.
 func writeBody(w http.ResponseWriter, status int, v any) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer putBody(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := encodeAnswer(buf, v); err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
 		json.NewEncoder(buf).Encode(ErrorResponse{Error: "internal error", Code: CodeInternal})

@@ -35,6 +35,8 @@ package api
 import "time"
 
 // BroadcastDesc is the description object returned for a broadcast.
+// descriptions.go writes and reads it without reflection, so a field
+// added here is added there too (FuzzDescriptionCodec fails until it is).
 type BroadcastDesc struct {
 	ID                 string  `json:"id"`
 	CreatedAt          string  `json:"created_at"` // RFC3339
