@@ -14,8 +14,11 @@
 // signal: when work waits and nothing was claimed for stallAfter, the shard
 // adds a worker that takes over the stuck batch — a stalled socket holds
 // one worker, never its shard-mates. A full ring drops its oldest item, and
-// a member penalised that way too often is evicted, exactly once. What
-// differs between the planes is supplied as Hooks bound at construction.
+// a member penalised that way too often is evicted, exactly once. Members
+// live in slabs their shard owns, so no cache line holds members of two
+// shards: one shard's workers never write a line another's are walking.
+// What differs between the planes is supplied as Hooks bound at
+// construction.
 package fanout
 
 import (
@@ -87,8 +90,12 @@ type Member[K Conn, S, Q any] struct {
 	head, n      int
 	// owned is set while one of the member's items sits in a batch or is
 	// being sent: that is what keeps its Sends single-threaded and in order
-	// without a goroutine each. A member whose Send failed stays owned.
+	// without a goroutine each. A member whose Send failed stays owned, but
+	// dead: its batch lets go of it at the failure, so no batch holds it.
 	owned, dead bool
+	// gone marks a member that left its shard while a batch held it: the
+	// batch's return clears the slot (see leave).
+	gone bool
 }
 
 // Drops reports how many drop-oldest penalties the member has taken. Like
@@ -118,6 +125,20 @@ func (m *Member[K, S, Q]) pop() Q {
 	return q
 }
 
+// leave is the last step of a member's departure, under the shard lock
+// once it is out of the member list and purged. A departed member's slot is
+// never reused, but its slab lives as long as any slab-mate, so the slot
+// must not keep the connection, state or ring of a member that has gone: it
+// is cleared now when no batch holds it, and otherwise marked for the
+// batch's return to clear.
+func (m *Member[K, S, Q]) leave() {
+	if m.owned && !m.dead {
+		m.gone = true
+	} else {
+		*m = Member[K, S, Q]{}
+	}
+}
+
 // purge discards everything queued right now. Whoever took the member out
 // of its shard calls it, under the shard lock: every Push runs there on a
 // listed member, so nothing is queued afterwards. An item already in a
@@ -136,9 +157,16 @@ const (
 	// before the shard adds a worker. Far above a healthy socket write
 	// (microseconds), far below a media frame interval (33 ms).
 	stallAfter = time.Millisecond
+	// slabChunk is how many members a shard's slab carves at a time. A
+	// chunk is 64 × the member size, a multiple of 512 bytes, and the
+	// allocator's size classes from 512 bytes up are multiples of 64, so a
+	// chunk starts and ends on a cache-line boundary: consecutive members
+	// of one shard are contiguous, and no line holds two shards' members.
+	slabChunk = 64
 )
 
-// entry is one item on its way to one member.
+// entry is one item on its way to one member; m is nil once its Send
+// failed.
 type entry[K Conn, S, Q any] struct {
 	m *Member[K, S, Q]
 	q Q
@@ -174,6 +202,9 @@ type shard[K Conn, S, D, Q any] struct {
 	mu      sync.Mutex
 	members []*Member[K, S, Q]
 	stopped bool
+	// slab is what is left of the chunk the shard's next members are
+	// carved from. Attach carves under Group.mu, not mu.
+	slab []Member[K, S, Q]
 
 	descs     []D // fixed; the FIFO is the dn descriptors from descs[dhead] on
 	dhead, dn int
@@ -199,13 +230,18 @@ func (sh *shard[K, S, D, Q]) removeAt(i int) {
 }
 
 // stage gives an owned member's oldest queued item to b, or returns it to
-// idle when nothing is queued; one whose Send failed stays owned. The
+// idle when nothing is queued; a member that left its shard meanwhile is
+// cleared instead, and a nil one (its Send failed) was let go already. The
 // caller holds mu.
 func stage[K Conn, S, Q any](b *batch[K, S, Q], m *Member[K, S, Q]) {
-	if m.n > 0 && !m.dead {
+	switch {
+	case m == nil:
+	case m.n > 0:
 		b.entries = append(b.entries, entry[K, S, Q]{m, m.pop()})
-	} else {
-		m.owned = m.dead
+	case m.gone:
+		*m = Member[K, S, Q]{}
+	default:
+		m.owned = false
 	}
 }
 
@@ -309,20 +345,27 @@ func (g *Group[K, S, D, Q]) watch(sh *shard[K, S, D, Q]) {
 	sh.timer.Reset(stallAfter)
 }
 
-// Attach registers a member on the next shard round-robin and queues first
-// ahead of anything a delivery can offer it. It starts no goroutine of the
-// member's own: first reaches the connection through the shard's workers.
-// Once the Group has stopped it reports false instead, with first
-// discarded: the handoff of first is unconditional.
+// Attach registers a member on the next shard round-robin, in the next
+// slot of that shard's slab, and queues first ahead of anything a delivery
+// can offer it. It starts no goroutine of the member's own: first reaches
+// the connection through the shard's workers. Once the Group has stopped it
+// reports false instead, with first discarded: the handoff of first is
+// unconditional.
 func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
-	m := &Member[K, S, Q]{Key: key, State: state, discard: g.hooks.Discard, ring: make([]Q, g.memberDepth)}
+	ring := make([]Q, g.memberDepth)
 	g.mu.Lock()
-	m.shard = g.next % len(g.shards)
+	i := g.next % len(g.shards)
 	g.next++
+	sh := g.shards[i]
+	if len(sh.slab) == 0 {
+		sh.slab = make([]Member[K, S, Q], slabChunk)
+	}
+	m := &sh.slab[0]
+	sh.slab = sh.slab[1:]
+	*m = Member[K, S, Q]{Key: key, State: state, shard: i, discard: g.hooks.Discard, ring: ring}
 	g.byKey[key] = m
 	g.mu.Unlock()
 
-	sh := g.shards[m.shard]
 	sh.mu.Lock()
 	if sh.stopped {
 		// Nothing would ever stop a member attached now, so undo the
@@ -330,6 +373,7 @@ func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
 		// cannot race Stop: it is set under the lock that lists members.
 		sh.mu.Unlock()
 		g.forget(m)
+		*m = Member[K, S, Q]{}
 		for _, q := range first {
 			g.hooks.Discard(q)
 		}
@@ -350,22 +394,27 @@ func (g *Group[K, S, D, Q]) Attach(key K, state S, first ...Q) bool {
 
 // Remove detaches key's member, reporting whether this call was the one
 // that detached it (false when it was never attached, already evicted, or
-// the Group stopped).
+// the Group stopped). The member's shard is read under g.mu: an eviction
+// clears the slot only after its forget, which takes g.mu too.
 func (g *Group[K, S, D, Q]) Remove(key K) bool {
 	g.mu.Lock()
 	m := g.byKey[key]
 	delete(g.byKey, key)
+	var sh *shard[K, S, D, Q]
+	if m != nil {
+		sh = g.shards[m.shard]
+	}
 	g.mu.Unlock()
 	if m == nil {
 		return false
 	}
-	sh := g.shards[m.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i := slices.Index(sh.members, m)
 	if i >= 0 {
 		sh.removeAt(i)
 		m.purge()
+		m.leave()
 	}
 	return i >= 0
 }
@@ -428,13 +477,19 @@ func (g *Group[K, S, D, Q]) send(sh *shard[K, S, D, Q], b *batch[K, S, Q]) {
 	for i := b.cursor.Add(1) - 1; i < n; i = b.cursor.Add(1) - 1 {
 		e := &b.entries[i]
 		if g.hooks.Send(e.m.Key, e.q) != nil {
-			e.m.Key.Close()
+			m := e.m
+			m.Key.Close()
 			// The member stays owned, so no worker sends to it again: what
 			// piles up behind the failed connection is discarded here and
-			// when its owner removes it.
+			// when its owner removes it. The batch lets go of it now, so
+			// the one that has left already is cleared here.
 			sh.mu.Lock()
-			e.m.dead = true
-			e.m.purge()
+			m.dead = true
+			m.purge()
+			e.m = nil
+			if m.gone {
+				*m = Member[K, S, Q]{}
+			}
 			sh.mu.Unlock()
 		}
 	}
@@ -498,6 +553,9 @@ func (g *Group[K, S, D, Q]) turn(sh *shard[K, S, D, Q], b, nb *batch[K, S, Q]) b
 		g.forget(m)
 		m.Key.Close()
 		g.hooks.Evicted(m.Key)
+		sh.mu.Lock()
+		m.leave()
+		sh.mu.Unlock()
 	}
 	if walked {
 		g.hooks.Done(d, t)
@@ -527,7 +585,8 @@ func takeover[K Conn, S, Q any](c, nb *batch[K, S, Q]) {
 // walk offers d to the shard's members: straight into b for an idle member,
 // onto its queue for one whose previous item is still in b or in flight.
 // The caller holds the shard lock; hopeless members are taken out of the
-// shard here and returned for the caller to close.
+// shard here and returned for the caller to close. Their slots are cleared
+// only after that (leave), as closing them reads Key with no lock held.
 func (g *Group[K, S, D, Q]) walk(sh *shard[K, S, D, Q], b *batch[K, S, Q], d D) (t Tally, evicted []*Member[K, S, Q]) {
 	for i := 0; i < len(sh.members); i++ {
 		m := sh.members[i]
@@ -601,6 +660,7 @@ func (g *Group[K, S, D, Q]) Stop() []K {
 		for _, m := range sh.members {
 			m.purge()
 			keys = append(keys, m.Key)
+			m.leave()
 		}
 		sh.members = nil
 		sh.n.Store(0)

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+	"weak"
 
 	"periscope/internal/leakcheck"
 )
@@ -815,5 +817,126 @@ func TestSteadyStateDeliveryAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, deliver); allocs != 0 {
 		t.Errorf("%v allocations per descriptor delivered to %d members, want 0", allocs, members)
+	}
+}
+
+// TestShardsShareNoCacheLine: a shard's workers write its members' state on
+// every walk and every batch return, so a 64-byte line holding members of
+// two shards is written by two workers at once. Members attached from one
+// goroutine alternate shards; the slabs must still keep each line to one
+// shard.
+func TestShardsShareNoCacheLine(t *testing.T) {
+	const line, members = 64, 1000
+	for _, shards := range []int{2, 4} {
+		r := newRig(shards, 4, 8)
+		for i := 0; i < members; i++ {
+			r.Attach(&conn{}, 0)
+		}
+		owner := map[uintptr]int{} // line address → shard
+		for s, sh := range r.shards {
+			sh.mu.Lock()
+			for _, m := range sh.members {
+				start := uintptr(unsafe.Pointer(m))
+				for l := start &^ (line - 1); l < start+unsafe.Sizeof(*m); l += line {
+					if o, ok := owner[l]; ok && o != s {
+						t.Errorf("%d shards: line %#x holds members of shards %d and %d", shards, l, o, s)
+					}
+					owner[l] = s
+				}
+			}
+			sh.mu.Unlock()
+		}
+		if len(r.Stop()) != members {
+			t.Errorf("%d shards: Stop detached fewer than the %d members attached", shards, members)
+		}
+	}
+}
+
+// TestDepartedMembersPinNothing: a member's slot lives as long as its slab,
+// which any attached slab-mate keeps alive, so a member that has left must
+// leave nothing reachable from its slot — not its connection above all. For
+// each way of leaving, with a slab-mate still attached, the departed
+// member's key must be collectable.
+func TestDepartedMembersPinNothing(t *testing.T) {
+	const depth, hopeless = 2, 3
+	for _, tc := range []struct {
+		name  string
+		leave func(t *testing.T, r *rig) weak.Pointer[conn]
+	}{
+		{name: "remove idle", leave: func(t *testing.T, r *rig) weak.Pointer[conn] {
+			c := &conn{}
+			r.Attach(c, 0)
+			if !r.Remove(c) {
+				t.Error("Remove of an attached member reported false")
+			}
+			return weak.Make(c)
+		}},
+		{name: "remove in flight", leave: func(t *testing.T, r *rig) weak.Pointer[conn] {
+			c := stalledConn()
+			r.Attach(c, 0)
+			r.deliverN(t, 0, 1, nil)
+			<-c.entered
+			if !r.Remove(c) {
+				t.Error("Remove of an attached member reported false")
+			}
+			close(c.stall)
+			return weak.Make(c)
+		}},
+		{name: "evict", leave: func(t *testing.T, r *rig) weak.Pointer[conn] {
+			c := stalledConn()
+			r.Attach(c, 0)
+			r.deliverN(t, 0, 1, nil)
+			<-c.entered
+			r.deliverN(t, 1, depth+hopeless, nil)
+			waitFor(t, "the stalled member's eviction", func() bool { return r.evicted.Load() == 1 })
+			close(c.stall)
+			return weak.Make(c)
+		}},
+		{name: "send error", leave: func(t *testing.T, r *rig) weak.Pointer[conn] {
+			c := &conn{}
+			r.Attach(c, 0)
+			r.send = func(_ *conn, it *item) error {
+				it.sent.Add(1)
+				return errors.New("broken pipe")
+			}
+			r.deliverN(t, 0, 1, nil)
+			waitFor(t, "the failed connection's close", func() bool { return c.closes.Load() == 1 })
+			if !r.Remove(c) {
+				t.Error("member with a failed connection was no longer attached")
+			}
+			return weak.Make(c)
+		}},
+		{name: "remove, then send error", leave: func(t *testing.T, r *rig) weak.Pointer[conn] {
+			c := stalledConn()
+			r.Attach(c, 0)
+			r.send = func(c *conn, it *item) error {
+				r.stallableSend(c, it)
+				return errors.New("broken pipe")
+			}
+			r.deliverN(t, 0, 1, nil)
+			<-c.entered
+			if !r.Remove(c) {
+				t.Error("Remove of an attached member reported false")
+			}
+			close(c.stall)
+			waitFor(t, "the failed connection's close", func() bool { return c.closes.Load() == 1 })
+			return weak.Make(c)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(1, depth, hopeless)
+			defer r.Stop()
+			mate := &conn{}
+			r.Attach(mate, 0)
+			w := tc.leave(t, r)
+			waitFor(t, "the departed member's key to be collected", func() bool {
+				runtime.GC()
+				return w.Value() == nil
+			})
+			if r.Len() != 1 {
+				t.Errorf("%d members attached, want the slab-mate alone", r.Len())
+			}
+			r.settle(t)
+		})
 	}
 }

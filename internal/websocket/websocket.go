@@ -48,6 +48,22 @@ const MaxMessage = 128 << 10
 // 1009 (message too big, RFC 6455 §7.4.1).
 var errTooBig = fmt.Errorf("websocket: message over %d bytes refused", MaxMessage)
 
+// maxControl bounds a control frame's payload (RFC 6455 §5.5).
+const maxControl = 125
+
+// errProtocol is what every frame that breaks RFC 6455's framing rules is
+// refused as; the peer is sent close code 1002 (protocol error, §7.4.1).
+var errProtocol = errors.New("websocket: protocol error")
+
+var (
+	errReservedBits   = fmt.Errorf("%w: reserved bits set", errProtocol)
+	errReservedOpcode = fmt.Errorf("%w: reserved opcode", errProtocol)
+	errControlFrame   = fmt.Errorf("%w: control frame fragmented or over %d bytes", errProtocol, maxControl)
+	errMasking        = fmt.Errorf("%w: frame masked against its direction", errProtocol)
+	errContinuation   = fmt.Errorf("%w: continuation without start", errProtocol)
+	errInterleaved    = fmt.Errorf("%w: interleaved data frames", errProtocol)
+)
+
 // Conn is an established WebSocket connection.
 type Conn struct {
 	nc     net.Conn
@@ -249,19 +265,29 @@ func (c *Conn) write(frame []byte) error {
 }
 
 // ReadMessage returns the next complete data message, transparently
-// answering pings and reassembling fragmented messages.
+// answering pings and reassembling fragmented messages. A frame that breaks
+// RFC 6455's framing rules or a message past MaxMessage ends the connection:
+// the peer is sent the close code that says why.
 func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 	if c.closed.Load() {
 		return 0, nil, ErrClosed
 	}
-	var assembled []byte
+	var msg []byte
 	msgOp := 0
 	for {
-		fin, op, data, err := c.readFrame(MaxMessage - len(assembled))
-		if err == errTooBig {
-			c.sendClose([]byte{1009 >> 8, 1009 & 0xFF})
+		fin, op, data, err := c.readFrame(msg)
+		switch {
+		case err != nil:
+		case op == OpContinuation && msgOp == 0:
+			err = errContinuation
+		case op == OpText || op == OpBinary:
+			if msgOp != 0 {
+				err = errInterleaved
+			}
+			msgOp = op
 		}
 		if err != nil {
+			c.refuse(err)
 			return 0, nil, err
 		}
 		switch op {
@@ -269,34 +295,35 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 			if err := c.writeFrame(OpPong, data); err != nil {
 				return 0, nil, err
 			}
-			continue
 		case OpPong:
-			continue
 		case OpClose:
 			c.closed.Store(true)
 			// Echo the close frame best-effort, then report closed.
 			c.writeFrame(OpClose, nil)
 			return 0, nil, ErrClosed
-		case OpContinuation:
-			if msgOp == 0 {
-				return 0, nil, errors.New("websocket: continuation without start")
-			}
-			assembled = append(assembled, data...)
 		default:
-			if msgOp != 0 {
-				return 0, nil, errors.New("websocket: interleaved data frames")
+			if msg = data; fin {
+				return msgOp, msg, nil
 			}
-			msgOp = op
-			assembled = append(assembled, data...)
-		}
-		if fin && msgOp != 0 {
-			return msgOp, assembled, nil
 		}
 	}
 }
 
-// readFrame reads one frame, refusing one whose payload is over limit.
-func (c *Conn) readFrame(limit int) (fin bool, opcode int, payload []byte, err error) {
+// refuse tells the peer why the frame just read ends the connection.
+func (c *Conn) refuse(err error) {
+	switch {
+	case errors.Is(err, errTooBig):
+		c.sendClose([]byte{1009 >> 8, 1009 & 0xFF})
+	case errors.Is(err, errProtocol):
+		c.sendClose([]byte{1002 >> 8, 1002 & 0xFF})
+	}
+}
+
+// readFrame reads one frame, refusing it on its header when it breaks a
+// framing rule or would take msg past MaxMessage. A data frame's payload is
+// appended to msg, in place when msg has room; a control frame's payload
+// comes back on its own.
+func (c *Conn) readFrame(msg []byte) (fin bool, opcode int, payload []byte, err error) {
 	var h [2]byte
 	if _, err := io.ReadFull(c.br, h[:]); err != nil {
 		return false, 0, nil, err
@@ -306,6 +333,22 @@ func (c *Conn) readFrame(limit int) (fin bool, opcode int, payload []byte, err e
 	opcode = int(h[0] & 0x0F)
 	masked := h[1]&0x80 != 0
 	length := uint64(h[1] & 0x7F)
+	control := opcode >= OpClose
+	switch {
+	case h[0]&0x70 != 0:
+		return false, 0, nil, errReservedBits
+	case opcode > OpBinary && opcode < OpClose, opcode > OpPong:
+		return false, 0, nil, errReservedOpcode
+	case control && (!fin || length > maxControl):
+		return false, 0, nil, errControlFrame
+	case masked == c.client:
+		// Only a client masks: a server's frames must be, a client's
+		// must not be (RFC 6455 §5.1).
+		return false, 0, nil, errMasking
+	}
+	if control {
+		msg = nil
+	}
 	switch length {
 	case 126:
 		var ext [2]byte
@@ -322,7 +365,7 @@ func (c *Conn) readFrame(limit int) (fin bool, opcode int, payload []byte, err e
 		c.BytesRead.Add(8)
 		length = binary.BigEndian.Uint64(ext[:])
 	}
-	if length > uint64(limit) {
+	if length > uint64(MaxMessage-len(msg)) {
 		return false, 0, nil, errTooBig
 	}
 	var mask [4]byte
@@ -332,17 +375,31 @@ func (c *Conn) readFrame(limit int) (fin bool, opcode int, payload []byte, err e
 		}
 		c.BytesRead.Add(4)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
+	payload = grow(msg, int(length))
+	body := payload[len(msg):]
+	if _, err := io.ReadFull(c.br, body); err != nil {
 		return false, 0, nil, err
 	}
 	c.BytesRead.Add(int64(length))
 	if masked {
-		for i := range payload {
-			payload[i] ^= mask[i&3]
+		for i := range body {
+			body[i] ^= mask[i&3]
 		}
 	}
 	return fin, opcode, payload, nil
+}
+
+// grow extends msg by n bytes. A first frame gets a buffer of exactly its
+// size; a message read in fragments at least doubles its buffer, up to
+// MaxMessage, whenever it runs out of room, so its buffers add up to under
+// four times its length.
+func grow(msg []byte, n int) []byte {
+	if need := len(msg) + n; need > cap(msg) {
+		grown := make([]byte, len(msg), max(need, min(2*cap(msg), MaxMessage)))
+		copy(grown, msg)
+		msg = grown
+	}
+	return msg[:len(msg)+n]
 }
 
 // closeGrace bounds how long Close waits to get its close frame out. A

@@ -253,8 +253,8 @@ func TestFrameIsOneTransportWrite(t *testing.T) {
 			t.Fatalf("client=%v: %d frames took %d transport writes", client, len(want), len(rec.writes))
 		}
 		for i, w := range rec.writes {
-			peer := &Conn{br: bufio.NewReader(bytes.NewReader(w))}
-			fin, op, payload, err := peer.readFrame(MaxMessage)
+			peer := &Conn{br: bufio.NewReader(bytes.NewReader(w)), client: !client}
+			fin, op, payload, err := peer.readFrame(nil)
 			if err != nil || !fin || op != want[i].op || !bytes.Equal(payload, want[i].payload) {
 				t.Errorf("client=%v: write %d is not frame %d (op %d, %d bytes): fin=%v op=%d len=%d err=%v",
 					client, i, i, want[i].op, len(want[i].payload), fin, op, len(payload), err)
@@ -353,18 +353,21 @@ func readRefused(t *testing.T, c *Conn) error {
 		return err
 	case <-time.After(5 * time.Second):
 		c.nc.Close()
-		t.Fatal("ReadMessage neither refused nor returned the oversized message")
+		t.Fatal("ReadMessage neither refused nor returned the message")
 		return nil
 	}
 }
 
-// wantCloseTooBig checks that the server answered with close code 1009.
-func wantCloseTooBig(t *testing.T, c *Conn, p *hostilePeer) {
+// wantClose checks that all c wrote to its peer is one close frame with
+// the given code.
+func wantClose(t *testing.T, c *Conn, p *hostilePeer, code uint16) {
 	t.Helper()
 	c.nc.Close()
 	got := <-p.got
-	if want := []byte{0x80 | OpClose, 2, 0x03, 0xF1}; !bytes.Equal(got, want) {
-		t.Errorf("server wrote % x, want a close frame with code 1009 (% x)", got, want)
+	peer := &Conn{br: bufio.NewReader(bytes.NewReader(got)), client: !c.client}
+	_, op, payload, err := peer.readFrame(nil)
+	if want := binary.BigEndian.AppendUint16(nil, code); err != nil || op != OpClose || !bytes.Equal(payload, want) || peer.br.Buffered() != 0 {
+		t.Errorf("wrote %d bytes (% x…), want only a close frame with code %d", len(got), got[:min(len(got), 16)], code)
 	}
 }
 
@@ -385,7 +388,7 @@ func TestHugeFrameRefusedBeforeAllocation(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= MaxMessage {
 		t.Errorf("refusing the frame allocated %d bytes, want under MaxMessage (%d)", grew, MaxMessage)
 	}
-	wantCloseTooBig(t, c, p)
+	wantClose(t, c, p, 1009)
 }
 
 // TestFragmentFloodRefusedAtBound: a message sent as ever more small
@@ -413,5 +416,157 @@ func TestFragmentFloodRefusedAtBound(t *testing.T) {
 	if got := sent.Load(); got > MaxMessage+frag {
 		t.Errorf("the server read %d payload bytes before refusing, want at most MaxMessage (%d) and a frame", got, MaxMessage)
 	}
-	wantCloseTooBig(t, c, p)
+	wantClose(t, c, p, 1009)
+}
+
+// refusesAsProtocolError sends frames that break a framing rule, then a
+// well-formed message, to a connection in the given role. It must refuse
+// them as a protocol error before the message, answering nothing but a
+// close frame with code 1002.
+func refusesAsProtocolError(t *testing.T, client bool, frames ...[]byte) {
+	t.Helper()
+	c, p := newHostilePeer(t)
+	defer p.Close()
+	c.client = client
+	go func() {
+		for _, f := range append(frames, shortFrame(OpText, "ok", !client)) {
+			if _, err := p.Write(f); err != nil {
+				return
+			}
+		}
+	}()
+	if err := readRefused(t, c); !errors.Is(err, errProtocol) {
+		t.Errorf("ReadMessage = %v, want the frame refused as a protocol error", err)
+	}
+	wantClose(t, c, p, 1002)
+}
+
+// TestOversizedControlFrameRefused: a control frame carries at most 125
+// bytes, so a 128 KiB ping is refused on its header, not answered with a
+// 128 KiB pong.
+func TestOversizedControlFrameRefused(t *testing.T) {
+	refusesAsProtocolError(t, false, append(maskedHeader(OpPing, true, MaxMessage), make([]byte, MaxMessage)...))
+}
+
+// TestFragmentedControlFrameRefused: control frames must not be fragmented.
+func TestFragmentedControlFrameRefused(t *testing.T) {
+	refusesAsProtocolError(t, false, append(maskedHeader(OpPing, false, 4), "beat"...))
+}
+
+// TestReservedOpcodeRefused: opcodes 0x3–0x7 and 0xB–0xF are reserved; a
+// frame carrying one is not a message.
+func TestReservedOpcodeRefused(t *testing.T) {
+	for _, op := range []byte{0x3, 0x7, 0xB, 0xF} {
+		refusesAsProtocolError(t, false, append(maskedHeader(op, true, 2), "hi"...))
+	}
+}
+
+// TestReservedBitsRefused: with no extension negotiated, RSV1–3 must be 0.
+func TestReservedBitsRefused(t *testing.T) {
+	for _, rsv := range []byte{0x40, 0x20, 0x10} {
+		f := append(maskedHeader(OpText, true, 2), "hi"...)
+		f[0] |= rsv
+		refusesAsProtocolError(t, false, f)
+	}
+}
+
+// TestUnmaskedFrameToServerRefused: every frame a client sends is masked.
+func TestUnmaskedFrameToServerRefused(t *testing.T) {
+	refusesAsProtocolError(t, false, shortFrame(OpText, "hi", false))
+}
+
+// TestMaskedFrameToClientRefused: a server never masks its frames.
+func TestMaskedFrameToClientRefused(t *testing.T) {
+	refusesAsProtocolError(t, true, shortFrame(OpText, "hi", true))
+}
+
+// stream is a transport that plays a peer's byte stream and discards what
+// is written to it, allocating nothing of its own.
+type stream struct {
+	net.Conn
+	in bytes.Reader
+}
+
+func (s *stream) Read(b []byte) (int, error)       { return s.in.Read(b) }
+func (s *stream) Write(b []byte) (int, error)      { return len(b), nil }
+func (s *stream) Close() error                     { return nil }
+func (s *stream) SetWriteDeadline(time.Time) error { return nil }
+
+func streamConn(peer []byte, client bool) *Conn {
+	s := &stream{}
+	s.in.Reset(peer)
+	return &Conn{nc: s, br: bufio.NewReader(s), client: client}
+}
+
+func heapBytes(fn func()) uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	fn()
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc - before
+}
+
+// framed is message (op, payload) as its peer would send it to a
+// connection in the given role, built by newFrame: whole when size is 0,
+// else in fragments of size bytes, with a ping after each fragment but the
+// last when pings is set.
+func framed(op int, payload []byte, size int, pings, client bool) []byte {
+	if size == 0 {
+		return newFrame(op, payload, !client)
+	}
+	var out []byte
+	for first := true; first || len(payload) > 0; first = false {
+		n := min(size, len(payload))
+		f := newFrame(op, payload[:n], !client)
+		if payload = payload[n:]; len(payload) > 0 {
+			f[0] &^= 0x80 // not the final fragment
+		}
+		out = append(out, f...)
+		if pings && len(payload) > 0 {
+			out = append(out, newFrame(OpPing, []byte("beat"), !client)...)
+		}
+		op = OpContinuation
+	}
+	return out
+}
+
+// FuzzReadMessage plays any bytes as the peer's stream to a server and to a
+// client connection. Neither panics, and neither allocates more than one
+// frame's MaxMessage bound plus a small constant per byte the peer sent: a
+// header announcing more is refused before its payload is allocated, and
+// fragments are reassembled by doubling. The same bytes, read as a message
+// (the first byte picks the opcode, the fragment size and pings between
+// fragments; the rest is the payload) and framed by newFrame within the
+// rules, read back unchanged.
+func FuzzReadMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		server, client := streamConn(data, false), streamConn(data, true)
+		allocated := heapBytes(func() {
+			for _, c := range []*Conn{server, client} {
+				for {
+					if _, _, err := c.ReadMessage(); err != nil {
+						break
+					}
+				}
+			}
+		})
+		if limit := 2 * (MaxMessage + 1<<10 + 4*uint64(len(data))); allocated > limit {
+			t.Fatalf("%d bytes from the peer, read by a server and a client, allocated %d, limit %d", len(data), allocated, limit)
+		}
+
+		for _, client := range []bool{false, true} {
+			var ctl byte
+			payload := data
+			if len(data) > 0 {
+				ctl, payload = data[0], data[1:min(len(data), MaxMessage+1)]
+			}
+			op, size, pings := OpText+int(ctl&1), int(ctl>>2), ctl&2 != 0
+			c := streamConn(framed(op, payload, size, pings, client), client)
+			if gotOp, got, err := c.ReadMessage(); err != nil || gotOp != op || !bytes.Equal(got, payload) {
+				t.Fatalf("client=%v: op %d, %d bytes in fragments of %d (pings %v) read back as op %d, %d bytes, err %v",
+					client, op, len(payload), size, pings, gotOp, len(got), err)
+			}
+		}
+	})
 }
