@@ -102,20 +102,6 @@ func ParseADTS(data []byte) (ADTSFrame, int, error) {
 	return ADTSFrame{Channels: channels, Payload: data[headerLen:frameLen]}, frameLen, nil
 }
 
-// ParseADTSStream splits a concatenation of ADTS frames.
-func ParseADTSStream(data []byte) ([]ADTSFrame, error) {
-	var frames []ADTSFrame
-	for len(data) > 0 {
-		f, n, err := ParseADTS(data)
-		if err != nil {
-			return frames, err
-		}
-		frames = append(frames, f)
-		data = data[n:]
-	}
-	return frames, nil
-}
-
 // FrameSizer produces VBR frame sizes averaging the configured bitrate.
 // Sizes vary ±35% frame to frame, mimicking the variable bit rate mode the
 // study observed.

@@ -38,26 +38,6 @@ func TestADTSRoundTrip(t *testing.T) {
 	}
 }
 
-func TestADTSStream(t *testing.T) {
-	cfg := DefaultConfig()
-	var stream []byte
-	for i := 0; i < 5; i++ {
-		stream = append(stream, MarshalADTS(cfg, make([]byte, 10+i))...)
-	}
-	frames, err := ParseADTSStream(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 5 {
-		t.Fatalf("got %d frames, want 5", len(frames))
-	}
-	for i, f := range frames {
-		if len(f.Payload) != 10+i {
-			t.Errorf("frame %d payload len %d, want %d", i, len(f.Payload), 10+i)
-		}
-	}
-}
-
 func TestADTSBadSync(t *testing.T) {
 	if _, _, err := ParseADTS([]byte{0, 0, 0, 0, 0, 0, 0}); err != ErrNotADTS {
 		t.Errorf("err = %v, want ErrNotADTS", err)

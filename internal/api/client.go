@@ -96,7 +96,6 @@ type Client struct {
 	// setups; nil means time.Sleep.
 	Sleep func(time.Duration)
 
-	requests    atomic.Int64
 	rateLimited atomic.Int64
 }
 
@@ -114,9 +113,6 @@ func (c *Client) WithRetry(p RetryPolicy) *Client {
 	c.Retry = p
 	return c
 }
-
-// Requests counts issued HTTP attempts (retries included).
-func (c *Client) Requests() int { return int(c.requests.Load()) }
 
 // RateLimited counts 429 responses received (retries included).
 func (c *Client) RateLimited() int { return int(c.rateLimited.Load()) }
@@ -186,7 +182,6 @@ func (c *Client) do(name string, req, resp any) error {
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	httpReq.Header.Set(SessionHeader, c.Session)
-	c.requests.Add(1)
 	httpResp, err := c.HTTP.Do(httpReq)
 	if err != nil {
 		return err

@@ -10,22 +10,29 @@ import (
 // (logged-in user) gets its own allowance, which is why the crawler ran
 // four emulators "with different user logged in (avoids rate limiting)".
 //
-// The bucket table is sharded: a key hashes to one of N shards, each with
-// its own mutex and map, so concurrent sessions only contend when they
-// land on the same shard — the limiter no longer serializes all API
-// traffic through one global lock. Buckets idle longer than IdleTTL are
-// evicted by an amortized per-shard sweep piggybacked on Take, so the
+// The bucket table is sharded: a key hashes to one of rlShards shards,
+// each with its own mutex and map, so concurrent sessions only contend
+// when they land on the same shard — the limiter no longer serializes all
+// API traffic through one global lock. Buckets idle longer than rlIdleTTL
+// are evicted by an amortized per-shard sweep piggybacked on Take, so the
 // table stays bounded over long campaigns without a background goroutine
 // (which would not see virtual-time clocks anyway).
 type RateLimiter struct {
 	rate  float64 // requests per second
 	burst float64
-	ttl   time.Duration
-	mask  uint32
 	nowFn atomic.Pointer[func() time.Time]
 
-	shards []rlShard
+	shards [rlShards]rlShard
 }
+
+const (
+	// rlShards is the bucket-table shard count, a power of two so a key's
+	// hash selects its shard by mask.
+	rlShards = 32
+	// rlIdleTTL evicts buckets idle this long. Eviction cannot be
+	// disabled: the table would grow with every session ever seen.
+	rlIdleTTL = 5 * time.Minute
+)
 
 type rlShard struct {
 	mu        sync.Mutex
@@ -40,49 +47,10 @@ type rlBucket struct {
 	lastFill time.Time
 }
 
-// RateLimiterConfig tunes the sharded limiter.
-type RateLimiterConfig struct {
-	// Rate is the sustained per-key request rate (req/s); Burst the bucket
-	// depth.
-	Rate  float64
-	Burst float64
-	// Shards is the bucket-table shard count (rounded up to a power of
-	// two). Default 32.
-	Shards int
-	// IdleTTL evicts buckets idle this long. <= 0 means the default of
-	// five minutes; eviction cannot be disabled because the table would
-	// grow with every session ever seen.
-	IdleTTL time.Duration
-}
-
-// NewRateLimiter creates a limiter with the given sustained rate and burst
-// and default sharding/eviction.
+// NewRateLimiter creates a limiter with the given sustained per-key rate
+// (req/s) and bucket depth.
 func NewRateLimiter(rate, burst float64) *RateLimiter {
-	return NewShardedRateLimiter(RateLimiterConfig{Rate: rate, Burst: burst})
-}
-
-// NewShardedRateLimiter creates a limiter from an explicit config.
-func NewShardedRateLimiter(cfg RateLimiterConfig) *RateLimiter {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 32
-	}
-	// Round up to a power of two for mask-based shard selection.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	ttl := cfg.IdleTTL
-	if ttl <= 0 {
-		ttl = 5 * time.Minute
-	}
-	rl := &RateLimiter{
-		rate:   cfg.Rate,
-		burst:  cfg.Burst,
-		ttl:    ttl,
-		mask:   uint32(p - 1),
-		shards: make([]rlShard, p),
-	}
+	rl := &RateLimiter{rate: rate, burst: burst}
 	for i := range rl.shards {
 		rl.shards[i].buckets = map[string]*rlBucket{}
 	}
@@ -116,7 +84,7 @@ func (rl *RateLimiter) Allow(key string) bool {
 // value the 429 response carries.
 func (rl *RateLimiter) Take(key string) (bool, time.Duration) {
 	now := rl.now()
-	sh := &rl.shards[hashKey(key)&rl.mask]
+	sh := &rl.shards[hashKey(key)&(rlShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b, ok := sh.buckets[key]
@@ -133,43 +101,27 @@ func (rl *RateLimiter) Take(key string) (bool, time.Duration) {
 	b.lastFill = now
 	if sh.lastSweep.IsZero() {
 		sh.lastSweep = now
-	} else if now.Sub(sh.lastSweep) >= rl.ttl {
-		sh.sweep(now, rl.ttl)
+	} else if now.Sub(sh.lastSweep) >= rlIdleTTL {
+		sh.sweep(now)
 	}
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0
 	}
 	if rl.rate <= 0 {
-		return false, rl.ttl
+		return false, rlIdleTTL
 	}
 	return false, time.Duration((1 - b.tokens) / rl.rate * float64(time.Second))
 }
 
 // sweep drops the shard's idle buckets; the caller holds sh.mu.
-func (sh *rlShard) sweep(now time.Time, ttl time.Duration) {
+func (sh *rlShard) sweep(now time.Time) {
 	for k, b := range sh.buckets {
-		if now.Sub(b.lastFill) >= ttl {
+		if now.Sub(b.lastFill) >= rlIdleTTL {
 			delete(sh.buckets, k)
 		}
 	}
 	sh.lastSweep = now
-}
-
-// EvictIdle forces a sweep of every shard and returns how many buckets
-// remain. Tests use it for deterministic eviction; production relies on
-// the amortized per-shard sweeps.
-func (rl *RateLimiter) EvictIdle() int {
-	now := rl.now()
-	n := 0
-	for i := range rl.shards {
-		sh := &rl.shards[i]
-		sh.mu.Lock()
-		sh.sweep(now, rl.ttl)
-		n += len(sh.buckets)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Len returns the current bucket count across all shards.

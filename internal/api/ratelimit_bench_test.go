@@ -42,7 +42,7 @@ func (g *globalMutexLimiter) allow(key string, now time.Time) bool {
 func BenchmarkRateLimiterSharded(b *testing.B) {
 	for _, par := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("sessions-%d", par), func(b *testing.B) {
-			rl := NewShardedRateLimiter(RateLimiterConfig{Rate: 1e9, Burst: 1e9, Shards: 32, IdleTTL: time.Minute})
+			rl := NewRateLimiter(1e9, 1e9)
 			// Fixed clock, like the baseline below, so the comparison is
 			// pure table contention, not time.Now cost.
 			now := time.Date(2016, 4, 1, 12, 0, 0, 0, time.UTC)

@@ -75,25 +75,43 @@ func TestRateLimiterRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRateLimiterEvictIdle drives eviction through the sweep Allow runs:
+// one request per shard, once the idle TTL has passed, empties the table
+// of idle sessions and keeps the one that was active recently.
 func TestRateLimiterEvictIdle(t *testing.T) {
 	clk := newManualClock()
-	rl := NewShardedRateLimiter(RateLimiterConfig{Rate: 10, Burst: 10, Shards: 8, IdleTTL: time.Minute})
+	rl := NewRateLimiter(10, 10)
 	rl.SetNowFunc(clk.Now)
+	// probeKeys[i] hashes to shard i: one Allow each reaches every shard.
+	var probeKeys [rlShards]string
+	for i, n := 0, 0; i < rlShards; n++ {
+		if k := fmt.Sprintf("probe-%d", n); hashKey(k)&(rlShards-1) == uint32(i) {
+			probeKeys[i] = k
+			i++
+		}
+	}
+	probeAll := func() {
+		for _, k := range probeKeys {
+			rl.Allow(k)
+		}
+	}
 	for i := 0; i < 100; i++ {
 		rl.Allow(fmt.Sprintf("sess-%d", i))
 	}
 	if got := rl.Len(); got != 100 {
 		t.Fatalf("Len = %d, want 100", got)
 	}
-	clk.Advance(30 * time.Second)
-	rl.Allow("survivor") // recent activity must survive the sweep
-	clk.Advance(45 * time.Second)
-	if got := rl.EvictIdle(); got != 1 {
-		t.Errorf("after eviction Len = %d, want 1 (only survivor)", got)
+	clk.Advance(rlIdleTTL / 2)
+	rl.Allow("sess-0") // recent activity must survive the sweep
+	clk.Advance(rlIdleTTL * 3 / 4)
+	probeAll()
+	if got := rl.Len(); got != 1+rlShards {
+		t.Errorf("after eviction Len = %d, want %d (sess-0 and the probes)", got, 1+rlShards)
 	}
-	clk.Advance(2 * time.Minute)
-	if got := rl.EvictIdle(); got != 0 {
-		t.Errorf("after full idle Len = %d, want 0", got)
+	clk.Advance(2 * rlIdleTTL)
+	probeAll()
+	if got := rl.Len(); got != rlShards {
+		t.Errorf("after full idle Len = %d, want %d (the probes just made)", got, rlShards)
 	}
 }
 
@@ -102,13 +120,13 @@ func TestRateLimiterEvictIdle(t *testing.T) {
 // not accumulate a bucket per session ever seen.
 func TestRateLimiterLazySweepBoundsTable(t *testing.T) {
 	clk := newManualClock()
-	rl := NewShardedRateLimiter(RateLimiterConfig{Rate: 2, Burst: 6, Shards: 4, IdleTTL: time.Minute})
+	rl := NewRateLimiter(2, 6)
 	rl.SetNowFunc(clk.Now)
 	const sessions = 5000
 	for i := 0; i < sessions; i++ {
 		rl.Allow(fmt.Sprintf("one-shot-%d", i))
 		if i%20 == 19 {
-			clk.Advance(time.Second) // 250s total, >> TTL
+			clk.Advance(rlIdleTTL / 30) // 250 steps: ≈ 8 TTLs in total
 		}
 	}
 	if got := rl.Len(); got >= sessions/2 {
@@ -117,7 +135,7 @@ func TestRateLimiterLazySweepBoundsTable(t *testing.T) {
 }
 
 func TestRateLimiterConcurrentAccess(t *testing.T) {
-	rl := NewShardedRateLimiter(RateLimiterConfig{Rate: 1e6, Burst: 1e6, Shards: 16, IdleTTL: time.Minute})
+	rl := NewRateLimiter(1e6, 1e6)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

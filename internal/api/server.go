@@ -27,12 +27,6 @@ type ServerConfig struct {
 	// bucket depth. Zero rate disables limiting.
 	RateLimit float64
 	Burst     float64
-	// RateLimitShards is the limiter's bucket-table shard count
-	// (default 32).
-	RateLimitShards int
-	// RateLimitIdleTTL evicts per-session buckets idle this long
-	// (default 5 minutes).
-	RateLimitIdleTTL time.Duration
 	// MapVisibleCap bounds how many broadcasts one mapGeoBroadcastFeed
 	// response reveals — the reason zooming in uncovers more broadcasts
 	// and the deep crawl must recurse.
@@ -47,13 +41,11 @@ type ServerConfig struct {
 // DefaultServerConfig mirrors observed service behaviour.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		RateLimit:        2,
-		Burst:            6,
-		RateLimitShards:  32,
-		RateLimitIdleTTL: 5 * time.Minute,
-		MapVisibleCap:    50,
-		MaxBroadcastIDs:  100,
-		Seed:             1,
+		RateLimit:       2,
+		Burst:           6,
+		MapVisibleCap:   50,
+		MaxBroadcastIDs: 100,
+		Seed:            1,
 	}
 }
 
@@ -91,12 +83,7 @@ func NewServer(pop *broadcastmodel.Population, video VideoAccessProvider, cfg Se
 		metrics: newMetrics(EndpointNames()),
 	}
 	if cfg.RateLimit > 0 {
-		s.limiter = NewShardedRateLimiter(RateLimiterConfig{
-			Rate:    cfg.RateLimit,
-			Burst:   cfg.Burst,
-			Shards:  cfg.RateLimitShards,
-			IdleTTL: cfg.RateLimitIdleTTL,
-		})
+		s.limiter = NewRateLimiter(cfg.RateLimit, cfg.Burst)
 		s.limiter.SetNowFunc(func() time.Time { return pop.Now() })
 	}
 
@@ -124,10 +111,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Metrics returns a snapshot of the gateway counters.
 func (s *Server) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
-
-// Limiter exposes the rate limiter (nil when limiting is disabled) so the
-// service layer and tests can inspect the bucket table.
-func (s *Server) Limiter() *RateLimiter { return s.limiter }
 
 // desc renders a broadcast description. A non-zero viewersNow samples the
 // audience size at that instant; callers hoist Pop.Now() out of their

@@ -1,173 +1,19 @@
-// Package capture is the tcpdump substitute: it records timestamped byte
-// events per direction, builds traffic timelines (bytes per interval), and
-// computes the windowed rates the paper quotes (e.g. the aggregate data
-// rate rising from ~500 kbps to 3.5 Mbps when chat is enabled, §5.1). The
-// power model consumes these timelines to drive its radio state machine.
+// Package capture is the tcpdump substitute's output format: traffic
+// bucketed into fixed intervals, the timelines the power model consumes to
+// drive its radio state machine.
 package capture
 
-import (
-	"net"
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
-// Direction of a traffic event.
-type Direction int
-
-// Directions.
-const (
-	Down Direction = iota // towards the phone
-	Up
-)
-
-// Event is one timestamped transfer.
-type Event struct {
-	At    time.Time
-	Dir   Direction
-	Bytes int
-}
-
-// Recorder accumulates events, like a pcap ring buffer.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record adds one event.
-func (r *Recorder) Record(at time.Time, dir Direction, n int) {
-	if n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.events = append(r.events, Event{At: at, Dir: dir, Bytes: n})
-	r.mu.Unlock()
-}
-
-// Events returns a time-sorted snapshot.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	out := append([]Event(nil), r.events...)
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
-}
-
-// TotalBytes sums a direction's bytes (-1 for both).
-func (r *Recorder) TotalBytes(dir Direction) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n int64
-	for _, e := range r.events {
-		if dir < 0 || e.Dir == dir {
-			n += int64(e.Bytes)
-		}
-	}
-	return n
-}
-
-// Conn wraps a net.Conn so all reads/writes are recorded.
-func (r *Recorder) Conn(nc net.Conn) net.Conn { return &recConn{Conn: nc, rec: r} }
-
-type recConn struct {
-	net.Conn
-	rec *Recorder
-}
-
-func (c *recConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	if n > 0 {
-		c.rec.Record(time.Now(), Down, n)
-	}
-	return n, err
-}
-
-func (c *recConn) Write(b []byte) (int, error) {
-	n, err := c.Conn.Write(b)
-	if n > 0 {
-		c.rec.Record(time.Now(), Up, n)
-	}
-	return n, err
-}
-
-// Timeline is traffic bucketed into fixed intervals from a start instant.
+// Timeline is traffic bucketed into fixed intervals.
 type Timeline struct {
-	Start    time.Time
 	Interval time.Duration
 	// Buckets holds bytes transferred per interval (both directions).
 	Buckets []int64
-}
-
-// NewTimeline buckets events between start and end.
-func NewTimeline(events []Event, start time.Time, dur, interval time.Duration) *Timeline {
-	n := int(dur / interval)
-	if n <= 0 {
-		n = 1
-	}
-	tl := &Timeline{Start: start, Interval: interval, Buckets: make([]int64, n)}
-	for _, e := range events {
-		idx := int(e.At.Sub(start) / interval)
-		if idx >= 0 && idx < n {
-			tl.Buckets[idx] += int64(e.Bytes)
-		}
-	}
-	return tl
 }
 
 // SyntheticTimeline builds a timeline directly from per-bucket byte counts
 // (for model-tier scenarios with no real traffic).
 func SyntheticTimeline(interval time.Duration, buckets []int64) *Timeline {
 	return &Timeline{Interval: interval, Buckets: append([]int64(nil), buckets...)}
-}
-
-// Duration returns the covered time span.
-func (tl *Timeline) Duration() time.Duration {
-	return time.Duration(len(tl.Buckets)) * tl.Interval
-}
-
-// TotalBytes sums all buckets.
-func (tl *Timeline) TotalBytes() int64 {
-	var n int64
-	for _, b := range tl.Buckets {
-		n += b
-	}
-	return n
-}
-
-// AvgRateBps returns the mean rate in bits per second.
-func (tl *Timeline) AvgRateBps() float64 {
-	d := tl.Duration().Seconds()
-	if d == 0 {
-		return 0
-	}
-	return float64(tl.TotalBytes()) * 8 / d
-}
-
-// PeakRateBps returns the highest single-bucket rate in bits per second.
-func (tl *Timeline) PeakRateBps() float64 {
-	var peak int64
-	for _, b := range tl.Buckets {
-		if b > peak {
-			peak = b
-		}
-	}
-	return float64(peak) * 8 / tl.Interval.Seconds()
-}
-
-// ActiveFraction reports the fraction of buckets with any traffic — the
-// radio duty cycle driver.
-func (tl *Timeline) ActiveFraction() float64 {
-	if len(tl.Buckets) == 0 {
-		return 0
-	}
-	active := 0
-	for _, b := range tl.Buckets {
-		if b > 0 {
-			active++
-		}
-	}
-	return float64(active) / float64(len(tl.Buckets))
 }

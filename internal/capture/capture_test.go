@@ -1,83 +1,18 @@
 package capture
 
 import (
-	"io"
-	"net"
 	"testing"
 	"time"
 )
 
-func TestRecorderAndTimeline(t *testing.T) {
-	r := NewRecorder()
-	base := time.Unix(100, 0)
-	r.Record(base.Add(50*time.Millisecond), Down, 1000)
-	r.Record(base.Add(150*time.Millisecond), Down, 2000)
-	r.Record(base.Add(950*time.Millisecond), Up, 500)
-	r.Record(base.Add(5*time.Second), Down, 999) // outside window
-
-	tl := NewTimeline(r.Events(), base, time.Second, 100*time.Millisecond)
-	if len(tl.Buckets) != 10 {
-		t.Fatalf("buckets = %d", len(tl.Buckets))
-	}
-	if tl.Buckets[0] != 1000 || tl.Buckets[1] != 2000 || tl.Buckets[9] != 500 {
-		t.Errorf("buckets = %v", tl.Buckets)
-	}
-	if tl.TotalBytes() != 3500 {
-		t.Errorf("total = %d", tl.TotalBytes())
-	}
-	// 3500 bytes over 1s = 28 kbps.
-	if r := tl.AvgRateBps(); r != 28000 {
-		t.Errorf("avg rate = %v", r)
-	}
-	// Peak bucket 2000 B / 0.1 s = 160 kbps.
-	if p := tl.PeakRateBps(); p != 160000 {
-		t.Errorf("peak = %v", p)
-	}
-	if f := tl.ActiveFraction(); f != 0.3 {
-		t.Errorf("active fraction = %v", f)
-	}
-}
-
-func TestRecorderTotals(t *testing.T) {
-	r := NewRecorder()
-	r.Record(time.Now(), Down, 10)
-	r.Record(time.Now(), Up, 7)
-	r.Record(time.Now(), Down, 0) // ignored
-	if r.TotalBytes(Down) != 10 || r.TotalBytes(Up) != 7 || r.TotalBytes(-1) != 17 {
-		t.Errorf("totals: down=%d up=%d all=%d", r.TotalBytes(Down), r.TotalBytes(Up), r.TotalBytes(-1))
-	}
-}
-
-func TestRecordedConn(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	rec := NewRecorder()
-	wrapped := rec.Conn(a)
-	go func() {
-		b.Write([]byte("hello"))
-		buf := make([]byte, 5)
-		io.ReadFull(b, buf)
-	}()
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(wrapped, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wrapped.Write([]byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	if rec.TotalBytes(Down) != 5 || rec.TotalBytes(Up) != 5 {
-		t.Errorf("down=%d up=%d", rec.TotalBytes(Down), rec.TotalBytes(Up))
-	}
-}
-
 func TestSyntheticTimeline(t *testing.T) {
-	tl := SyntheticTimeline(time.Second, []int64{125000, 0, 125000})
-	if tl.Duration() != 3*time.Second {
-		t.Errorf("duration = %v", tl.Duration())
+	buckets := []int64{125000, 0, 125000}
+	tl := SyntheticTimeline(time.Second, buckets)
+	if tl.Interval != time.Second || len(tl.Buckets) != 3 || tl.Buckets[0] != 125000 || tl.Buckets[2] != 125000 {
+		t.Errorf("timeline = %+v", tl)
 	}
-	// 250 KB over 3 s ≈ 666.7 kbps.
-	if r := tl.AvgRateBps(); r < 666000 || r > 667000 {
-		t.Errorf("rate = %v", r)
+	buckets[0] = 0
+	if tl.Buckets[0] != 125000 {
+		t.Error("timeline shares the caller's bucket slice")
 	}
 }

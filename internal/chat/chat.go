@@ -205,28 +205,6 @@ func (s *Server) Lookup(id string) *Room {
 	return s.rooms[id]
 }
 
-// CloseRoom shuts a room down (broadcast ended).
-func (s *Server) CloseRoom(id string) {
-	s.mu.Lock()
-	r := s.unlistLocked(id)
-	s.mu.Unlock()
-	if r != nil {
-		r.Close()
-	}
-}
-
-// unlistLocked removes the room for id from the map and counts the close
-// (caller holds s.mu); the caller closes the returned room, if any,
-// outside the lock — Room.Close disconnects every member.
-func (s *Server) unlistLocked(id string) *Room {
-	r := s.rooms[id]
-	if r != nil {
-		delete(s.rooms, id)
-		s.roomsClosed++
-	}
-	return r
-}
-
 // BeginClose marks the room for id as ending and returns it (nil when no
 // room exists). The room stays open — members keep chatting while HLS
 // viewers drain — until CloseRoomIf finishes the job after the linger.
@@ -253,9 +231,10 @@ func (s *Server) CloseRoomIf(id string, want *Room) {
 		s.mu.Unlock()
 		return
 	}
-	s.unlistLocked(id)
+	delete(s.rooms, id)
+	s.roomsClosed++
 	s.mu.Unlock()
-	want.Close()
+	want.Close() // outside the lock: Room.Close disconnects every member
 }
 
 // Close shuts every room down (service shutdown).

@@ -413,9 +413,10 @@ func TestVisibilitySampling(t *testing.T) {
 	}
 }
 
-// TestRoomCloseRacesJoin drives Server.CloseRoom concurrently with
-// WebSocket upgrades: every join either lands in the room (and is then
-// disconnected by the close) or is refused — never wedged, never panicking.
+// TestRoomCloseRacesJoin drives the service's room close (BeginClose, then
+// CloseRoomIf) concurrently with WebSocket upgrades: every join either
+// lands in the room (and is then disconnected by the close) or is refused —
+// never wedged, never panicking.
 func TestRoomCloseRacesJoin(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		s := NewServer()
@@ -438,11 +439,11 @@ func TestRoomCloseRacesJoin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.CloseRoom(id)
+			s.CloseRoomIf(id, s.BeginClose(id))
 		}()
 		wg.Wait()
 		if room := s.Lookup(id); room != nil {
-			t.Fatalf("room %s still registered after CloseRoom", id)
+			t.Fatalf("room %s still registered after CloseRoomIf", id)
 		}
 		for _, c := range clients {
 			if c != nil {
@@ -635,7 +636,7 @@ func TestSnapshotMonotonicAcrossRoomClose(t *testing.T) {
 	if before.MessagesIn != 20 || before.MessagesOut != 20 || before.HeartTaps != 5 {
 		t.Fatalf("counters before close: %+v", before)
 	}
-	s.CloseRoom("mono")
+	s.CloseRoomIf("mono", s.BeginClose("mono"))
 	after := s.Snapshot()
 	if after.Rooms != 0 || after.Members != 0 {
 		t.Fatalf("gauges after close: %+v", after)

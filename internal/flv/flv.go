@@ -2,25 +2,15 @@
 // use for audio and video data: AVC video tags (keyframe/interframe, AVC
 // sequence headers with AVCDecoderConfigurationRecord, composition-time
 // offsets for B-frame reordering) and AAC audio tags (AudioSpecificConfig
-// sequence headers). A minimal FLV file reader/writer is included for
-// dumping reconstructed RTMP streams to disk, mirroring the paper's use of
-// the wireshark RTMP dissector to extract audio and video segments.
+// sequence headers).
 package flv
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"periscope/internal/avc"
-)
-
-// Tag types.
-const (
-	TagAudio      = 8
-	TagVideo      = 9
-	TagScriptData = 18
 )
 
 // Video frame types (upper nibble of the first video-data byte).
@@ -190,91 +180,4 @@ func ParseDecoderConfig(data []byte) (avc.SPS, avc.PPS, error) {
 		p += n
 	}
 	return sps, pps, nil
-}
-
-// Tag is a complete FLV tag as stored in a file.
-type Tag struct {
-	Type      uint8
-	Timestamp uint32 // milliseconds
-	Data      []byte
-}
-
-// fileHeader is the 9-byte FLV file header declaring audio+video presence.
-var fileHeader = []byte{'F', 'L', 'V', 1, 0x05, 0, 0, 0, 9}
-
-// Writer writes an FLV file.
-type Writer struct {
-	w       io.Writer
-	started bool
-}
-
-// NewWriter returns an FLV file writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// WriteTag appends one tag (writing the file header first if needed).
-func (fw *Writer) WriteTag(t Tag) error {
-	if !fw.started {
-		if _, err := fw.w.Write(fileHeader); err != nil {
-			return err
-		}
-		if err := binary.Write(fw.w, binary.BigEndian, uint32(0)); err != nil {
-			return err
-		}
-		fw.started = true
-	}
-	hdr := make([]byte, 11)
-	hdr[0] = t.Type
-	hdr[1] = byte(len(t.Data) >> 16)
-	hdr[2] = byte(len(t.Data) >> 8)
-	hdr[3] = byte(len(t.Data))
-	hdr[4] = byte(t.Timestamp >> 16)
-	hdr[5] = byte(t.Timestamp >> 8)
-	hdr[6] = byte(t.Timestamp)
-	hdr[7] = byte(t.Timestamp >> 24) // extended timestamp byte
-	// stream id stays zero
-	if _, err := fw.w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := fw.w.Write(t.Data); err != nil {
-		return err
-	}
-	return binary.Write(fw.w, binary.BigEndian, uint32(11+len(t.Data)))
-}
-
-// Reader reads an FLV file.
-type Reader struct {
-	r       io.Reader
-	started bool
-}
-
-// NewReader returns an FLV file reader.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// ReadTag returns the next tag or io.EOF.
-func (fr *Reader) ReadTag() (Tag, error) {
-	if !fr.started {
-		hdr := make([]byte, len(fileHeader)+4)
-		if _, err := io.ReadFull(fr.r, hdr); err != nil {
-			return Tag{}, err
-		}
-		if string(hdr[:3]) != "FLV" {
-			return Tag{}, errors.New("flv: bad file signature")
-		}
-		fr.started = true
-	}
-	hdr := make([]byte, 11)
-	if _, err := io.ReadFull(fr.r, hdr); err != nil {
-		return Tag{}, err
-	}
-	size := int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	ts := uint32(hdr[4])<<16 | uint32(hdr[5])<<8 | uint32(hdr[6]) | uint32(hdr[7])<<24
-	data := make([]byte, size)
-	if _, err := io.ReadFull(fr.r, data); err != nil {
-		return Tag{}, err
-	}
-	var prev [4]byte
-	if _, err := io.ReadFull(fr.r, prev[:]); err != nil {
-		return Tag{}, err
-	}
-	return Tag{Type: hdr[0], Timestamp: ts, Data: data}, nil
 }

@@ -2,7 +2,6 @@ package flv
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"periscope/internal/avc"
@@ -85,57 +84,5 @@ func TestDecoderConfigTruncated(t *testing.T) {
 	rec := DecoderConfig(avc.DefaultSPS(), avc.DefaultPPS())
 	for cut := 1; cut < len(rec); cut++ {
 		ParseDecoderConfig(rec[:cut]) // must not panic
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	tags := []Tag{
-		{Type: TagVideo, Timestamp: 0, Data: VideoTagData{FrameType: VideoKeyFrame, PacketType: AVCSeqHeader, Data: DecoderConfig(avc.DefaultSPS(), avc.DefaultPPS())}.Marshal()},
-		{Type: TagVideo, Timestamp: 33, Data: VideoTagData{FrameType: VideoInterFrame, PacketType: AVCNALU, Data: []byte{0, 0, 0, 1, 0x41}}.Marshal()},
-		{Type: TagAudio, Timestamp: 23, Data: AudioTagData{PacketType: AACRaw, Data: []byte{0xFF}}.Marshal()},
-	}
-	for _, tag := range tags {
-		if err := w.WriteTag(tag); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(&buf)
-	for i, want := range tags {
-		got, err := r.ReadTag()
-		if err != nil {
-			t.Fatalf("tag %d: %v", i, err)
-		}
-		if got.Type != want.Type || got.Timestamp != want.Timestamp || !bytes.Equal(got.Data, want.Data) {
-			t.Errorf("tag %d mismatch", i)
-		}
-	}
-	if _, err := r.ReadTag(); err != io.EOF {
-		t.Errorf("err = %v, want EOF", err)
-	}
-}
-
-func TestLargeTimestamp(t *testing.T) {
-	// Timestamps beyond 24 bits use the extended byte.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	ts := uint32(0x01FFFFFF)
-	if err := w.WriteTag(Tag{Type: TagAudio, Timestamp: ts, Data: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewReader(&buf).ReadTag()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Timestamp != ts {
-		t.Errorf("timestamp = %#x, want %#x", got.Timestamp, ts)
-	}
-}
-
-func TestBadSignature(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("NOTFLV_______")))
-	if _, err := r.ReadTag(); err == nil {
-		t.Error("want error for bad signature")
 	}
 }

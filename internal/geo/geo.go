@@ -59,11 +59,6 @@ func (r Rect) Quadrants() [4]Rect {
 	}
 }
 
-// Intersects reports whether two rectangles overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.West < o.East && o.West < r.East && r.South < o.North && o.South < r.North
-}
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.2f,%.2f..%.2f,%.2f]", r.South, r.West, r.North, r.East)
 }
@@ -159,48 +154,4 @@ func RegionByName(regions []Region, name string) (Region, bool) {
 		}
 	}
 	return Region{}, false
-}
-
-// NearestRegion returns the region whose centre is closest to p, used for
-// broadcaster-nearest RTMP server selection.
-func NearestRegion(regions []Region, p Point) Region {
-	best := regions[0]
-	bestD := math.Inf(1)
-	for _, r := range regions {
-		c := r.Bounds.Center()
-		d := sqDist(c, p)
-		if d < bestD {
-			bestD = d
-			best = r
-		}
-	}
-	return best
-}
-
-func sqDist(a, b Point) float64 {
-	dl := a.Lat - b.Lat
-	dn := math.Abs(a.Lon - b.Lon)
-	if dn > 180 {
-		dn = 360 - dn
-	}
-	return dl*dl + dn*dn
-}
-
-// GridCover tiles r with an n x n grid of equal rectangles, the shape of a
-// coarse map exploration pass.
-func GridCover(r Rect, n int) []Rect {
-	out := make([]Rect, 0, n*n)
-	dLat := (r.North - r.South) / float64(n)
-	dLon := (r.East - r.West) / float64(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out = append(out, Rect{
-				South: r.South + float64(i)*dLat,
-				West:  r.West + float64(j)*dLon,
-				North: r.South + float64(i+1)*dLat,
-				East:  r.West + float64(j)*dLon + dLon,
-			})
-		}
-	}
-	return out
 }

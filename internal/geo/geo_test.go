@@ -33,7 +33,8 @@ func TestQuadrantsPartition(t *testing.T) {
 	// Quadrants must not overlap.
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			if qs[i].Intersects(qs[j]) {
+			a, b := qs[i], qs[j]
+			if a.West < b.East && b.West < a.East && a.South < b.North && b.South < a.North {
 				t.Errorf("quadrants %d and %d intersect", i, j)
 			}
 		}
@@ -117,19 +118,6 @@ func TestRegionsWeights(t *testing.T) {
 	}
 }
 
-func TestNearestRegion(t *testing.T) {
-	regs := Regions()
-	// San Francisco should map to us-west.
-	if r := NearestRegion(regs, Point{Lat: 37.7, Lon: -122.4}); r.Name != "us-west" {
-		t.Errorf("SF nearest = %s, want us-west", r.Name)
-	}
-	// Istanbul area should be middle-east or eu-east, not the Americas.
-	r := NearestRegion(regs, Point{Lat: 41, Lon: 29})
-	if r.Name == "us-west" || r.Name == "us-east" || r.Name == "south-america" {
-		t.Errorf("Istanbul nearest = %s", r.Name)
-	}
-}
-
 func TestDistanceKm(t *testing.T) {
 	// Zero distance.
 	p := Point{Lat: 48.9, Lon: 2.3}
@@ -180,35 +168,5 @@ func TestRegionByName(t *testing.T) {
 	}
 	if _, ok := RegionByName(regs, "atlantis"); ok {
 		t.Error("unknown region reported found")
-	}
-}
-
-func TestGridCover(t *testing.T) {
-	r := World()
-	cells := GridCover(r, 8)
-	if len(cells) != 64 {
-		t.Fatalf("got %d cells, want 64", len(cells))
-	}
-	var area float64
-	for _, c := range cells {
-		if !c.Valid() {
-			t.Errorf("invalid cell %v", c)
-		}
-		area += c.Area()
-	}
-	if math.Abs(area-r.Area()) > 1e-6 {
-		t.Errorf("grid area %v != world %v", area, r.Area())
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := Rect{South: 0, West: 0, North: 10, East: 10}
-	b := Rect{South: 5, West: 5, North: 15, East: 15}
-	c := Rect{South: 10, West: 10, North: 20, East: 20}
-	if !a.Intersects(b) {
-		t.Error("a and b should intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("a and c touch only at a corner; exclusive edges say no")
 	}
 }

@@ -312,19 +312,6 @@ type Frame struct {
 	NALs []avc.NALUnit
 }
 
-// Size returns the frame size in bytes including NAL overhead when payload
-// is present.
-func (f Frame) Size() int {
-	if len(f.NALs) == 0 {
-		return (f.Bits + 7) / 8
-	}
-	n := 0
-	for _, u := range f.NALs {
-		n += 1 + len(u.RBSP) + 4
-	}
-	return n
-}
-
 // Encoder produces the synthetic coded stream for one broadcast.
 type Encoder struct {
 	cfg        EncoderConfig

@@ -444,63 +444,3 @@ func (b *linkBody) Read(p []byte) (int, error) {
 	}
 	return n, err
 }
-
-// RateMeter computes a windowed throughput estimate from byte timestamps,
-// the tool behind "we saw an increase of the aggregate data rate from
-// roughly 500kbps to 3.5Mbps" (§5.1).
-type RateMeter struct {
-	mu      sync.Mutex
-	window  time.Duration
-	samples []rateSample
-	total   int64
-}
-
-type rateSample struct {
-	t time.Time
-	n int64
-}
-
-// NewRateMeter creates a meter with the given averaging window.
-func NewRateMeter(window time.Duration) *RateMeter {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &RateMeter{window: window}
-}
-
-// Add records n bytes at time t.
-func (m *RateMeter) Add(t time.Time, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.samples = append(m.samples, rateSample{t, n})
-	m.total += n
-	m.gc(t)
-}
-
-func (m *RateMeter) gc(now time.Time) {
-	cut := now.Add(-m.window)
-	i := 0
-	for i < len(m.samples) && m.samples[i].t.Before(cut) {
-		i++
-	}
-	m.samples = m.samples[i:]
-}
-
-// RateBps returns the current windowed rate in bits per second.
-func (m *RateMeter) RateBps(now time.Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gc(now)
-	var bytes int64
-	for _, s := range m.samples {
-		bytes += s.n
-	}
-	return float64(bytes) * 8 / m.window.Seconds()
-}
-
-// Total returns all bytes ever recorded.
-func (m *RateMeter) Total() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}

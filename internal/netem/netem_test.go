@@ -465,27 +465,6 @@ func TestAccessProfilePresets(t *testing.T) {
 	}
 }
 
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(time.Second)
-	base := time.Unix(100, 0)
-	// 125000 bytes over one second = 1 Mbps.
-	for i := 0; i < 10; i++ {
-		m.Add(base.Add(time.Duration(i)*100*time.Millisecond), 12_500)
-	}
-	rate := m.RateBps(base.Add(time.Second))
-	if rate < 0.8e6 || rate > 1.2e6 {
-		t.Errorf("rate = %v, want ~1e6", rate)
-	}
-	if m.Total() != 125_000 {
-		t.Errorf("total = %d", m.Total())
-	}
-	// Old samples age out.
-	rate = m.RateBps(base.Add(5 * time.Second))
-	if rate != 0 {
-		t.Errorf("rate after window = %v, want 0", rate)
-	}
-}
-
 func TestMbps(t *testing.T) {
 	if Mbps(2) != 2e6 {
 		t.Errorf("Mbps(2) = %v", Mbps(2))

@@ -1,9 +1,8 @@
 // Package randdist supplies the deterministic random distributions that
 // drive the synthetic Periscope population and workloads: log-normal
-// broadcast durations with a heavy tail, Zipf-like viewer popularity,
-// Poisson arrival processes with diurnal rate modulation, and assorted
-// helpers. All generators take an explicit *rand.Rand so experiments are
-// reproducible from a seed.
+// broadcast durations with a heavy tail, Poisson arrival processes with
+// diurnal rate modulation, and weighted choice. All generators take an
+// explicit *rand.Rand so experiments are reproducible from a seed.
 package randdist
 
 import (
@@ -45,12 +44,6 @@ func BoundedPareto(rng *rand.Rand, alpha, lo, hi float64) float64 {
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
-// Exponential samples Exp(rate) — the inter-arrival time of a Poisson
-// process with the given rate.
-func Exponential(rng *rand.Rand, rate float64) float64 {
-	return rng.ExpFloat64() / rate
-}
-
 // Poisson samples a Poisson variate with the given mean using Knuth's
 // method for small lambda and a normal approximation for large lambda.
 func Poisson(rng *rand.Rand, lambda float64) int {
@@ -72,41 +65,6 @@ func Poisson(rng *rand.Rand, lambda float64) int {
 			return k
 		}
 		k++
-	}
-}
-
-// Zipf draws a rank in [1, n] following a Zipf distribution with exponent s.
-// Rank 1 is the most popular. Implemented by rejection (Devroye) so it works
-// for any s > 0 (stdlib rand.Zipf requires s > 1).
-func Zipf(rng *rand.Rand, s float64, n int) int {
-	if n <= 1 {
-		return 1
-	}
-	// Inverse-CDF on the harmonic weights with a cached normalizer would
-	// allocate per call; rejection sampling keeps this allocation-free.
-	for {
-		u := rng.Float64()
-		x := math.Pow(float64(n)+0.5, 1-s)
-		y := math.Pow(0.5, 1-s)
-		var r float64
-		if s == 1 {
-			r = math.Exp(u*math.Log(float64(n)+0.5) + (1-u)*math.Log(0.5))
-		} else {
-			r = math.Pow(u*x+(1-u)*y, 1/(1-s))
-		}
-		k := int(r + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			continue
-		}
-		// Accept with probability proportional to the true mass over the
-		// envelope; the envelope is tight so acceptance is high.
-		ratio := math.Pow(float64(k), -s) / math.Pow(r, -s)
-		if rng.Float64() < ratio {
-			return k
-		}
 	}
 }
 

@@ -70,48 +70,6 @@ func TestPoissonZero(t *testing.T) {
 	}
 }
 
-func TestZipfRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		k := Zipf(rng, 1.1, 100)
-		if k < 1 || k > 100 {
-			t.Fatalf("Zipf rank %d outside [1,100]", k)
-		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	counts := make([]int, 101)
-	n := 50000
-	for i := 0; i < n; i++ {
-		counts[Zipf(rng, 1.0, 100)]++
-	}
-	// Rank 1 should dominate rank 10 roughly 10:1 for s=1.
-	ratio := float64(counts[1]) / float64(counts[10]+1)
-	if ratio < 5 || ratio > 20 {
-		t.Errorf("rank1/rank10 = %v, want ~10", ratio)
-	}
-	// Top 10% of ranks should hold the majority of mass.
-	var top, total int
-	for r := 1; r <= 10; r++ {
-		top += counts[r]
-	}
-	for r := 1; r <= 100; r++ {
-		total += counts[r]
-	}
-	if float64(top)/float64(total) < 0.5 {
-		t.Errorf("top-10 share = %v, want > 0.5", float64(top)/float64(total))
-	}
-}
-
-func TestZipfOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	if Zipf(rng, 1.2, 1) != 1 {
-		t.Error("Zipf(n=1) must return 1")
-	}
-}
-
 func TestDiurnalShape(t *testing.T) {
 	// Paper, Fig 2(b): slump in early hours, morning peak, rise to midnight.
 	slump := DiurnalRate(4)
@@ -164,18 +122,5 @@ func TestWeightedChoiceDegenerate(t *testing.T) {
 	}
 	if WeightedChoice(rng, []float64{-1, 5}) != 1 {
 		t.Error("negative weights must get no mass")
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	var sum float64
-	n := 20000
-	for i := 0; i < n; i++ {
-		sum += Exponential(rng, 4)
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-0.25) > 0.01 {
-		t.Errorf("Exponential(rate=4) mean = %v, want 0.25", mean)
 	}
 }

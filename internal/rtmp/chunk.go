@@ -220,6 +220,15 @@ func (cr *ChunkReader) readChunk() (*chunkStreamState, bool, error) {
 		csid = uint32(binary.LittleEndian.Uint16(b)) + 64
 	}
 	st := cr.state(csid)
+	if format < 3 && st.bytesPending != 0 {
+		// Only a type-3 chunk may continue a message. A new message header
+		// would redefine the length of the one being assembled, so the
+		// stream is broken: drop the partial message and refuse it.
+		pending := st.bytesPending
+		RecycleMessagePayload(st.assembled)
+		st.assembled, st.bytesPending = nil, 0
+		return nil, false, fmt.Errorf("rtmp: type-%d header on chunk stream %d with %d bytes of a message pending", format, csid, pending)
+	}
 
 	switch format {
 	case 0:
@@ -363,15 +372,13 @@ const stagedSize = 1 << 10
 type ChunkWriter struct {
 	w         io.Writer
 	chunkSize uint32
-	// BytesWritten counts raw bytes for window accounting.
-	BytesWritten uint64
-	first        writerStreamState
-	firstCSID    uint32
-	firstSet     bool
-	last         map[uint32]*writerStreamState
-	stagedLen    int
-	staged       [stagedSize]byte
-	hdr          [18]byte // basic(≤3) + message header(≤11) + extended ts(4)
+	first     writerStreamState
+	firstCSID uint32
+	firstSet  bool
+	last      map[uint32]*writerStreamState
+	stagedLen int
+	staged    [stagedSize]byte
+	hdr       [18]byte // basic(≤3) + message header(≤11) + extended ts(4)
 }
 
 // NewChunkWriter wraps w with protocol-default chunk size.
@@ -382,12 +389,6 @@ func NewChunkWriter(w io.Writer) *ChunkWriter {
 // SetChunkSize updates the outgoing chunk payload size. The caller must
 // separately send the Set Chunk Size control message first.
 func (cw *ChunkWriter) SetChunkSize(n uint32) { cw.chunkSize = n }
-
-func (cw *ChunkWriter) write(b []byte) error {
-	n, err := cw.w.Write(b)
-	cw.BytesWritten += uint64(n)
-	return err
-}
 
 func (cw *ChunkWriter) stage(b []byte) error {
 	for len(b) > 0 {
@@ -407,7 +408,7 @@ func (cw *ChunkWriter) flushStaged() error {
 	if cw.stagedLen == 0 {
 		return nil
 	}
-	err := cw.write(cw.staged[:cw.stagedLen])
+	_, err := cw.w.Write(cw.staged[:cw.stagedLen])
 	cw.stagedLen = 0
 	return err
 }
@@ -537,7 +538,7 @@ func (cw *ChunkWriter) WriteMessage(csid uint32, msg Message) error {
 				if err := cw.flushStaged(); err != nil {
 					return err
 				}
-				if err := cw.write(payload[:n]); err != nil {
+				if _, err := cw.w.Write(payload[:n]); err != nil {
 					return err
 				}
 			} else {
@@ -571,7 +572,7 @@ func (cw *ChunkWriter) WriteMessage(csid uint32, msg Message) error {
 			if err := cw.flushStaged(); err != nil {
 				return err
 			}
-			if err := cw.write(payload[:n]); err != nil {
+			if _, err := cw.w.Write(payload[:n]); err != nil {
 				return err
 			}
 		} else if err := cw.stage(payload[:n]); err != nil {

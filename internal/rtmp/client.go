@@ -106,9 +106,6 @@ func (c *Client) Publish(name string) error {
 	return c.WriteCommand(c.streamID, "publish", 0, nil, name, "live")
 }
 
-// StreamID returns the active message stream id.
-func (c *Client) StreamID() uint32 { return c.streamID }
-
 // WriteVideo sends a video message (FLV video tag data) at the given
 // millisecond timestamp.
 func (c *Client) WriteVideo(timestamp uint32, data []byte) error {

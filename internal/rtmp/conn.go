@@ -59,22 +59,6 @@ func NewConn(nc net.Conn) *Conn {
 // Close closes the underlying transport.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
-// LocalAddr returns the local address.
-func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
-
-// BytesRead reports raw bytes received (for traffic accounting).
-func (c *Conn) BytesRead() uint64 { return c.cr.BytesRead }
-
-// BytesWritten reports raw bytes sent.
-func (c *Conn) BytesWritten() uint64 {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.cw.BytesWritten
-}
-
 // WriteMessage sends one message on an appropriate chunk stream.
 func (c *Conn) WriteMessage(msg Message) error {
 	csid := uint32(csidCommand)

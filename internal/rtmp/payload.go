@@ -5,15 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// AcquireMessagePayload returns an n-byte buffer drawn from the same pool
-// ReadMessage fills payloads from. Relays and tests that synthesize
-// messages use it so the payload can later travel the refcounted fan-out
-// path and return to the pool via SharedPayload.Release or
-// RecycleMessagePayload.
-func AcquireMessagePayload(n int) []byte {
-	return getPayloadBuf(uint32(n))
-}
-
 // SharedPayload is a reference-counted message payload. It lets one pooled
 // buffer fan out to many concurrent consumers (viewer queues, shard
 // workers, the HLS feed) without copying: each consumer holds one
@@ -27,10 +18,9 @@ type SharedPayload struct {
 
 var sharedPayloadPool = sync.Pool{New: func() any { return new(SharedPayload) }}
 
-// SharePayload wraps a payload obtained from ReadMessage (or
-// AcquireMessagePayload) with an initial reference count of one, owned by
-// the caller. The caller must not recycle p directly afterwards; the
-// final Release does that.
+// SharePayload wraps a payload obtained from ReadMessage with an initial
+// reference count of one, owned by the caller. The caller must not recycle
+// p directly afterwards; the final Release does that.
 func SharePayload(p []byte) *SharedPayload {
 	sp := sharedPayloadPool.Get().(*SharedPayload)
 	sp.p = p

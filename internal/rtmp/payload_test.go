@@ -16,22 +16,22 @@ func TestSharedPayloadRecyclesOnLastRelease(t *testing.T) {
 	// concurrent GC cycle, but holding the buffer back is always a bug.
 	reused := false
 	for attempt := 0; attempt < 8 && !reused; attempt++ {
-		p := AcquireMessagePayload(2048)
+		p := getPayloadBuf(2048)
 		//lint:ignore periscopelint/refpair the t.Fatal abort paths exit with references held by design; a failed test's buffers never reaching the pool is fine
 		sp := SharePayload(p)
 		sp.Retain()
 		sp.Retain() // three holders: caller + two consumers
 
 		sp.Release()
-		if q := AcquireMessagePayload(2048); samePayloadBacking(p, q) {
+		if q := getPayloadBuf(2048); samePayloadBacking(p, q) {
 			t.Fatal("payload recycled while two references were still held")
 		}
 		sp.Release()
-		if q := AcquireMessagePayload(2048); samePayloadBacking(p, q) {
+		if q := getPayloadBuf(2048); samePayloadBacking(p, q) {
 			t.Fatal("payload recycled while one reference was still held")
 		}
 		sp.Release() // last reference: recycle now
-		reused = samePayloadBacking(p, AcquireMessagePayload(2048))
+		reused = samePayloadBacking(p, getPayloadBuf(2048))
 	}
 	if !reused {
 		t.Error("payload never returned to the pool after the last Release")
@@ -44,7 +44,7 @@ func TestSharedPayloadOverReleasePanics(t *testing.T) {
 			t.Error("over-release did not panic")
 		}
 	}()
-	sp := SharePayload(AcquireMessagePayload(16))
+	sp := SharePayload(getPayloadBuf(16))
 	sp.Release()
 	//lint:ignore periscopelint/refpair deliberate over-release: this test asserts the refcount guard panics
 	sp.Release()

@@ -233,17 +233,6 @@ func (sc *ServerConn) SendAudio(timestamp uint32, data []byte) error {
 	return sc.WriteMessage(Message{TypeID: TypeAudio, StreamID: sc.streamID, Timestamp: timestamp, Payload: data})
 }
 
-// SendEOF signals end of stream to the viewer.
-func (sc *ServerConn) SendEOF() error {
-	if err := sc.WriteMessage(Message{TypeID: TypeUserControl,
-		Payload: MarshalUserControl(EventStreamEOF, sc.streamID)}); err != nil {
-		return err
-	}
-	return sc.WriteCommand(sc.streamID, "onStatus", 0, nil, amf.Object{
-		"level": "status", "code": "NetStream.Play.Stop", "description": "Stopped.",
-	})
-}
-
 // ListenAndServe is a convenience helper used by the service simulator.
 func ListenAndServe(addr string, h Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)

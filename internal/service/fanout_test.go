@@ -83,13 +83,32 @@ func benchHub() *hub {
 	return newHub(&Service{}, &broadcastmodel.Broadcast{ID: "bench"})
 }
 
-// pushMedia feeds one tag through the hub the way the ingest read loop
-// does: the payload comes from the message pool, because the refcounted
-// fan-out recycles it once the last viewer queue drains.
-func pushMedia(h *hub, tag []byte, ts uint32) {
-	p := rtmp.AcquireMessagePayload(len(tag))
-	copy(p, tag)
-	h.onMedia(rtmp.Message{TypeID: rtmp.TypeVideo, Timestamp: ts, Payload: p})
+// ingestFeed feeds tags through a hub the way the ingest read loop does:
+// each tag crosses a chunk writer and reader, so its payload comes from the
+// message pool that the refcounted fan-out recycles it into once the last
+// viewer queue drains.
+type ingestFeed struct {
+	wire bytes.Buffer
+	cw   *rtmp.ChunkWriter
+	cr   *rtmp.ChunkReader
+}
+
+func newIngestFeed() *ingestFeed {
+	f := &ingestFeed{}
+	f.cw = rtmp.NewChunkWriter(&f.wire)
+	f.cr = rtmp.NewChunkReader(&f.wire)
+	return f
+}
+
+func (f *ingestFeed) push(h *hub, tag []byte, ts uint32) {
+	if err := f.cw.WriteMessage(6, rtmp.Message{TypeID: rtmp.TypeVideo, Timestamp: ts, Payload: tag}); err != nil {
+		panic(err)
+	}
+	msg, err := f.cr.ReadMessage()
+	if err != nil {
+		panic(err)
+	}
+	h.onMedia(msg)
 }
 
 // TestSlowViewerDoesNotStallOthers covers the head-of-line requirement: a
@@ -106,6 +125,7 @@ func TestSlowViewerDoesNotStallOthers(t *testing.T) {
 	h.addViewer(scStalled)
 	h.addViewer(&rtmp.ServerConn{Conn: rtmp.NewConn(healthy)})
 
+	in := newIngestFeed()
 	tag := keyframeTag(1024)
 	// More messages than the queue holds, so the stalled viewer must hit
 	// the drop-oldest policy while the healthy one keeps receiving.
@@ -114,7 +134,7 @@ func TestSlowViewerDoesNotStallOthers(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < sent; i++ {
-			pushMedia(h, tag, uint32(i*33))
+			in.push(h, tag, uint32(i*33))
 		}
 	}()
 	select {
@@ -156,12 +176,13 @@ func TestHopelessViewerClosedOnce(t *testing.T) {
 	sc := &rtmp.ServerConn{Conn: rtmp.NewConn(stalled)}
 	h.addViewer(sc)
 
+	in := newIngestFeed()
 	tag := keyframeTag(64)
 	// The sender takes one message then stalls in Write; the queue fills;
 	// every further message then drops one. Push past viewerMaxDrops.
 	total := 1 + viewerQueueDepth + viewerMaxDrops + 16
 	for i := 0; i < total; i++ {
-		pushMedia(h, tag, uint32(i*33))
+		in.push(h, tag, uint32(i*33))
 	}
 	waitFor(t, func() bool { return h.stats.hopeless.Load() == 1 }, "the hopeless disconnect")
 	if got := stalled.closes.Load(); got != 1 {
@@ -174,7 +195,7 @@ func TestHopelessViewerClosedOnce(t *testing.T) {
 	// Old behaviour re-Closed on every later message; these must not, and a
 	// late OnClose for the same connection is a no-op.
 	for i := 0; i < 32; i++ {
-		pushMedia(h, tag, uint32((total+i)*33))
+		in.push(h, tag, uint32((total+i)*33))
 	}
 	h.fan.Remove(sc)
 	if got := stalled.closes.Load(); got != 1 {
@@ -246,8 +267,9 @@ func TestKeyframeResyncAcrossShards(t *testing.T) {
 
 	// An interframe must not reach a waiting viewer on any shard; the next
 	// keyframe starts playback, behind the sequence headers.
-	pushMedia(h, interframeTag(64), 33)
-	pushMedia(h, keyframeTag(64), 66)
+	in := newIngestFeed()
+	in.push(h, interframeTag(64), 33)
+	in.push(h, keyframeTag(64), 66)
 	each(func(i int, v *pipeViewer) {
 		got := v.readUntil(t, 66)
 		if len(got) != 3 || !isVideoSeq(got[0]) || !isAudioSeq(got[1]) {
@@ -259,9 +281,9 @@ func TestKeyframeResyncAcrossShards(t *testing.T) {
 	// drop-oldest fires. A viewer that drops goes back to waiting, so each
 	// drops exactly once and everything behind that (ts 5000) is held back.
 	for i := 0; i < viewerQueueDepth+8; i++ {
-		pushMedia(h, interframeTag(64), uint32(99+i))
+		in.push(h, interframeTag(64), uint32(99+i))
 	}
-	pushMedia(h, interframeTag(64), 5000)
+	in.push(h, interframeTag(64), 5000)
 	waitFor(t, func() bool { return h.stats.drops.Load() == int64(len(viewers)) }, "one drop on every shard")
 
 	// At the next keyframe every shard must resync: headers re-sent, then
@@ -271,8 +293,8 @@ func TestKeyframeResyncAcrossShards(t *testing.T) {
 	backlog := make([][]rtmp.Message, len(viewers))
 	each(func(i int, v *pipeViewer) { backlog[i] = v.readUntil(t, 99+8) })
 	resyncsBefore := h.stats.resyncs.Load()
-	pushMedia(h, keyframeTag(64), 9999)
-	pushMedia(h, interframeTag(64), 10032)
+	in.push(h, keyframeTag(64), 9999)
+	in.push(h, interframeTag(64), 10032)
 	each(func(i int, v *pipeViewer) {
 		got := append(backlog[i], v.readUntil(t, 10032)...)
 		if len(got) < 4 {
@@ -310,6 +332,7 @@ func TestViewerChurnDuringShardedFanout(t *testing.T) {
 	pub.Add(1)
 	go func() {
 		defer pub.Done()
+		in := newIngestFeed()
 		tag := keyframeTag(512)
 		for i := 0; ; i++ {
 			select {
@@ -317,7 +340,7 @@ func TestViewerChurnDuringShardedFanout(t *testing.T) {
 				return
 			default:
 			}
-			pushMedia(h, tag, uint32(i*33))
+			in.push(h, tag, uint32(i*33))
 		}
 	}()
 
@@ -353,12 +376,13 @@ func benchFanout(b *testing.B, h *hub, n int) {
 	for i := 0; i < n; i++ {
 		h.addViewer(&rtmp.ServerConn{Conn: rtmp.NewConn(&countConn{})})
 	}
+	in := newIngestFeed()
 	tag := keyframeTag(4096)
 	b.SetBytes(int64(len(tag)) * int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pushMedia(h, tag, uint32(i*33))
+		in.push(h, tag, uint32(i*33))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(h.stats.drops.Load())/float64(b.N*n), "drops/viewer-msg")

@@ -91,9 +91,6 @@ func NewCampaign(cfg CampaignConfig) *Campaign {
 	return &Campaign{cfg: cfg, pop: pop, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x7e1e))}
 }
 
-// Population exposes the underlying population (analysis, tests).
-func (c *Campaign) Population() *broadcastmodel.Population { return c.pop }
-
 // watchOne teleports to a broadcast and simulates one session at the given
 // bandwidth limit (0 = unlimited).
 func (c *Campaign) watchOne(limitMbps float64, device Device) (Record, bool) {

@@ -1,12 +1,11 @@
 // Package stats provides the descriptive and inferential statistics used by
 // the measurement analyses: empirical CDFs, quantiles, boxplot summaries,
-// histograms, Pearson correlation, and Welch's unequal-variance t-test (the
-// paper uses Welch's t-test to compare the Galaxy S3 and S4 datasets).
+// and Welch's unequal-variance t-test (the paper uses Welch's t-test to
+// compare the Galaxy S3 and S4 datasets).
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -39,9 +38,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs)-1)
 }
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element. It panics on empty input.
 func Min(xs []float64) float64 {
@@ -96,29 +92,6 @@ func quantileSorted(s []float64, q float64) float64 {
 // Median returns the 0.5 quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Correlation returns the Pearson correlation coefficient of the paired
-// samples xs and ys, which must have equal nonzero length.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, ErrNoData
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
 // CDF is an empirical cumulative distribution function.
 type CDF struct {
 	sorted []float64
@@ -138,14 +111,6 @@ func (c *CDF) At(x float64) float64 {
 	}
 	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(c.sorted))
-}
-
-// Inverse returns the q-quantile of the sample.
-func (c *CDF) Inverse(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(c.sorted, q)
 }
 
 // Len returns the sample size.
@@ -208,27 +173,6 @@ func Boxplot(xs []float64) (BoxplotStats, error) {
 		}
 	}
 	return b, nil
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi]. Values outside
-// the range are clamped into the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	counts := make([]int, nbins)
-	if hi <= lo || nbins == 0 {
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }
 
 // TTestResult reports the outcome of Welch's two-sample t-test.

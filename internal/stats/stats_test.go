@@ -141,38 +141,6 @@ func TestBoxplotEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, -5, 10}
-	h := Histogram(xs, 0, 1, 4)
-	// -5 clamps to bin 0; 10 clamps to bin 3.
-	want := []int{3, 0, 1, 2}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, h[i], want[i])
-		}
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Correlation(xs, ys)
-	if err != nil || !almostEq(r, 1, 1e-12) {
-		t.Errorf("r = %v err=%v, want 1", r, err)
-	}
-	ys2 := []float64{10, 8, 6, 4, 2}
-	r2, _ := Correlation(xs, ys2)
-	if !almostEq(r2, -1, 1e-12) {
-		t.Errorf("r = %v, want -1", r2)
-	}
-}
-
-func TestCorrelationMismatch(t *testing.T) {
-	if _, err := Correlation([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("want error on length mismatch")
-	}
-}
-
 func TestWelchTTestSameDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 400)
