@@ -59,16 +59,17 @@ func drain(r *Room) {
 }
 
 // BenchmarkChatRoomBroadcast measures the fully-drained cost of one
-// broadcast into an N-member room: publish (marshal + frame once, one
+// broadcast into an N-member room: publish (encode + frame once, one
 // descriptor to each of K shards — the caller's inline cost is
 // O(shards), where the seed implementation performed N synchronous
 // socket writes on the caller) plus the sharded delivery of the shared
 // *PreparedMessage to every member queue. Allocations are per broadcast
-// (~4: marshal + frame), ~0 per member-message. The drain inside the
-// timed region keeps per-op cost uniform, so ns/op is the steady-state
-// room-wide delivery cost of one message — of the member-messages actually
-// sent: drops/member-msg is the share a flood made the core drop oldest
-// instead, so ns/op compares only between runs that dropped alike.
+// (2: the frame and its PreparedMessage), ~0 per member-message. The
+// drain inside the timed region keeps per-op cost uniform, so ns/op is
+// the steady-state room-wide delivery cost of one message — of the
+// member-messages actually sent: drops/member-msg is the share a flood
+// made the core drop oldest instead, so ns/op compares only between runs
+// that dropped alike.
 func BenchmarkChatRoomBroadcast(b *testing.B) {
 	for _, members := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {

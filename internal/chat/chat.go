@@ -22,7 +22,6 @@
 package chat
 
 import (
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -48,7 +47,9 @@ const (
 	KindPresence = "presence"
 )
 
-// Message is one interaction-plane message as carried on the WebSocket.
+// Message is one interaction-plane message as carried on the WebSocket,
+// in json.Marshal's form of it; codec.go writes and reads that form, so a
+// field added here is added there too (TestCodecCoversEveryField).
 type Message struct {
 	Kind      string `json:"kind,omitempty"`
 	User      string `json:"user,omitempty"`
@@ -333,7 +334,9 @@ func (s *Server) serveHeart(w http.ResponseWriter, r *http.Request) {
 
 // serveMember relays inbound messages from a member until the connection
 // drops. Chat messages from late joiners (chat full) are dropped; heart
-// taps are accepted from everyone.
+// taps are accepted from everyone. A chat message is broadcast with only
+// the fields a member may set: the rest (an avatar URL every displaying
+// client would fetch, a count, a room gauge) are the server's to send.
 func (s *Server) serveMember(room *Room, conn *websocket.Conn, canSend bool) {
 	defer func() {
 		room.Leave(conn)
@@ -344,8 +347,8 @@ func (s *Server) serveMember(room *Room, conn *websocket.Conn, canSend bool) {
 		if err != nil {
 			return
 		}
-		var m Message
-		if json.Unmarshal(data, &m) != nil {
+		m, err := decodeMessage(data)
+		if err != nil {
 			continue
 		}
 		switch m.Kind {
@@ -355,7 +358,7 @@ func (s *Server) serveMember(room *Room, conn *websocket.Conn, canSend bool) {
 			if !canSend {
 				continue // chat full: messages from late joiners are dropped
 			}
-			room.Broadcast(m)
+			room.Broadcast(Message{User: m.User, Text: m.Text, SentUnixNano: m.SentUnixNano})
 		}
 	}
 }

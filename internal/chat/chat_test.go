@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"periscope/internal/websocket"
 )
 
 func startChat(t *testing.T, roomID string, cfg RoomConfig) (*Server, *httptest.Server, *Room) {
@@ -158,6 +160,47 @@ func TestFailedHandshakeSpendsNoSendRight(t *testing.T) {
 	resp.Body.Close()
 	if n := room.Joined(); n != 0 {
 		t.Errorf("a failed handshake counts as %d joins", n)
+	}
+}
+
+// TestChatMessageCarriesOnlyWhatAMemberSets: a member's chat message is
+// broadcast with its user, text and clock only. An avatar URL a member
+// could set would make every displaying client in the room fetch a path
+// of that member's choosing on the avatar host; a count or a room gauge is
+// the server's to send.
+func TestChatMessageCarriesOnlyWhatAMemberSets(t *testing.T) {
+	_, hs, room := startChat(t, "b7", RoomConfig{HeartInterval: -1, PresenceInterval: -1})
+	url := wsBase(hs) + "/chat/b7"
+	sender, err := websocket.Dial(url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	receiver, err := websocket.Dial(url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer receiver.Close()
+	waitMembers(t, room, 2)
+	sent := `{"user":"mallory","text":"look","avatar_url":"/avatars/../admin/reset","count":7,"members":9,"joined":3,"sent_unix_nano":5}`
+	if err := sender.WriteMessage(websocket.OpText, []byte(sent)); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		_, data, err := receiver.ReadMessage()
+		if err != nil {
+			data = []byte(err.Error())
+		}
+		got <- string(data)
+	}()
+	select {
+	case data := <-got:
+		if want := `{"user":"mallory","text":"look","sent_unix_nano":5}`; data != want {
+			t.Errorf("member sent %s; the room broadcast %s, want %s", sent, data, want)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("the chat message never arrived")
 	}
 }
 

@@ -1,7 +1,6 @@
 package chat
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -94,8 +93,8 @@ func (c *Client) loop() {
 		if err != nil {
 			return
 		}
-		var m Message
-		if json.Unmarshal(data, &m) != nil {
+		m, err := decodeMessage(data)
+		if err != nil {
 			continue
 		}
 		now := time.Now().UnixNano()
@@ -148,12 +147,9 @@ func (c *Client) fetchAvatar(url, user string) {
 // Send posts a chat message (ignored by the server if the room was full
 // when this client joined).
 func (c *Client) Send(text string) error {
+	var buf [encodeBuf]byte
 	m := Message{User: "measurement-client", Text: text, SentUnixNano: time.Now().UnixNano()}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return c.conn.WriteMessage(websocket.OpText, data)
+	return c.conn.WriteMessage(websocket.OpText, encodeMessage(buf[:0], &m))
 }
 
 // Heart taps n hearts (n<=0 taps one): POST to HeartsURL when configured,
@@ -172,11 +168,9 @@ func (c *Client) Heart(n int) error {
 		resp.Body.Close()
 		return nil
 	}
-	data, err := json.Marshal(Message{Kind: KindHeart, Count: n})
-	if err != nil {
-		return err
-	}
-	return c.conn.WriteMessage(websocket.OpText, data)
+	var buf [encodeBuf]byte
+	m := Message{Kind: KindHeart, Count: n}
+	return c.conn.WriteMessage(websocket.OpText, encodeMessage(buf[:0], &m))
 }
 
 // Stats returns a snapshot of the traffic counters.

@@ -1,7 +1,6 @@
 package chat
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -80,7 +79,7 @@ func (c *roomCounters) load() Stats {
 	}
 }
 
-// roomMsg is the per-shard fan-out descriptor: the broadcaster marshals
+// roomMsg is the per-shard fan-out descriptor: the broadcaster encodes
 // and frames the message once and publishes one of these to every shard.
 type roomMsg struct {
 	pm *websocket.PreparedMessage
@@ -327,7 +326,7 @@ func (r *Room) Broadcast(m Message) {
 	r.publish(m, chatKind)
 }
 
-// publish marshals and frames the message once, then hands one descriptor
+// publish encodes and frames the message once, then hands one descriptor
 // to the fan-out group. The broadcaster's cost is O(shards), not
 // O(members).
 func (r *Room) publish(m Message, sampled bool) {
@@ -335,12 +334,8 @@ func (r *Room) publish(m Message, sampled bool) {
 	if n == 0 {
 		return
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
 	msg := roomMsg{
-		pm:     websocket.PrepareMessage(websocket.OpText, data),
+		pm:     prepareMessage(&m),
 		seq:    r.seq.Add(1),
 		thresh: sampleAll,
 	}

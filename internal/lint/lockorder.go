@@ -92,10 +92,10 @@ type ownEdge struct {
 
 // fnSummary is the per-function result of the CFG walk.
 type fnSummary struct {
-	direct    map[string]bool         // classes locked directly
-	calls     []*types.Func           // every resolvable callee (for transitive acquires)
-	heldCalls []heldCall              // resolvable calls made while holding locks
-	edges     []ownEdge               // direct Lock-while-held edges
+	direct    map[string]bool // classes locked directly
+	calls     []*types.Func   // every resolvable callee (for transitive acquires)
+	heldCalls []heldCall      // resolvable calls made while holding locks
+	edges     []ownEdge       // direct Lock-while-held edges
 	obj       *types.Func
 	name      string
 }

@@ -172,33 +172,38 @@ func Dial(rawURL string, dial func(network, addr string) (net.Conn, error)) (*Co
 }
 
 // PreparedMessage is a message framed once for delivery to many
-// connections: fan-out paths (chat rooms) marshal and frame a broadcast a
+// connections: fan-out paths (chat rooms) encode and frame a broadcast a
 // single time and hand every member the same immutable buffer, instead of
 // re-encoding the frame header per member. Server connections write the
 // prepared frame directly (one syscall, zero allocations); client
 // connections fall back to a masked per-connection write, as RFC 6455
 // masking is per-frame random.
 type PreparedMessage struct {
-	opcode  int
-	payload []byte
-	frame   []byte // unmasked server-side frame: header + payload
+	opcode int
+	frame  []byte // unmasked server-side frame: header + payload
+	header int    // the header's length: the payload is frame[header:]
 }
 
 // PrepareMessage frames payload once for repeated unmasked writes. The
-// payload is retained (not copied) — callers must not mutate it afterwards.
+// payload is copied into the frame, whose tail is the message's Payload,
+// so the caller may reuse its buffer at once: preparing a message costs
+// the frame and the PreparedMessage, two allocations. It stays within the
+// compiler's inlining budget, so a caller that keeps the PreparedMessage
+// to itself has it on its stack.
 func PrepareMessage(opcode int, payload []byte) *PreparedMessage {
-	return &PreparedMessage{opcode: opcode, payload: payload, frame: newFrame(opcode, payload, false)}
+	frame := newFrame(opcode, payload, false)
+	return &PreparedMessage{opcode: opcode, frame: frame, header: len(frame) - len(payload)}
 }
 
 // Payload returns the prepared message's payload. Shared — callers must
 // not mutate it.
-func (pm *PreparedMessage) Payload() []byte { return pm.payload }
+func (pm *PreparedMessage) Payload() []byte { return pm.frame[pm.header:] }
 
 // WritePrepared sends a prepared message. On server connections this is a
 // single write of the shared pre-framed buffer.
 func (c *Conn) WritePrepared(pm *PreparedMessage) error {
 	if c.client {
-		return c.WriteMessage(pm.opcode, pm.payload)
+		return c.WriteMessage(pm.opcode, pm.Payload())
 	}
 	if c.closed.Load() {
 		return ErrClosed
@@ -233,9 +238,13 @@ func newFrame(opcode int, payload []byte, client bool) []byte {
 		n = 10
 	}
 	if client {
+		// The key gets an array of its own: under the race detector
+		// crypto/rand.Read's argument escapes, and filling hdr would move
+		// every frame's header, a server's included, to the heap.
+		var key [4]byte
+		rand.Read(key[:]) // never fails: crypto/rand aborts the process instead
 		hdr[1] |= 0x80
-		rand.Read(hdr[n : n+4]) // never fails: crypto/rand aborts the process instead
-		n += 4
+		n += copy(hdr[n:], key[:])
 	}
 	frame := make([]byte, n+len(payload))
 	copy(frame, hdr[:n])

@@ -278,6 +278,30 @@ func TestFrameIsOneTransportWrite(t *testing.T) {
 	}
 }
 
+// TestPrepareMessageCopiesPayload: PrepareMessage copies its argument, so
+// the caller may reuse the buffer at once. What either role of connection
+// writes for the prepared message, and its Payload, must not change when
+// the caller's slice does.
+func TestPrepareMessageCopiesPayload(t *testing.T) {
+	payload := []byte("shared")
+	pm := PrepareMessage(OpText, payload)
+	copy(payload, "reused")
+	if string(pm.Payload()) != "shared" {
+		t.Errorf("Payload is %q after the caller reused its buffer, want %q", pm.Payload(), "shared")
+	}
+	for _, client := range []bool{false, true} {
+		rec := &recConn{}
+		c := &Conn{nc: rec, br: bufio.NewReader(rec), client: client}
+		if err := c.WritePrepared(pm); err != nil {
+			t.Fatal(err)
+		}
+		peer := &Conn{br: bufio.NewReader(bytes.NewReader(rec.writes[0])), client: !client}
+		if _, op, got, err := peer.readFrame(nil); err != nil || op != OpText || string(got) != "shared" {
+			t.Errorf("client=%v: wrote op %d %q (%v) after the caller reused its buffer, want %q", client, op, got, err, "shared")
+		}
+	}
+}
+
 // TestCloseReleasesBlockedWriter: a write to a peer that has stopped
 // reading blocks holding the transport's write lock. Close — which is how
 // the fan-out core evicts a hopeless member — must neither wait behind it
