@@ -24,6 +24,11 @@ type MetricsSummary struct {
 	StallRatioP95  float64
 	StallRatioMax  float64
 
+	// DeliveryP50/P95 are quantiles of the sessions' mean delivery
+	// latency, capture of a segment's last frame to its arrival (§5.1).
+	DeliveryP50 time.Duration
+	DeliveryP95 time.Duration
+
 	// LongestStall is the worst single stall across all sessions, the
 	// metric outage scenarios bound.
 	LongestStall time.Duration
@@ -44,9 +49,11 @@ func SummarizeMetrics(ms []player.Metrics) MetricsSummary {
 	}
 	joins := make([]float64, 0, len(ms))
 	ratios := make([]float64, 0, len(ms))
+	deliveries := make([]float64, 0, len(ms))
 	for _, m := range ms {
 		joins = append(joins, m.JoinTime.Seconds())
 		ratios = append(ratios, m.StallRatio)
+		deliveries = append(deliveries, m.DeliveryLatency.Seconds())
 		if m.JoinTime > s.JoinMax {
 			s.JoinMax = m.JoinTime
 		}
@@ -63,6 +70,8 @@ func SummarizeMetrics(ms []player.Metrics) MetricsSummary {
 	s.JoinP95 = secondsDur(stats.Quantile(joins, 0.95))
 	s.StallRatioMean = stats.Mean(ratios)
 	s.StallRatioP95 = stats.Quantile(ratios, 0.95)
+	s.DeliveryP50 = secondsDur(stats.Quantile(deliveries, 0.5))
+	s.DeliveryP95 = secondsDur(stats.Quantile(deliveries, 0.95))
 	return s
 }
 
@@ -82,7 +91,7 @@ func SummaryTable(id, title string, cohorts []CohortSummary) Table {
 	t := Table{
 		ID:     id,
 		Title:  title,
-		Header: []string{"cohort", "sessions", "join p50", "join p95", "stall mean", "stall p95", "longest stall", "stalls"},
+		Header: []string{"cohort", "sessions", "join p50", "join p95", "stall mean", "stall p95", "longest stall", "stalls", "delivery p50", "delivery p95"},
 	}
 	for _, c := range cohorts {
 		s := c.Summary
@@ -95,6 +104,8 @@ func SummaryTable(id, title string, cohorts []CohortSummary) Table {
 			fmt.Sprintf("%.3f", s.StallRatioP95),
 			fmtDur(s.LongestStall),
 			fmt.Sprintf("%d", s.StallCount),
+			fmtDur(s.DeliveryP50),
+			fmtDur(s.DeliveryP95),
 		})
 	}
 	return t

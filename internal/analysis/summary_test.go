@@ -129,13 +129,27 @@ func TestSummarizeMetricsQuantileOrdering(t *testing.T) {
 	}
 }
 
+func TestSummarizeMetricsDelivery(t *testing.T) {
+	var in []player.Metrics
+	for _, d := range []int{100, 200, 300, 400, 2000} {
+		in = append(in, player.Metrics{DeliveryLatency: ms(d)})
+	}
+	s := SummarizeMetrics(in)
+	if s.DeliveryP50 != ms(300) {
+		t.Errorf("DeliveryP50 = %v, want 300ms", s.DeliveryP50)
+	}
+	if s.DeliveryP95 <= ms(400) || s.DeliveryP95 > ms(2000) {
+		t.Errorf("DeliveryP95 = %v, want in (400ms, 2s]", s.DeliveryP95)
+	}
+}
+
 func TestSummaryTableRenders(t *testing.T) {
 	tab := SummaryTable("scenario-qoe", "per-cohort QoE", []CohortSummary{
 		{Label: "wifi", Summary: SummarizeMetrics([]player.Metrics{{JoinTime: ms(120)}})},
-		{Label: "3g", Summary: SummarizeMetrics([]player.Metrics{{JoinTime: ms(900), StallRatio: 0.4, StallCount: 3, LongestStall: ms(2500)}})},
+		{Label: "3g", Summary: SummarizeMetrics([]player.Metrics{{JoinTime: ms(900), StallRatio: 0.4, StallCount: 3, LongestStall: ms(2500), DeliveryLatency: ms(1950)}})},
 	})
 	out := tab.Render()
-	for _, want := range []string{"cohort", "wifi", "3g", "join p95", "longest stall", "0.400", "2.5s"} {
+	for _, want := range []string{"cohort", "wifi", "3g", "join p95", "longest stall", "0.400", "2.5s", "delivery p95", "1.95s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

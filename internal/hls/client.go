@@ -2,177 +2,160 @@ package hls
 
 import (
 	"context"
+	"fmt"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
+
+	"periscope/internal/avc"
+	"periscope/internal/mpegts"
+	"periscope/internal/player"
 )
 
-// ClientConfig configures the HLS polling client.
-type ClientConfig struct {
-	// BaseURL is the directory URL containing playlist.m3u8.
-	BaseURL string
-	// PollInterval between playlist refreshes; defaults to half the target
-	// duration as typical players do.
-	PollInterval time.Duration
-	// Parallelism is the number of concurrent segment connections. The
-	// paper notes HLS "may sometimes use multiple connections to different
-	// servers in parallel"; >1 enables that behaviour.
-	Parallelism int
-	// HTTPClient may carry a bandwidth-shaped transport.
-	HTTPClient *http.Client
-	// OnSegment is invoked for every downloaded segment, in sequence order.
-	OnSegment func(FetchedSegment)
-}
-
-// Client downloads a live HLS stream until the context ends or the
-// playlist is marked ended.
+// Client is the HLS viewer: the one loop outside the benchmark that
+// watches a stream by polling its playlist. It resolves an edge through
+// its caller, joins at the newest listed segment, and fetches segments
+// one at a time in sequence order. Each arrives as a player.Chunk whose
+// capture time is read from the broadcaster's timestamp SEI, so §5.1's
+// delivery latency is measured, not assumed.
 type Client struct {
-	cfg  ClientConfig
-	http *http.Client
-
-	mu      sync.Mutex
-	fetched map[int]FetchedSegment
-	failed  map[int]bool
-	next    int
-	// Bytes counts total payload bytes downloaded (playlists + segments).
-	Bytes int64
-	// PlaylistFetches counts playlist polls (each is one HTTP request).
-	PlaylistFetches int
+	// Resolve names the edge to watch: the base URL holding playlist.m3u8,
+	// and whether the stream there is a replay. Run calls it to join and
+	// again whenever the edge stops answering; an error ends the session.
+	Resolve func() (baseURL string, replay bool, err error)
+	// HTTP may carry a shaped transport; nil means http.DefaultClient.
+	HTTP *http.Client
+	// PollInterval is the wait between playlist polls; zero polls at half
+	// DefaultSegmentTarget, as typical players do.
+	PollInterval time.Duration
 }
 
-// NewClient validates cfg and returns a client.
-func NewClient(cfg ClientConfig) *Client {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = DefaultSegmentTarget / 2
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Client{cfg: cfg, http: hc, fetched: map[int]FetchedSegment{}, failed: map[int]bool{}, next: -1}
+// FetchedSegment is one segment as the viewer received it.
+type FetchedSegment struct {
+	Sequence int
+	// Data is the MPEG-TS body, read whole under its Content-Length.
+	Data []byte
+	// Chunk is the segment as the playback-buffer model takes it, timed
+	// from the start of Run.
+	Chunk player.Chunk
 }
 
-// Run polls the playlist and fetches segments until ctx is cancelled or
-// the stream ends. It returns the number of segments delivered.
-func (c *Client) Run(ctx context.Context) (int, error) {
-	delivered := 0
-	sem := make(chan struct{}, c.cfg.Parallelism)
-	var wg sync.WaitGroup
-	defer wg.Wait()
+// Run watches the stream until ctx ends, calling emit for each segment in
+// sequence order. It returns sooner only once the stream is over: it has
+// drained a playlist marked ENDLIST, or a live session's edge failed and
+// Resolve answered with the replay. Its error is that of a Resolve that
+// failed, which ends the session too. An edge that does not answer (or
+// an empty base URL) is resolved again after a poll interval; a segment
+// holding no video is skipped.
+func (c *Client) Run(ctx context.Context, emit func(FetchedSegment)) error {
+	start := time.Now()
+	poll := c.PollInterval
+	if poll <= 0 {
+		poll = DefaultSegmentTarget / 2
+	}
+	base, vod, err := c.Resolve()
+	if err != nil {
+		return fmt.Errorf("hls: resolving an edge: %w", err)
+	}
+	next := -1 // the next sequence to fetch; -1 until the first playlist
 	for {
-		pl, err := c.fetchPlaylist(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return delivered, nil
+		if base == "" {
+			var replay bool
+			if base, replay, err = c.Resolve(); err != nil {
+				return fmt.Errorf("hls: resolving an edge: %w", err)
 			}
-			return delivered, err
+			if replay && !vod {
+				// The broadcast ended while its edge was down: a live
+				// session stops rather than run on into the replay.
+				return nil
+			}
 		}
-		for _, seg := range pl.Segments {
-			seg := seg
-			c.mu.Lock()
-			if c.next == -1 {
-				// Live join: start from the newest segment in the window,
-				// as live players do to minimise latency.
-				c.next = pl.Segments[len(pl.Segments)-1].Sequence
-			}
-			_, have := c.fetched[seg.Sequence]
-			shouldFetch := !have && seg.Sequence >= c.next
-			c.mu.Unlock()
-			if !shouldFetch {
+		body, err := get(ctx, c.HTTP, base+"/playlist.m3u8")
+		var pl MediaPlaylist
+		if err == nil {
+			pl, err = ParseMediaPlaylist(body)
+		}
+		if ctx.Err() != nil {
+			return nil
+		}
+		if err != nil {
+			// The edge stopped answering: resolve again after the wait.
+			base, pl = "", MediaPlaylist{}
+		}
+		if next < 0 && len(pl.Segments) > 0 {
+			// Join at the newest listed segment, as live players do.
+			next = pl.Segments[len(pl.Segments)-1].Sequence
+		}
+		for _, s := range pl.Segments {
+			if s.Sequence < next {
 				continue
 			}
-			c.mu.Lock()
-			c.fetched[seg.Sequence] = FetchedSegment{} // reserve
-			c.mu.Unlock()
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fs, err := c.fetchSegment(ctx, seg)
-				c.mu.Lock()
-				if err != nil {
-					// Expired or unreachable: skip it rather than stalling
-					// the delivery pipeline forever.
-					delete(c.fetched, seg.Sequence)
-					c.failed[seg.Sequence] = true
-				} else {
-					c.fetched[seg.Sequence] = fs
-				}
-				c.mu.Unlock()
-			}()
+			data, err := get(ctx, c.HTTP, base+"/"+s.URI)
+			if ctx.Err() != nil {
+				return nil
+			}
+			if err != nil {
+				base = ""
+				break
+			}
+			next = s.Sequence + 1
+			if ch, ok := segmentChunk(data, start, time.Now()); ok {
+				emit(FetchedSegment{Sequence: s.Sequence, Data: data, Chunk: ch})
+			}
 		}
-		// Deliver contiguous completed segments in order.
-		wg.Wait()
-		delivered += c.deliverReady()
-		if pl.Ended {
-			return delivered, nil
+		if pl.Ended && base != "" {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return delivered, nil
-		case <-time.After(c.cfg.PollInterval):
+			return nil
+		case <-time.After(poll):
 		}
 	}
 }
 
-func (c *Client) deliverReady() int {
-	c.mu.Lock()
-	var ready []FetchedSegment
-	for {
-		if c.failed[c.next] {
-			delete(c.failed, c.next)
-			c.next++
+// segmentChunk demuxes one MPEG-TS segment into a player chunk: its media
+// span is the PTS range of its video frames, and its capture end is the
+// wall time of its last frame, from the first timestamp SEI it carries
+// (arrival stands in when it carries none). Times are relative to start.
+func segmentChunk(data []byte, start, arrived time.Time) (player.Chunk, bool) {
+	units, err := mpegts.DemuxAll(data)
+	if err != nil {
+		return player.Chunk{}, false
+	}
+	var minPTS, maxPTS int64 = -1, -1
+	var seiWall time.Time
+	var seiPTS int64 = -1
+	for _, u := range units {
+		if u.PID != mpegts.PIDVideo {
 			continue
 		}
-		fs, ok := c.fetched[c.next]
-		if !ok || fs.Data == nil {
-			break
+		if minPTS == -1 || u.PTS < minPTS {
+			minPTS = u.PTS
 		}
-		ready = append(ready, fs)
-		delete(c.fetched, c.next)
-		c.next++
-	}
-	c.mu.Unlock()
-	sort.Slice(ready, func(i, j int) bool { return ready[i].Sequence < ready[j].Sequence })
-	for _, fs := range ready {
-		if c.cfg.OnSegment != nil {
-			c.cfg.OnSegment(fs)
+		if u.PTS > maxPTS {
+			maxPTS = u.PTS
+		}
+		if seiPTS == -1 {
+			if nals, err := avc.ParseAnnexB(u.Data); err == nil {
+				if ts, ok := avc.FindTimestamp(nals); ok {
+					seiWall = ts
+					seiPTS = u.PTS
+				}
+			}
 		}
 	}
-	return len(ready)
-}
-
-func (c *Client) fetchPlaylist(ctx context.Context) (MediaPlaylist, error) {
-	data, err := get(ctx, c.http, c.cfg.BaseURL+"/playlist.m3u8")
-	if err != nil {
-		return MediaPlaylist{}, err
+	if minPTS == -1 {
+		return player.Chunk{}, false
 	}
-	c.mu.Lock()
-	c.Bytes += int64(len(data))
-	c.PlaylistFetches++
-	c.mu.Unlock()
-	return ParseMediaPlaylist(data)
-}
-
-func (c *Client) fetchSegment(ctx context.Context, seg Segment) (FetchedSegment, error) {
-	start := time.Now()
-	data, err := get(ctx, c.http, c.cfg.BaseURL+"/"+seg.URI)
-	if err != nil {
-		return FetchedSegment{}, err
+	arrival := arrived.Sub(start)
+	capture := arrival
+	if seiPTS >= 0 {
+		capture = seiWall.Add(mpegts.FromTicks(maxPTS - seiPTS)).Sub(start)
 	}
-	c.mu.Lock()
-	c.Bytes += int64(len(data))
-	c.mu.Unlock()
-	return FetchedSegment{
-		Sequence:   seg.Sequence,
-		Duration:   time.Duration(seg.Duration * float64(time.Second)),
-		Data:       data,
-		FetchStart: start,
-		FetchEnd:   time.Now(),
-	}, nil
+	return player.Chunk{
+		Arrival:    arrival,
+		MediaStart: mpegts.FromTicks(minPTS),
+		MediaEnd:   mpegts.FromTicks(maxPTS),
+		CaptureEnd: capture,
+	}, true
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -207,60 +206,21 @@ func TestOriginAndClientLive(t *testing.T) {
 	seg := NewSegmenter(500*time.Millisecond, 4)
 	srv := httptest.NewServer(&Origin{Seg: seg})
 	defer srv.Close()
+	finish := liveSegmenter(seg)
+	defer finish()
 
-	cfg := media.DefaultEncoderConfig()
-	cfg.DropProb = 0
-	cfg.IDRPeriod = 12
-	enc := media.NewEncoder(cfg, time.Now())
-
-	// Producer: feed in real time (compressed: 1 frame per ms).
-	stop := make(chan struct{})
-	var prodWG sync.WaitGroup
-	prodWG.Add(1)
-	go func() {
-		defer prodWG.Done()
-		for {
-			select {
-			case <-stop:
-				seg.Finish(time.Now())
-				return
-			default:
-			}
-			f := enc.NextFrame()
-			seg.WriteVideo(time.Now(), f.PTS, f.DTS, f.Keyframe, avc.MarshalAnnexB(f.NALs))
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	var mu sync.Mutex
 	var fetched []FetchedSegment
-	client := NewClient(ClientConfig{
-		BaseURL:      srv.URL,
-		PollInterval: 50 * time.Millisecond,
-		Parallelism:  2,
-		OnSegment: func(fs FetchedSegment) {
-			mu.Lock()
-			fetched = append(fetched, fs)
-			mu.Unlock()
-		},
-	})
+	viewer := Client{Resolve: fixed(srv.URL), PollInterval: 50 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 	defer cancel()
-	go func() {
-		// Let the client run for a while against the live stream, then end it.
-		time.Sleep(3 * time.Second)
-		close(stop)
-	}()
-	n, err := client.Run(ctx)
-	prodWG.Wait()
-	if err != nil {
+	// Let the viewer run for a while against the live stream, then end it.
+	time.AfterFunc(3*time.Second, finish)
+	if err := viewer.Run(ctx, func(fs FetchedSegment) { fetched = append(fetched, fs) }); err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	if len(fetched) == 0 {
 		t.Fatal("no segments delivered")
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for i := 1; i < len(fetched); i++ {
 		if fetched[i].Sequence != fetched[i-1].Sequence+1 {
 			t.Errorf("segments out of order: %d after %d", fetched[i].Sequence, fetched[i-1].Sequence)
@@ -270,9 +230,6 @@ func TestOriginAndClientLive(t *testing.T) {
 		if _, err := mpegts.DemuxAll(fs.Data); err != nil {
 			t.Errorf("segment %d corrupt: %v", fs.Sequence, err)
 		}
-	}
-	if client.Bytes == 0 || client.PlaylistFetches == 0 {
-		t.Error("traffic accounting empty")
 	}
 }
 
@@ -308,12 +265,12 @@ func TestOriginServesEndlistAfterFinish(t *testing.T) {
 		t.Errorf("final playlist Cache-Control = %q, want immutable", cc)
 	}
 
-	// A client polling the completed broadcast returns promptly.
-	client := NewClient(ClientConfig{BaseURL: srv.URL, PollInterval: 10 * time.Millisecond})
+	// A viewer polling the completed broadcast returns promptly.
+	viewer := Client{Resolve: fixed(srv.URL), PollInterval: 10 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	if _, err := client.Run(ctx); err != nil {
+	if err := viewer.Run(ctx, func(FetchedSegment) {}); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Err() != nil || time.Since(start) > 4*time.Second {

@@ -196,13 +196,3 @@ func (r *Replica) segmentBody(ctx context.Context, seq int, cacheOnly bool) ([]b
 	}
 	return nil, &UpstreamError{Status: http.StatusNotFound}
 }
-
-// FetchedSegment is one segment downloaded by the client, with the timing
-// needed for QoE analysis.
-type FetchedSegment struct {
-	Sequence   int
-	Duration   time.Duration
-	Data       []byte
-	FetchStart time.Time
-	FetchEnd   time.Time
-}

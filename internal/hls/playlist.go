@@ -2,8 +2,8 @@
 // popular broadcasts (§3, §5): M3U8 media playlists, a live sliding-window
 // segmenter cutting MPEG-TS segments at keyframes (most segments ~3.6 s,
 // ranging 3-6 s, §5.2), an HTTP delivery handler standing in for the
-// Fastly CDN edge, and a polling client that may fetch segments over
-// multiple parallel connections, as the paper observed.
+// Fastly CDN edge, and the viewer: a polling client that fetches one
+// segment at a time and stamps each with its capture time.
 package hls
 
 import (

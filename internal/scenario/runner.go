@@ -167,6 +167,13 @@ func evaluate(sc Scenario, r *Run, res *Result) []Breach {
 			fail("stall-ratio-p95", cohort, fmt.Sprintf("%.3f", s.StallRatioP95), fmt.Sprintf("≤ %.3f", max))
 		}
 	}
+	for cohort, max := range slo.MaxDeliveryP95 {
+		if s := summary(cohort); s.Sessions == 0 {
+			fail("delivery-p95", cohort, "no sessions", "≥1 session")
+		} else if s.DeliveryP95 > max {
+			fail("delivery-p95", cohort, s.DeliveryP95.Round(time.Millisecond).String(), "≤ "+max.String())
+		}
+	}
 	for cohort, min := range slo.MinStallRatioMean {
 		if s := summary(cohort); s.StallRatioMean < min {
 			fail("stall-ratio-mean", cohort, fmt.Sprintf("%.3f", s.StallRatioMean), fmt.Sprintf("≥ %.3f", min))
@@ -186,8 +193,8 @@ func evaluate(sc Scenario, r *Run, res *Result) []Breach {
 	}
 	for cohort, min := range slo.MinProgress {
 		for i, vs := range r.sessions(cohort) {
-			if vs.lastArrival < min {
-				fail("progress", cohort, fmt.Sprintf("session %d last media at %v", i, vs.lastArrival.Round(time.Millisecond)), "≥ "+min.String())
+			if last := vs.lastArrival(); last < min {
+				fail("progress", cohort, fmt.Sprintf("session %d last media at %v", i, last.Round(time.Millisecond)), "≥ "+min.String())
 			}
 		}
 	}

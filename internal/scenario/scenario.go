@@ -46,6 +46,9 @@ type SLO struct {
 	// MinStallRatioMean asserts the cohort really did stall — the
 	// congested-profile half of the paper's ordering observation.
 	MinStallRatioMean map[string]float64
+	// MaxDeliveryP95 bounds the cohort's p95 delivery latency, capture
+	// of a segment's last frame to its arrival at the viewer (§5.1).
+	MaxDeliveryP95 map[string]time.Duration
 	// MaxLongestStall bounds the single worst rebuffering interval in the
 	// cohort (the failover bound).
 	MaxLongestStall map[string]time.Duration

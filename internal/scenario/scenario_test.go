@@ -51,6 +51,15 @@ func TestScenarioMobileProfiles(t *testing.T) {
 			t.Errorf("report missing cohort %q:\n%s", label, res.Report)
 		}
 	}
+	// Delivery latency is measured from the segments' capture stamps:
+	// positive, and longer on the slower link (§5.1).
+	delivery := map[string]time.Duration{}
+	for _, c := range res.Cohorts {
+		delivery[c.Label] = c.Summary.DeliveryP50
+	}
+	if !(delivery["3g"] > delivery["wifi"] && delivery["wifi"] > 0) {
+		t.Errorf("delivery p50: 3g %v, wifi %v; want 3g > wifi > 0", delivery["3g"], delivery["wifi"])
+	}
 }
 
 func TestScenarioRegionalOutage(t *testing.T) {

@@ -73,6 +73,7 @@ func FlashCrowd() Scenario {
 		},
 		SLO: SLO{
 			MaxJoinP95:               map[string]time.Duration{"crowd": 3 * time.Second},
+			MaxDeliveryP95:           map[string]time.Duration{"crowd": 800 * time.Millisecond},
 			MaxLongestStall:          map[string]time.Duration{"crowd": 3 * time.Second},
 			MinDelivered:             map[string]int{"crowd": 3},
 			MaxOriginFillsPerSegment: 2,
@@ -175,9 +176,9 @@ func MobileProfiles() Scenario {
 		Steps: []Step{
 			PickBroadcast(0, "hot", true),
 			Access(0, "hot"),
-			// Two segments before anyone joins: cohorts start with a real
-			// startup buffer, so residual stalls measure the access link,
-			// not live-edge jitter shared by every profile.
+			// Two segments before anyone joins. Viewers join at the newest
+			// listed segment, so this is no startup buffer: every cohort
+			// starts from one segment and fills its buffer over its own link.
 			WaitSegments(0, "hot", 2, 8*time.Second),
 			SpawnViewers(200*time.Millisecond, "3g", "hot", 4, &p3g, sessionDur),
 			SpawnViewers(200*time.Millisecond, "4g", "hot", 4, &p4g, sessionDur),
@@ -189,6 +190,7 @@ func MobileProfiles() Scenario {
 			MinStallRatioMean:  map[string]float64{"3g": 0.01},
 			MaxStallRatioP95:   map[string]float64{"wifi": 0.05},
 			MaxJoinP95:         map[string]time.Duration{"wifi": 1 * time.Second},
+			MaxDeliveryP95:     map[string]time.Duration{"wifi": 800 * time.Millisecond},
 			MinDelivered:       map[string]int{"3g": 2, "4g": 3, "wifi": 3},
 		},
 	}

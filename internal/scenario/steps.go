@@ -133,7 +133,7 @@ func SpawnViewers(at time.Duration, cohort, slot string, n int, profile *netem.A
 			r.order = append(r.order, cohort)
 		}
 		for i := 0; i < n; i++ {
-			vs := &viewerSession{cohort: cohort, dur: dur}
+			vs := &viewerSession{dur: dur}
 			r.cohorts[cohort] = append(r.cohorts[cohort], vs)
 			r.wg.Add(1)
 			seed := int64(len(r.cohorts[cohort]))

@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"io"
+	"context"
 	"net/http"
 	"time"
 
@@ -11,21 +11,17 @@ import (
 	"periscope/internal/service"
 )
 
-// viewerSession is one HLS viewer's life: resolve an edge via the real
-// AccessVideo policy, poll the playlist, fetch new segments, re-resolve
-// when the edge stops answering (which is where health-driven steering
-// hands out a live POP), and stop at the session deadline or when the
-// playlist goes ENDLIST. Fetched segments are recorded as player chunks;
-// QoE is replayed through player.Engine afterwards.
+// viewerSession is one HLS viewer's life: an hls.Client that resolves
+// its edge through the real AccessVideo policy (which is where
+// health-driven steering hands out a live POP after a failure) and
+// watches until the session deadline or the broadcast's end. QoE is
+// replayed through player.Engine afterwards.
 type viewerSession struct {
-	cohort string
-	dur    time.Duration
+	dur time.Duration
 
 	// Written only by the session goroutine; read after wg.Wait.
-	chunks      []player.Chunk
-	reresolves  int
-	lastArrival time.Duration
-	ended       bool
+	chunks []player.Chunk
+	ended  bool // the broadcast ended before the session deadline
 }
 
 func (vs *viewerSession) run(svc *service.Service, id string, profile *netem.AccessProfile, seed int64) {
@@ -49,92 +45,38 @@ func (vs *viewerSession) run(svc *service.Service, id string, profile *netem.Acc
 	}
 	defer closeIdle()
 
-	start := time.Now()
-	stop := start.Add(vs.dur)
-	var base string
-	var media time.Duration
-	next := -1
-	get := func(path string) ([]byte, bool) {
-		resp, err := httpc.Get(base + "/" + path)
-		if err != nil {
-			return nil, false
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return nil, false
-		}
-		return body, true
-	}
-	for time.Now().Before(stop) {
-		if base == "" {
+	ctx, cancel := context.WithTimeout(context.Background(), vs.dur)
+	defer cancel()
+	viewer := hls.Client{
+		Resolve: func() (string, bool, error) {
 			acc, err := svc.AccessVideo(id)
-			if err != nil || acc.HLSBaseURL == "" {
-				if err != nil && vs.ended {
-					// Broadcast gone and we saw its ENDLIST: done.
-					return
-				}
-				time.Sleep(100 * time.Millisecond)
-				continue
-			}
-			if acc.Replay {
-				// The broadcast ended and access now resolves to its VOD
-				// replay; a live session stops rather than silently
-				// switching streams.
-				vs.ended = true
-				return
-			}
-			base = acc.HLSBaseURL
-		}
-		body, ok := get("playlist.m3u8")
-		if !ok {
-			// Edge dark (or an access-link drop): fail over through a
-			// fresh AccessVideo.
-			base = ""
-			vs.reresolves++
-			continue
-		}
-		pl, err := hls.ParseMediaPlaylist(body)
-		if err != nil {
-			continue
-		}
-		for _, s := range pl.Segments {
-			if s.Sequence < next {
-				continue
-			}
-			if _, ok := get(s.URI); !ok {
-				base = ""
-				vs.reresolves++
-				break
-			}
-			dur := time.Duration(s.Duration * float64(time.Second))
-			arr := time.Since(start)
-			vs.chunks = append(vs.chunks, player.Chunk{
-				Arrival:    arr,
-				MediaStart: media,
-				MediaEnd:   media + dur,
-				CaptureEnd: arr,
-			})
-			vs.lastArrival = arr
-			media += dur
-			next = s.Sequence + 1
-		}
-		if pl.Ended && base != "" {
-			// Final playlist fully drained: the broadcast ended mid-session.
-			vs.ended = true
-			return
-		}
-		time.Sleep(120 * time.Millisecond)
+			return acc.HLSBaseURL, acc.Replay, err
+		},
+		HTTP:         httpc,
+		PollInterval: 120 * time.Millisecond,
 	}
+	// Run returns before its deadline only when the broadcast is over:
+	// ENDLIST drained, or replaying when the viewer re-resolved, or gone,
+	// which is the one error it returns.
+	_ = viewer.Run(ctx, func(fs hls.FetchedSegment) { vs.chunks = append(vs.chunks, fs.Chunk) })
+	vs.ended = ctx.Err() == nil
+}
+
+// lastArrival is when the session's last segment arrived, 0 for none.
+func (vs *viewerSession) lastArrival() time.Duration {
+	if len(vs.chunks) == 0 {
+		return 0
+	}
+	return vs.chunks[len(vs.chunks)-1].Arrival
 }
 
 // metrics replays the session through the playback-buffer model.
 func (vs *viewerSession) metrics(segment time.Duration) player.Metrics {
 	dur := vs.dur
-	if vs.ended && vs.lastArrival > 0 && vs.lastArrival < dur {
+	if last := vs.lastArrival(); vs.ended && last > 0 && last < dur {
 		// The broadcast ended before the session deadline: judge QoE over
 		// the time media was actually available, not the idle tail.
-		dur = vs.lastArrival
+		dur = last
 	}
 	return player.DefaultHLSEngine(segment).Run(vs.chunks, dur)
 }

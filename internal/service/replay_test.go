@@ -42,18 +42,19 @@ func TestReplayServedAsVOD(t *testing.T) {
 	}
 
 	var segs []hls.FetchedSegment
-	client := hls.NewClient(hls.ClientConfig{
-		BaseURL:      acc.HLSBaseURL,
+	viewer := hls.Client{
+		Resolve: func() (string, bool, error) {
+			acc, err := cli.AccessVideo(b.ID)
+			return acc.HLSBaseURL, acc.Replay, err
+		},
 		PollInterval: 50 * time.Millisecond,
-		OnSegment:    func(fs hls.FetchedSegment) { segs = append(segs, fs) },
-	})
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	n, err := client.Run(ctx)
-	if err != nil {
+	if err := viewer.Run(ctx, func(fs hls.FetchedSegment) { segs = append(segs, fs) }); err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || len(segs) == 0 {
+	if len(segs) == 0 {
 		t.Fatal("no VOD segments fetched")
 	}
 	// VOD: the client terminates on ENDLIST rather than the context.
@@ -143,10 +144,14 @@ func TestReplaySteersAroundDeadPOP(t *testing.T) {
 		t.Errorf("dead POP counted %d re-routes, want 1", got)
 	}
 
-	client := hls.NewClient(hls.ClientConfig{BaseURL: acc.HLSBaseURL, PollInterval: 50 * time.Millisecond})
+	viewer := hls.Client{
+		Resolve:      func() (string, bool, error) { return acc.HLSBaseURL, acc.Replay, nil },
+		PollInterval: 50 * time.Millisecond,
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if n, err := client.Run(ctx); err != nil || n == 0 {
+	n := 0
+	if err := viewer.Run(ctx, func(hls.FetchedSegment) { n++ }); err != nil || n == 0 {
 		t.Fatalf("VOD from the healthy POP: %d segments, err %v", n, err)
 	}
 }

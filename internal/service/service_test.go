@@ -215,24 +215,23 @@ func TestHLSViewingEndToEnd(t *testing.T) {
 	}
 	var segMu sync.Mutex
 	var segs []hls.FetchedSegment
-	client := hls.NewClient(hls.ClientConfig{
-		BaseURL:      acc.HLSBaseURL,
-		PollInterval: 200 * time.Millisecond,
-		OnSegment: func(fs hls.FetchedSegment) {
-			segMu.Lock()
-			segs = append(segs, fs)
-			segMu.Unlock()
+	viewer := hls.Client{
+		Resolve: func() (string, bool, error) {
+			acc, err := cli.AccessVideo(b.ID)
+			return acc.HLSBaseURL, acc.Replay, err
 		},
-	})
+		PollInterval: 200 * time.Millisecond,
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 12*time.Second)
 	defer cancel()
-	go func() {
-		<-ctx.Done()
-	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		client.Run(ctx)
+		viewer.Run(ctx, func(fs hls.FetchedSegment) {
+			segMu.Lock()
+			segs = append(segs, fs)
+			segMu.Unlock()
+		})
 	}()
 	// Wait until a few segments arrived, then stop.
 	for i := 0; i < 120; i++ {

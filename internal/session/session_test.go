@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"periscope/internal/hls"
 	"periscope/internal/service"
 	"periscope/internal/stats"
 )
@@ -212,5 +213,12 @@ func TestWireSessionHLS(t *testing.T) {
 	}
 	if rec.Meta.AvgStallSec != 0 {
 		t.Error("HLS meta must not include stall durations")
+	}
+	// Capture times come from the segments' timestamp SEIs: a segment
+	// arrives after its last frame, and within one segment target plus
+	// one poll (half the default target) of it.
+	bound := scfg.SegmentTarget + hls.DefaultSegmentTarget/2
+	if d := rec.Metrics.DeliveryLatency; d <= 0 || d > bound {
+		t.Errorf("delivery latency = %v, want in (0, %v]", d, bound)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"periscope/internal/avc"
 	"periscope/internal/flv"
 	"periscope/internal/hls"
-	"periscope/internal/mpegts"
 	"periscope/internal/netem"
 	"periscope/internal/player"
 	"periscope/internal/rtmp"
@@ -63,7 +62,23 @@ func WatchOnce(cfg WireConfig) (Record, error) {
 		chunks, err = watchRTMP(acc, cfg, start)
 	case "HLS":
 		engine = player.DefaultHLSEngine(hls.DefaultSegmentTarget)
-		chunks, err = watchHLS(acc, cfg, start)
+		joined := false
+		viewer := hls.Client{
+			// The answer above names the first edge; a failed one is
+			// replaced by asking accessVideo again, as the app does.
+			Resolve: func() (string, bool, error) {
+				if !joined {
+					joined = true
+					return acc.HLSBaseURL, acc.Replay, nil
+				}
+				a, err := apiCli.AccessVideo(id)
+				return a.HLSBaseURL, a.Replay, err
+			},
+			HTTP: netHTTPClient(cfg.Shaper),
+		}
+		ctx, cancel := context.WithDeadline(context.Background(), start.Add(cfg.WatchFor))
+		err = viewer.Run(ctx, func(fs hls.FetchedSegment) { chunks = append(chunks, fs.Chunk) })
+		cancel()
 	default:
 		return Record{}, fmt.Errorf("session: unknown protocol %q", acc.Protocol)
 	}
@@ -175,73 +190,4 @@ func watchRTMP(acc api.AccessVideoResponse, cfg WireConfig, start time.Time) ([]
 		lastPTS = pts
 	}
 	return chunks, nil
-}
-
-// watchHLS fetches segments and converts them to player chunks, pulling
-// capture times from the SEI timestamps inside each segment.
-func watchHLS(acc api.AccessVideoResponse, cfg WireConfig, start time.Time) ([]player.Chunk, error) {
-	var chunks []player.Chunk
-	client := hls.NewClient(hls.ClientConfig{
-		BaseURL:     acc.HLSBaseURL,
-		Parallelism: 2,
-		HTTPClient:  netHTTPClient(cfg.Shaper),
-		OnSegment: func(fs hls.FetchedSegment) {
-			ch, ok := segmentToChunk(fs, start)
-			if ok {
-				chunks = append(chunks, ch)
-			}
-		},
-	})
-	ctx, cancel := context.WithDeadline(context.Background(), start.Add(cfg.WatchFor))
-	defer cancel()
-	if _, err := client.Run(ctx); err != nil {
-		return chunks, err
-	}
-	return chunks, nil
-}
-
-// segmentToChunk demuxes one MPEG-TS segment into a player chunk.
-func segmentToChunk(fs hls.FetchedSegment, start time.Time) (player.Chunk, bool) {
-	units, err := mpegts.DemuxAll(fs.Data)
-	if err != nil {
-		return player.Chunk{}, false
-	}
-	var minPTS, maxPTS int64 = -1, -1
-	var seiWall time.Time
-	var seiPTS int64 = -1
-	for _, u := range units {
-		if u.PID != mpegts.PIDVideo {
-			continue
-		}
-		if minPTS == -1 || u.PTS < minPTS {
-			minPTS = u.PTS
-		}
-		if u.PTS > maxPTS {
-			maxPTS = u.PTS
-		}
-		if seiPTS == -1 {
-			if nals, err := avc.ParseAnnexB(u.Data); err == nil {
-				if ts, ok := avc.FindTimestamp(nals); ok {
-					seiWall = ts
-					seiPTS = u.PTS
-				}
-			}
-		}
-	}
-	if minPTS == -1 {
-		return player.Chunk{}, false
-	}
-	mediaStart := mpegts.FromTicks(minPTS)
-	mediaEnd := mpegts.FromTicks(maxPTS)
-	arrival := fs.FetchEnd.Sub(start)
-	capture := arrival
-	if seiPTS >= 0 {
-		capture = seiWall.Add(mpegts.FromTicks(maxPTS - seiPTS)).Sub(start)
-	}
-	return player.Chunk{
-		Arrival:    arrival,
-		MediaStart: mediaStart,
-		MediaEnd:   mediaEnd,
-		CaptureEnd: capture,
-	}, true
 }
