@@ -1,9 +1,11 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -262,5 +264,110 @@ func TestMetricsPerEndpoint(t *testing.T) {
 	}
 	if m.Requests != 3 {
 		t.Errorf("total requests = %d, want 3", m.Requests)
+	}
+}
+
+// outcomeVideo answers like stubVideo and panics for the id "panic".
+type outcomeVideo struct{ stubVideo }
+
+func (v outcomeVideo) AccessVideo(id string) (AccessVideoResponse, error) {
+	if id == "panic" {
+		panic("video plane exploded")
+	}
+	return v.stubVideo.AccessVideo(id)
+}
+
+// TestGatewayOutcomes sends one request of every outcome class through
+// the gateway, each under its own session unless it is meant to find one
+// drained: the status, the envelope's code and Retry-After of each, then
+// every counter of the gateway after the whole sequence. A panic counts
+// as a request but not as an error; a 405 and a 429 are refused before
+// the request is counted; a stray path is a counted 404 from outside the
+// envelope vocabulary.
+func TestGatewayOutcomes(t *testing.T) {
+	cfg := broadcastmodel.DefaultConfig()
+	cfg.TargetConcurrent = 200
+	pop := broadcastmodel.New(cfg, time.Date(2016, 4, 1, 15, 0, 0, 0, time.UTC))
+	scfg := DefaultServerConfig()
+	scfg.RateLimit, scfg.Burst = 1, 1 // one request per session: the population clock stands still
+	srv := NewServer(pop, outcomeVideo{}, scfg)
+
+	ids := func(n int) string {
+		return `{"broadcast_ids":["` + strings.Repeat(`x","`, n-1) + `x"]}`
+	}
+	world := `{"p1_lat":-90,"p1_lng":-180,"p2_lat":90,"p2_lng":180}`
+	for _, tc := range []struct {
+		name, method, path, session, body string
+		noVideo                           bool
+		status                            int
+		code, retryAfter                  string
+	}{
+		{name: "mapGeo", path: "mapGeoBroadcastFeed", body: world, status: http.StatusOK},
+		{name: "getBroadcasts", path: "getBroadcasts", body: ids(3), status: http.StatusOK},
+		{name: "playbackMeta", path: "playbackMeta", body: `{"stats":{"broadcast_id":"a","protocol":"HLS"}}`, status: http.StatusOK},
+		{name: "accessVideo", path: "accessVideo", body: `{"broadcast_id":"b"}`, status: http.StatusOK},
+		{name: "teleport", path: "teleport", body: `{}`, status: http.StatusOK},
+		{name: "bad JSON", path: "teleport", body: `{not json`, status: http.StatusBadRequest, code: CodeBadRequest},
+		{name: "body over 64 KiB", path: "getBroadcasts", body: `{"pad":"` + strings.Repeat("x", maxRequestBody) + `"}`,
+			status: http.StatusRequestEntityTooLarge, code: CodeTooLarge},
+		{name: "invalid area", path: "mapGeoBroadcastFeed", body: `{"p1_lat":50,"p1_lng":0,"p2_lat":10,"p2_lng":10}`,
+			status: http.StatusBadRequest, code: CodeInvalidArea},
+		{name: "101 ids", path: "getBroadcasts", body: ids(101), status: http.StatusBadRequest, code: CodeTooManyIDs},
+		{name: "unknown broadcast", path: "accessVideo", body: `{"broadcast_id":"missing"}`, status: http.StatusNotFound, code: CodeNotFound},
+		{name: "nil video plane", path: "accessVideo", body: `{"broadcast_id":"b"}`, noVideo: true,
+			status: http.StatusServiceUnavailable, code: CodeUnavailable},
+		{name: "handler panic", path: "accessVideo", body: `{"broadcast_id":"panic"}`, status: http.StatusInternalServerError, code: CodeInternal},
+		{name: "GET", method: http.MethodGet, path: "teleport", status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed},
+		{name: "rate limited", path: "teleport", session: "teleport", body: `{}`,
+			status: http.StatusTooManyRequests, code: CodeRateLimited, retryAfter: "1"},
+		{name: "stray path inside the API", path: "nope", body: `{}`, status: http.StatusNotFound},
+		{name: "stray path outside the API", path: "/nope", body: `{}`, status: http.StatusNotFound},
+	} {
+		method, path, session := tc.method, tc.path, tc.session
+		if method == "" {
+			method = http.MethodPost
+		}
+		if !strings.HasPrefix(path, "/") {
+			path = PathPrefix + path
+		}
+		if session == "" {
+			session = tc.name
+		}
+		req := httptest.NewRequest(method, path, strings.NewReader(tc.body))
+		req.Header.Set(SessionHeader, session)
+		srv.Video = outcomeVideo{}
+		if tc.noVideo {
+			srv.Video = nil
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+
+		var env ErrorResponse
+		if rec.Code != http.StatusOK {
+			json.Unmarshal(rec.Body.Bytes(), &env)
+		}
+		if rec.Code != tc.status || env.Code != tc.code {
+			t.Errorf("%s: status %d, code %q; want %d, %q", tc.name, rec.Code, env.Code, tc.status, tc.code)
+		}
+		if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
+			t.Errorf("%s: Retry-After %q, want %q", tc.name, got, tc.retryAfter)
+		}
+	}
+
+	want := MetricsSnapshot{
+		Requests:    14,
+		Errors:      8,
+		RateLimited: 1,
+		Panics:      1,
+		PerEndpoint: map[string]EndpointSnapshot{
+			"mapGeoBroadcastFeed": {Requests: 2, Errors: 1},
+			"getBroadcasts":       {Requests: 3, Errors: 2},
+			"playbackMeta":        {Requests: 1},
+			"accessVideo":         {Requests: 4, Errors: 2},
+			"teleport":            {Requests: 2, Errors: 1},
+		},
+	}
+	if got := srv.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Errorf("metrics after the sequence:\n got %+v\nwant %+v", got, want)
 	}
 }
