@@ -40,12 +40,12 @@ import (
 // BenchmarkTable1APICommands exercises the three Table-1 API commands
 // through api.Client against a live API server over loopback, so its
 // allocs/op count both ends: the client's request build and answer read,
-// and the gateway's chain, decode and encode.
+// and the gateway's handler, decode and encode.
 func BenchmarkTable1APICommands(b *testing.B) {
 	pc := broadcastmodel.DefaultConfig()
 	pc.TargetConcurrent = 500
 	pop := broadcastmodel.New(pc, time.Date(2016, 4, 1, 12, 0, 0, 0, time.UTC))
-	srv := api.NewServer(pop, nil, api.ServerConfig{MapVisibleCap: 50})
+	srv := api.NewServer(pop, nil, api.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -78,7 +78,7 @@ func BenchmarkTable1APICommands(b *testing.B) {
 
 // BenchmarkAPIGateway hammers getBroadcasts with parallel sessions served
 // in-process (no sockets), so what it measures is the gateway itself:
-// middleware chain, rate-limiter table contention, JSON codec. Each
+// its fixed steps, rate-limiter table contention, JSON codec. Each
 // goroutine is a distinct session token, i.e. a distinct limiter bucket —
 // with a sharded limiter the parallel throughput scales instead of
 // serializing on one global mutex.
@@ -731,7 +731,7 @@ func BenchmarkFigure1DeepCrawl(b *testing.B) {
 		pc.TargetConcurrent = 800
 		pc.Seed = int64(i + 1)
 		pop := broadcastmodel.New(pc, time.Date(2016, 4, 1, 12, 0, 0, 0, time.UTC))
-		srv := api.NewServer(pop, nil, api.ServerConfig{MapVisibleCap: 50})
+		srv := api.NewServer(pop, nil, api.ServerConfig{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)

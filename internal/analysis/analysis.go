@@ -14,6 +14,7 @@ import (
 
 	"periscope/internal/crawler"
 	"periscope/internal/geo"
+	"periscope/internal/hls"
 	"periscope/internal/mediaanalysis"
 	"periscope/internal/power"
 	"periscope/internal/service"
@@ -507,7 +508,7 @@ func DeliveryTable(snap service.Snapshot) Table {
 			p.PeerServes, p.PeerRequests, p.PeerBytesOut))
 		add(tier, "single-flight hits", fmt.Sprintf("%d", p.SingleFlightHits))
 		add(tier, "warm-ups", fmt.Sprintf("%d", p.Warmups))
-		add(tier, "fill cap waits", fmt.Sprintf("%d (cap %d)", p.FillCapWaits, p.FillCap))
+		add(tier, "fill cap waits", fmt.Sprintf("%d (cap %d)", p.FillCapWaits, hls.DefaultFillConcurrency))
 		add(tier, "playlist fetches / stale serves",
 			fmt.Sprintf("%d / %d", p.PlaylistRefreshes, p.StaleServes))
 		add(tier, "evictions", fmt.Sprintf("%d", p.Evictions))

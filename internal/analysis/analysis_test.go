@@ -174,7 +174,6 @@ func TestDeliveryTableRenders(t *testing.T) {
 				FillRetries: 8, NegativeHits: 5,
 			},
 			PeerRequests: 9, PeerServes: 7, PeerBytesOut: 350_000,
-			FillCap:        4,
 			MaxPlaylistAge: 1700 * time.Millisecond,
 			Health:         "degraded", FillErrorRate: 0.25,
 			OriginBreaker: "half-open", PeerBreakersOpen: 1,

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -136,7 +135,7 @@ func TestOversizedBodyIsRefused(t *testing.T) {
 	_, c, pop := newTestServer(t, 0)
 	var ids []string
 	for _, b := range pop.Live() {
-		if ids = append(ids, b.ID); len(ids) == DefaultServerConfig().MaxBroadcastIDs {
+		if ids = append(ids, b.ID); len(ids) == maxBroadcastIDs {
 			break
 		}
 	}
@@ -183,9 +182,9 @@ func TestAnswersAreLengthFramed(t *testing.T) {
 	if err := json.Unmarshal(body, &feed); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("world mapGeo: status %d, %v", resp.StatusCode, err)
 	}
-	if len(feed.Broadcasts) != DefaultServerConfig().MapVisibleCap || len(body) < 4<<10 {
+	if len(feed.Broadcasts) != mapVisibleCap || len(body) < 4<<10 {
 		t.Errorf("world mapGeo: %d broadcasts in %d bytes, want a full %d-result answer",
-			len(feed.Broadcasts), len(body), DefaultServerConfig().MapVisibleCap)
+			len(feed.Broadcasts), len(body), mapVisibleCap)
 	}
 
 	resp, body = post(GetBroadcastsEndpoint.Name, `{"pad":"`+strings.Repeat("x", maxRequestBody)+`"}`)
@@ -315,7 +314,7 @@ func TestEndAtRacesDescriptions(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if resp, err := srv.getBroadcasts(context.Background(), req); err != nil || len(resp.Broadcasts) != 1 {
+			if resp, err := srv.getBroadcasts(req); err != nil || len(resp.Broadcasts) != 1 {
 				t.Errorf("getBroadcasts = %+v, %v; want the live broadcast", resp, err)
 				return
 			}

@@ -22,49 +22,24 @@ type ErrRateLimited struct {
 
 func (ErrRateLimited) Error() string { return "api: HTTP 429 Too Many Requests" }
 
-// RetryPolicy controls the client's 429 handling: exponential backoff with
-// jitter, always at least the server's Retry-After hint. The zero value
-// disables retries (one attempt), which is what virtual-time crawlers
-// want — they pace themselves through the population clock instead of
-// sleeping wall time.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries, including the first.
-	MaxAttempts int
-	// BaseBackoff doubles per retry up to MaxBackoff.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter adds up to this fraction of the computed backoff (0.25 →
-	// +0-25%), de-synchronizing herds of clients that got limited
-	// together.
-	Jitter float64
-}
-
-// DefaultRetryPolicy suits wire-tier sessions running in real time.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 200 * time.Millisecond, MaxBackoff: 3 * time.Second, Jitter: 0.25}
-}
+// The client's 429 handling once WithRetry turns it on: up to
+// retryAttempts tries, the first included, with exponential backoff from
+// retryBackoff doubling up to retryBackoffCap, never shorter than the
+// server's Retry-After hint, plus up to retryJitter of it at random to
+// de-synchronize herds of clients that were limited together.
+const (
+	retryAttempts   = 4
+	retryBackoff    = 200 * time.Millisecond
+	retryBackoffCap = 3 * time.Second
+	retryJitter     = 0.25
+)
 
 // backoffFor computes the wait before retry number `retry` (0-based),
-// honouring the server hint. Doubling stops at the cap (or an hour when
-// uncapped) so a deep retry index cannot overflow the duration.
-func (p RetryPolicy) backoffFor(retry int, serverHint time.Duration) time.Duration {
-	d := p.BaseBackoff
-	for i := 0; i < retry; i++ {
-		if (p.MaxBackoff > 0 && d >= p.MaxBackoff) || d > time.Hour {
-			break
-		}
-		d *= 2
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if serverHint > d {
-		d = serverHint
-	}
-	if p.Jitter > 0 && d > 0 {
-		d += time.Duration(rand.Float64() * p.Jitter * float64(d))
-	}
-	return d
+// honouring the server hint.
+func backoffFor(retry int, serverHint time.Duration) time.Duration {
+	d := min(retryBackoff<<retry, retryBackoffCap)
+	d = max(d, serverHint)
+	return d + time.Duration(rand.Float64()*retryJitter*float64(d))
 }
 
 // defaultTransport reuses connections across all clients of a process:
@@ -89,13 +64,11 @@ type Client struct {
 	BaseURL string
 	Session string
 	HTTP    *http.Client
-	// Retry enables 429-aware retry with jittered backoff; the zero value
-	// means a single attempt.
-	Retry RetryPolicy
 	// Sleep is the backoff clock, overridable in tests and virtual-time
 	// setups; nil means time.Sleep.
 	Sleep func(time.Duration)
 
+	retry       bool // set by WithRetry
 	rateLimited atomic.Int64
 }
 
@@ -108,9 +81,12 @@ func NewClient(baseURL, session string, hc *http.Client) *Client {
 	return &Client{BaseURL: baseURL, Session: session, HTTP: hc}
 }
 
-// WithRetry enables the given retry policy and returns the client.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	c.Retry = p
+// WithRetry turns on 429-aware retry with jittered backoff and returns
+// the client. Without it a call makes a single attempt, which is what
+// virtual-time crawlers want: they pace themselves through the population
+// clock instead of sleeping wall time.
+func (c *Client) WithRetry() *Client {
+	c.retry = true
 	return c
 }
 
@@ -125,8 +101,8 @@ func (c *Client) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Call issues one typed endpoint call: encode → POST → decode, with the
-// client's retry policy applied to 429s. It is the only request path —
+// Call issues one typed endpoint call: encode → POST → decode, retrying
+// 429s when WithRetry turned that on. It is the only request path —
 // every typed method goes through it, so client and server agree on
 // paths, types, and the error envelope by construction.
 func Call[Req, Resp any](c *Client, ep Endpoint[Req, Resp], req Req) (Resp, error) {
@@ -138,9 +114,9 @@ func Call[Req, Resp any](c *Client, ep Endpoint[Req, Resp], req Req) (Resp, erro
 // call is Call decoding into *resp, so a caller that knows the answer's
 // size can preset the capacity encoding/json appends into.
 func call[Req, Resp any](c *Client, ep Endpoint[Req, Resp], req Req, resp *Resp) error {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	attempts := 1
+	if c.retry {
+		attempts = retryAttempts
 	}
 	for attempt := 0; ; attempt++ {
 		err := c.do(ep.Name, req, resp)
@@ -148,7 +124,7 @@ func call[Req, Resp any](c *Client, ep Endpoint[Req, Resp], req Req, resp *Resp)
 		if !errors.As(err, &rl) || attempt+1 >= attempts {
 			return err
 		}
-		c.sleep(c.Retry.backoffFor(attempt, rl.RetryAfter))
+		c.sleep(backoffFor(attempt, rl.RetryAfter))
 	}
 }
 

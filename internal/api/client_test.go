@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -217,7 +216,6 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 		last = rec.Body.Bytes()
 		return rec.Result(), nil
 	})})
-	ctx := context.Background()
 	twin := func(name string, got, want any, err error, apiErr *Error) {
 		t.Helper()
 		if err != nil || apiErr != nil {
@@ -247,14 +245,14 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 
 	var ids []string
 	for _, b := range pop.Live() {
-		if ids = append(ids, b.ID); len(ids) == scfg.MaxBroadcastIDs {
+		if ids = append(ids, b.ID); len(ids) == maxBroadcastIDs {
 			break
 		}
 	}
 	for _, n := range []int{0, 1, 20, len(ids)} {
 		req := GetBroadcastsRequest{BroadcastIDs: ids[:n]}
 		got, err := c.GetBroadcasts(req.BroadcastIDs)
-		want, apiErr := direct.getBroadcasts(ctx, &req)
+		want, apiErr := direct.getBroadcasts(&req)
 		twin("getBroadcasts of "+strconv.Itoa(n), got, want, err, apiErr)
 		scanned("getBroadcasts of "+strconv.Itoa(n), got.Broadcasts, want.Broadcasts)
 	}
@@ -264,22 +262,22 @@ func TestClientDecodeMatchesHandler(t *testing.T) {
 		{P1Lat: 40, P1Lng: -75, P2Lat: 41, P2Lng: -74},
 	} {
 		got, err := c.MapGeoBroadcastFeed(req)
-		want, apiErr := direct.mapGeo(ctx, &req)
+		want, apiErr := direct.mapGeo(&req)
 		twin("mapGeoBroadcastFeed", got, want, err, apiErr)
 		scanned("mapGeoBroadcastFeed", got.Broadcasts, want.Broadcasts)
 	}
 	for i := 0; i < 5; i++ {
 		got, err := Call(c, TeleportEndpoint, TeleportRequest{})
-		want, apiErr := direct.teleport(ctx, &TeleportRequest{})
+		want, apiErr := direct.teleport(&TeleportRequest{})
 		twin("teleport", got, want, err, apiErr)
 	}
 	req := AccessVideoRequest{BroadcastID: ids[0]}
 	got, err := c.AccessVideo(req.BroadcastID)
-	want, apiErr := direct.accessVideo(ctx, &req)
+	want, apiErr := direct.accessVideo(&req)
 	twin("accessVideo", got, want, err, apiErr)
 	meta := PlaybackMetaRequest{Stats: PlaybackMeta{BroadcastID: ids[0], Protocol: "HLS", NStallEvents: 2, PlayTimeSec: 60}}
 	gotMeta, err := Call(c, PlaybackMetaEndpoint, meta)
-	wantMeta, apiErr := direct.playbackMeta(ctx, &meta)
+	wantMeta, apiErr := direct.playbackMeta(&meta)
 	twin("playbackMeta", gotMeta, wantMeta, err, apiErr)
 	if !reflect.DeepEqual(wire.PlaybackMetas(), direct.PlaybackMetas()) {
 		t.Errorf("playbackMeta: the gateway stored %+v, the handler %+v", wire.PlaybackMetas(), direct.PlaybackMetas())

@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +24,7 @@ func gatewayDescriptions(tb testing.TB, n int) []BroadcastDesc {
 	for _, b := range pop.Live()[:n] {
 		ids = append(ids, b.ID)
 	}
-	resp, apiErr := NewServer(pop, nil, DefaultServerConfig()).getBroadcasts(context.Background(), &GetBroadcastsRequest{BroadcastIDs: ids})
+	resp, apiErr := NewServer(pop, nil, DefaultServerConfig()).getBroadcasts(&GetBroadcastsRequest{BroadcastIDs: ids})
 	if apiErr != nil || len(resp.Broadcasts) != n {
 		tb.Fatalf("getBroadcasts of %d ids: %d descriptions, %v", n, len(resp.Broadcasts), apiErr)
 	}

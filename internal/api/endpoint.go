@@ -1,11 +1,11 @@
 package api
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"sync/atomic"
 
 	"periscope/internal/geo"
 )
@@ -76,51 +76,45 @@ var (
 	}
 )
 
-// EndpointNames lists the registered command names (Table 1 order); the
-// metrics table is sized from it.
-func EndpointNames() []string {
-	return []string{
-		MapGeoBroadcastFeedEndpoint.Name,
-		GetBroadcastsEndpoint.Name,
-		PlaybackMetaEndpoint.Name,
-		AccessVideoEndpoint.Name,
-		TeleportEndpoint.Name,
-	}
-}
-
 // maxRequestBody bounds a request body at ≈ 28× the largest legitimate
 // one, a getBroadcasts of 100 ids (≈ 2.3 KB of JSON).
 const maxRequestBody = 64 << 10
 
-// mount registers a typed handler for an endpoint on the mux. The wrapper
+// route is one mounted endpoint: serve decodes, validates, handles and
+// answers a request and returns the status it wrote, and the counters are
+// the endpoint's own. The route table is built once at server
+// construction and never mutated, so lookups are lock-free map reads.
+type route struct {
+	serve    func(w http.ResponseWriter, r *http.Request) int
+	requests atomic.Int64
+	errors   atomic.Int64 // answers with status >= 400
+}
+
+// mount builds the route of a typed handler for an endpoint. The route
 // owns the whole decode → validate → handle → encode cycle; handlers see
 // only their typed request and return a typed response or a structured
 // error. A body past maxRequestBody is refused with a 413 before any of it
 // is decoded further.
-func mount[Req, Resp any](mux *http.ServeMux, ep Endpoint[Req, Resp], fn func(context.Context, *Req) (Resp, *Error)) {
-	mux.Handle(ep.Path(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+func mount[Req, Resp any](ep Endpoint[Req, Resp], fn func(*Req) (Resp, *Error)) *route {
+	return &route{serve: func(w http.ResponseWriter, r *http.Request) int {
 		var req Req
 		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req)
 		var tooLarge *http.MaxBytesError
 		switch {
 		case errors.As(err, &tooLarge):
-			writeError(w, Errorf(http.StatusRequestEntityTooLarge, CodeTooLarge, "request body over %d bytes", maxRequestBody))
-			return
+			return writeError(w, Errorf(http.StatusRequestEntityTooLarge, CodeTooLarge, "request body over %d bytes", maxRequestBody))
 		case err != nil && !errors.Is(err, io.EOF):
-			writeError(w, Errorf(http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err))
-			return
+			return writeError(w, Errorf(http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err))
 		}
 		if ep.Validate != nil {
 			if e := ep.Validate(&req); e != nil {
-				writeError(w, e)
-				return
+				return writeError(w, e)
 			}
 		}
-		resp, apiErr := fn(r.Context(), &req)
+		resp, apiErr := fn(&req)
 		if apiErr != nil {
-			writeError(w, apiErr)
-			return
+			return writeError(w, apiErr)
 		}
-		writeJSON(w, resp)
-	}))
+		return writeBody(w, http.StatusOK, resp)
+	}}
 }

@@ -50,15 +50,14 @@ func Errorf(status int, code, format string, args ...any) *Error {
 }
 
 // writeError encodes the envelope, setting Retry-After for 429s so
-// well-behaved clients know exactly how long to back off.
-func writeError(w http.ResponseWriter, e *Error) {
+// well-behaved clients know exactly how long to back off, and returns the
+// status it wrote.
+func writeError(w http.ResponseWriter, e *Error) int {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(math.Ceil(e.RetryAfter.Seconds()))))
 	}
-	writeBody(w, e.HTTPStatus, ErrorResponse{Error: e.Message, Code: e.Code})
+	return writeBody(w, e.HTTPStatus, ErrorResponse{Error: e.Message, Code: e.Code})
 }
-
-func writeJSON(w http.ResponseWriter, v any) { writeBody(w, http.StatusOK, v) }
 
 // bodyPool holds the buffers answers are encoded into by the gateway and
 // read into by the client. The largest answer the caps allow, a
@@ -79,8 +78,9 @@ func putBody(buf *bytes.Buffer) {
 // 2 KB response buffer is length-framed, not chunked. The two description
 // answers, MapGeoBroadcastFeedResponse and GetBroadcastsResponse, are
 // appended by appendDescriptions (encodeAnswer); everything else, and a
-// description answer it declines, is encoded by json.Encoder.
-func writeBody(w http.ResponseWriter, status int, v any) {
+// description answer it declines, is encoded by json.Encoder. It returns
+// the status it wrote: a 500 when v could not be encoded.
+func writeBody(w http.ResponseWriter, status int, v any) int {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer putBody(buf)
@@ -94,4 +94,5 @@ func writeBody(w http.ResponseWriter, status int, v any) {
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	w.Write(buf.Bytes())
+	return status
 }

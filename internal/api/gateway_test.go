@@ -23,7 +23,6 @@ func TestStructuredErrorCodes(t *testing.T) {
 	pop := broadcastmodel.New(cfg, time.Date(2016, 4, 1, 15, 0, 0, 0, time.UTC))
 	scfg := DefaultServerConfig()
 	scfg.RateLimit = 0
-	scfg.MaxBroadcastIDs = 5
 	srv := NewServer(pop, stubVideo{}, scfg)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
@@ -33,8 +32,8 @@ func TestStructuredErrorCodes(t *testing.T) {
 	_, err := c.MapGeoBroadcastFeed(MapGeoBroadcastFeedRequest{P1Lat: 50, P1Lng: 0, P2Lat: 10, P2Lng: 10})
 	assertCode(t, err, CodeInvalidArea, http.StatusBadRequest)
 
-	// Unbounded ID list → too_many_ids from the handler's config cap.
-	ids := make([]string, 6)
+	// An ID list past the cap → too_many_ids from the handler.
+	ids := make([]string, maxBroadcastIDs+1)
 	for i := range ids {
 		ids[i] = "id" + strconv.Itoa(i)
 	}
@@ -42,8 +41,8 @@ func TestStructuredErrorCodes(t *testing.T) {
 	assertCode(t, err, CodeTooManyIDs, http.StatusBadRequest)
 
 	// A capped list of unknown IDs is fine (skipped, not an error).
-	if _, err := c.GetBroadcasts(ids[:5]); err != nil {
-		t.Errorf("5 ids within cap: %v", err)
+	if _, err := c.GetBroadcasts(ids[:maxBroadcastIDs]); err != nil {
+		t.Errorf("%d ids within cap: %v", maxBroadcastIDs, err)
 	}
 
 	// Missing broadcast → not_found.
@@ -112,12 +111,7 @@ func TestRateLimit429EndToEnd(t *testing.T) {
 	// virtual clock (the limiter's clock), so each backoff refills the
 	// bucket and every call must eventually succeed within the attempt
 	// budget.
-	c := NewClient(hs.URL, "retry-sess", nil).WithRetry(RetryPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  5 * time.Second,
-		Jitter:      0.2,
-	})
+	c := NewClient(hs.URL, "retry-sess", nil).WithRetry()
 	var slept []time.Duration
 	c.Sleep = func(d time.Duration) {
 		slept = append(slept, d)
@@ -143,33 +137,6 @@ func TestRateLimit429EndToEnd(t *testing.T) {
 	}
 	if got := srv.Metrics().RateLimited; got == 0 {
 		t.Error("server metrics did not count 429s")
-	}
-}
-
-// --- middleware ordering ---
-
-func TestChainOrder(t *testing.T) {
-	var order []string
-	probe := func(name string) Middleware {
-		return func(next http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				order = append(order, name)
-				next.ServeHTTP(w, r)
-			})
-		}
-	}
-	h := Chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		order = append(order, "handler")
-	}), probe("outer"), probe("middle"), probe("inner"))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/x", nil))
-	want := []string{"outer", "middle", "inner", "handler"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 

@@ -1,35 +1,5 @@
 package api
 
-import "sync/atomic"
-
-// EndpointMetrics counts one endpoint's traffic. All fields are atomic so
-// the hot path never takes a lock.
-type EndpointMetrics struct {
-	Requests atomic.Int64
-	Errors   atomic.Int64 // responses with status >= 400
-}
-
-// Metrics aggregates gateway counters. The per-endpoint table is built
-// once at server construction from the endpoint registry and never
-// mutated, so lookups are lock-free map reads.
-type Metrics struct {
-	Requests    atomic.Int64 // requests that reached the endpoint layer
-	Errors      atomic.Int64 // 4xx/5xx from the endpoint layer
-	RateLimited atomic.Int64 // requests rejected with 429
-	Panics      atomic.Int64 // handler panics recovered
-	byPath      map[string]*EndpointMetrics
-}
-
-func newMetrics(names []string) *Metrics {
-	m := &Metrics{byPath: make(map[string]*EndpointMetrics, len(names))}
-	for _, n := range names {
-		m.byPath[PathPrefix+n] = &EndpointMetrics{}
-	}
-	return m
-}
-
-func (m *Metrics) endpoint(path string) *EndpointMetrics { return m.byPath[path] }
-
 // EndpointSnapshot is a point-in-time copy of one endpoint's counters.
 type EndpointSnapshot struct {
 	Requests int64
@@ -38,27 +8,27 @@ type EndpointSnapshot struct {
 
 // MetricsSnapshot is a point-in-time copy of the gateway counters.
 type MetricsSnapshot struct {
-	Requests    int64
-	Errors      int64
-	RateLimited int64
-	Panics      int64
+	Requests    int64                       // requests that passed the method check and the rate limiter
+	Errors      int64                       // of those, answers with status >= 400 (a recovered panic is not one)
+	RateLimited int64                       // requests rejected with 429
+	Panics      int64                       // handler panics recovered
 	PerEndpoint map[string]EndpointSnapshot // keyed by command name
 }
 
-// Snapshot copies the counters for reporting.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Requests:    m.Requests.Load(),
-		Errors:      m.Errors.Load(),
-		RateLimited: m.RateLimited.Load(),
-		Panics:      m.Panics.Load(),
-		PerEndpoint: make(map[string]EndpointSnapshot, len(m.byPath)),
+// Metrics returns a snapshot of the gateway counters.
+func (s *Server) Metrics() MetricsSnapshot {
+	m := MetricsSnapshot{
+		Requests:    s.requests.Load(),
+		Errors:      s.errors.Load(),
+		RateLimited: s.rateLimited.Load(),
+		Panics:      s.panics.Load(),
+		PerEndpoint: make(map[string]EndpointSnapshot, len(s.routes)),
 	}
-	for path, em := range m.byPath {
-		s.PerEndpoint[path[len(PathPrefix):]] = EndpointSnapshot{
-			Requests: em.Requests.Load(),
-			Errors:   em.Errors.Load(),
+	for path, rt := range s.routes {
+		m.PerEndpoint[path[len(PathPrefix):]] = EndpointSnapshot{
+			Requests: rt.requests.Load(),
+			Errors:   rt.errors.Load(),
 		}
 	}
-	return s
+	return m
 }

@@ -1,10 +1,11 @@
 package api
 
 import (
-	"context"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"periscope/internal/broadcastmodel"
@@ -21,96 +22,118 @@ type VideoAccessProvider interface {
 	AccessVideo(broadcastID string) (AccessVideoResponse, error)
 }
 
+// mapVisibleCap bounds how many broadcasts one mapGeoBroadcastFeed
+// answer reveals — the reason zooming in uncovers more broadcasts and the
+// deep crawl must recurse.
+const mapVisibleCap = 50
+
+// maxBroadcastIDs caps the ids one getBroadcasts request may carry;
+// longer lists get a too_many_ids error.
+const maxBroadcastIDs = 100
+
 // ServerConfig tunes the API gateway.
 type ServerConfig struct {
 	// RateLimit is the sustained per-session request rate; Burst the
 	// bucket depth. Zero rate disables limiting.
 	RateLimit float64
 	Burst     float64
-	// MapVisibleCap bounds how many broadcasts one mapGeoBroadcastFeed
-	// response reveals — the reason zooming in uncovers more broadcasts
-	// and the deep crawl must recurse.
-	MapVisibleCap int
-	// MaxBroadcastIDs caps the ids accepted per getBroadcasts request
-	// (default 100); larger lists get a too_many_ids error.
-	MaxBroadcastIDs int
 	// Seed drives the teleport randomness.
 	Seed int64
 }
 
 // DefaultServerConfig mirrors observed service behaviour.
 func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		RateLimit:       2,
-		Burst:           6,
-		MapVisibleCap:   50,
-		MaxBroadcastIDs: 100,
-		Seed:            1,
-	}
+	return ServerConfig{RateLimit: 2, Burst: 6, Seed: 1}
 }
 
-// Server is the Periscope-style API gateway: the five Table-1 endpoints
-// mounted through the typed registry, wrapped by the middleware chain
-// (recovery, method check, session keying, rate limiting, metrics).
+// Server is the Periscope-style API gateway: the five Table-1 endpoints,
+// each mounted from its typed definition, behind one handler that
+// recovers panics, refuses anything but POST, rate-limits each session
+// and counts what reaches the endpoints.
 type Server struct {
 	Pop     *broadcastmodel.Population
 	Video   VideoAccessProvider
-	cfg     ServerConfig
-	limiter *RateLimiter
-	metrics *Metrics
-	handler http.Handler
+	limiter *RateLimiter // nil when limiting is off
+	routes  map[string]*route
 	rngMu   sync.Mutex
 	rng     *rand.Rand
 	metaMu  sync.Mutex
 	metas   []PlaybackMeta
+
+	// The gateway's counters; each route counts its own requests and
+	// errors besides.
+	requests, errors, rateLimited, panics atomic.Int64
 }
 
 // NewServer wires the API over a population. video may be nil (accessVideo
 // then returns 503), letting usage-pattern studies run without the media
 // plane.
 func NewServer(pop *broadcastmodel.Population, video VideoAccessProvider, cfg ServerConfig) *Server {
-	if cfg.MapVisibleCap <= 0 {
-		cfg.MapVisibleCap = 50
-	}
-	if cfg.MaxBroadcastIDs <= 0 {
-		cfg.MaxBroadcastIDs = 100
-	}
 	s := &Server{
-		Pop:     pop,
-		Video:   video,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		metrics: newMetrics(EndpointNames()),
+		Pop:   pop,
+		Video: video,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.RateLimit > 0 {
 		s.limiter = NewRateLimiter(cfg.RateLimit, cfg.Burst)
 		s.limiter.SetNowFunc(func() time.Time { return pop.Now() })
 	}
-
-	mux := http.NewServeMux()
-	mount(mux, MapGeoBroadcastFeedEndpoint, s.mapGeo)
-	mount(mux, GetBroadcastsEndpoint, s.getBroadcasts)
-	mount(mux, PlaybackMetaEndpoint, s.playbackMeta)
-	mount(mux, AccessVideoEndpoint, s.accessVideo)
-	mount(mux, TeleportEndpoint, s.teleport)
-
-	s.handler = Chain(mux,
-		Recovery(func(any) { s.metrics.Panics.Add(1) }),
-		RequirePOST(),
-		SessionAuth(),
-		RateLimit(s.limiter, s.metrics),
-		CollectMetrics(s.metrics),
-	)
+	s.routes = map[string]*route{
+		MapGeoBroadcastFeedEndpoint.Path(): mount(MapGeoBroadcastFeedEndpoint, s.mapGeo),
+		GetBroadcastsEndpoint.Path():       mount(GetBroadcastsEndpoint, s.getBroadcasts),
+		PlaybackMetaEndpoint.Path():        mount(PlaybackMetaEndpoint, s.playbackMeta),
+		AccessVideoEndpoint.Path():         mount(AccessVideoEndpoint, s.accessVideo),
+		TeleportEndpoint.Path():            mount(TeleportEndpoint, s.teleport),
+	}
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP runs the gateway's five steps in a fixed order. A panic in
+// any later step is answered with the 500 envelope and counted. Anything
+// but POST is refused: the whole §3 API is POST-with-JSON-body. A call to
+// an API path is charged to its session (the X-Periscope-Session token,
+// or the remote address for anonymous callers), and one over budget is
+// answered with the 429 envelope and a Retry-After hint before any
+// endpoint runs; a path outside /api/v2/ drains no budget. What is left
+// is counted as a request, dispatched to its endpoint, and counted as an
+// error when the answer's status is 400 or above.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
+	defer func() {
+		if v := recover(); v != nil {
+			s.panics.Add(1)
+			writeError(w, Errorf(http.StatusInternalServerError, CodeInternal, "internal error"))
+		}
+	}()
+	if r.Method != http.MethodPost {
+		writeError(w, Errorf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required"))
+		return
+	}
+	if s.limiter != nil && strings.HasPrefix(r.URL.Path, PathPrefix) {
+		key := r.Header.Get(SessionHeader)
+		if key == "" {
+			key = r.RemoteAddr
+		}
+		if ok, retryAfter := s.limiter.Take(key); !ok {
+			s.rateLimited.Add(1)
+			e := Errorf(http.StatusTooManyRequests, CodeRateLimited, "Too many requests")
+			e.RetryAfter = retryAfter
+			writeError(w, e)
+			return
+		}
+	}
+	s.requests.Add(1)
+	rt := s.routes[r.URL.Path]
+	if rt == nil {
+		s.errors.Add(1)
+		http.NotFound(w, r)
+		return
+	}
+	rt.requests.Add(1)
+	if rt.serve(w, r) >= 400 {
+		s.errors.Add(1)
+		rt.errors.Add(1)
+	}
 }
-
-// Metrics returns a snapshot of the gateway counters.
-func (s *Server) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
 
 // desc renders a broadcast description. A non-zero viewersNow samples the
 // audience size at that instant; callers hoist Pop.Now() out of their
@@ -135,11 +158,11 @@ func (s *Server) desc(b *broadcastmodel.Broadcast, viewersNow time.Time) Broadca
 	return d
 }
 
-func (s *Server) mapGeo(_ context.Context, req *MapGeoBroadcastFeedRequest) (MapGeoBroadcastFeedResponse, *Error) {
+func (s *Server) mapGeo(req *MapGeoBroadcastFeedRequest) (MapGeoBroadcastFeedResponse, *Error) {
 	rect := geo.Rect{South: req.P1Lat, West: req.P1Lng, North: req.P2Lat, East: req.P2Lng}
 	// The map reveals only the top-ranked broadcasts per query; zooming
 	// into a smaller area (fewer broadcasts inside) uncovers the rest.
-	in := s.Pop.InArea(rect, s.cfg.MapVisibleCap)
+	in := s.Pop.InArea(rect, mapVisibleCap)
 	resp := MapGeoBroadcastFeedResponse{Broadcasts: make([]BroadcastDesc, 0, len(in))}
 	for _, b := range in {
 		resp.Broadcasts = append(resp.Broadcasts, s.desc(b, time.Time{}))
@@ -147,7 +170,7 @@ func (s *Server) mapGeo(_ context.Context, req *MapGeoBroadcastFeedRequest) (Map
 	// The crawler sets include_replay=false "to only discover live
 	// broadcasts"; the app's default query also surfaces replays.
 	if req.IncludeReplay {
-		for _, b := range s.Pop.ReplayableInArea(rect, s.cfg.MapVisibleCap-len(in)) {
+		for _, b := range s.Pop.ReplayableInArea(rect, mapVisibleCap-len(in)) {
 			d := s.desc(b, time.Time{})
 			d.State = "ENDED"
 			resp.Broadcasts = append(resp.Broadcasts, d)
@@ -156,10 +179,10 @@ func (s *Server) mapGeo(_ context.Context, req *MapGeoBroadcastFeedRequest) (Map
 	return resp, nil
 }
 
-func (s *Server) getBroadcasts(_ context.Context, req *GetBroadcastsRequest) (GetBroadcastsResponse, *Error) {
-	if len(req.BroadcastIDs) > s.cfg.MaxBroadcastIDs {
+func (s *Server) getBroadcasts(req *GetBroadcastsRequest) (GetBroadcastsResponse, *Error) {
+	if len(req.BroadcastIDs) > maxBroadcastIDs {
 		return GetBroadcastsResponse{}, Errorf(http.StatusBadRequest, CodeTooManyIDs,
-			"too many broadcast_ids: %d > %d", len(req.BroadcastIDs), s.cfg.MaxBroadcastIDs)
+			"too many broadcast_ids: %d > %d", len(req.BroadcastIDs), maxBroadcastIDs)
 	}
 	resp := GetBroadcastsResponse{Broadcasts: make([]BroadcastDesc, 0, len(req.BroadcastIDs))}
 	now := s.Pop.Now()
@@ -171,7 +194,7 @@ func (s *Server) getBroadcasts(_ context.Context, req *GetBroadcastsRequest) (Ge
 	return resp, nil
 }
 
-func (s *Server) playbackMeta(_ context.Context, req *PlaybackMetaRequest) (PlaybackMetaResponse, *Error) {
+func (s *Server) playbackMeta(req *PlaybackMetaRequest) (PlaybackMetaResponse, *Error) {
 	s.metaMu.Lock()
 	s.metas = append(s.metas, req.Stats)
 	s.metaMu.Unlock()
@@ -185,7 +208,7 @@ func (s *Server) PlaybackMetas() []PlaybackMeta {
 	return append([]PlaybackMeta(nil), s.metas...)
 }
 
-func (s *Server) accessVideo(_ context.Context, req *AccessVideoRequest) (AccessVideoResponse, *Error) {
+func (s *Server) accessVideo(req *AccessVideoRequest) (AccessVideoResponse, *Error) {
 	if s.Video == nil {
 		return AccessVideoResponse{}, Errorf(http.StatusServiceUnavailable, CodeUnavailable, "video plane not running")
 	}
@@ -196,7 +219,7 @@ func (s *Server) accessVideo(_ context.Context, req *AccessVideoRequest) (Access
 	return resp, nil
 }
 
-func (s *Server) teleport(_ context.Context, _ *TeleportRequest) (TeleportResponse, *Error) {
+func (s *Server) teleport(_ *TeleportRequest) (TeleportResponse, *Error) {
 	s.rngMu.Lock()
 	b := s.Pop.Teleport(s.rng)
 	s.rngMu.Unlock()

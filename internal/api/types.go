@@ -10,15 +10,16 @@
 // calls through the very same definitions, making the wire contract a
 // single source of truth.
 //
-// Around the endpoints sits a composable middleware chain (middleware.go),
-// applied outermost-first: panic recovery, POST-method enforcement,
-// per-session auth keying, rate limiting, and metrics. Rate limiting is a
+// In front of the endpoints, Server.ServeHTTP runs the same steps in a
+// fixed order: panic recovery, POST-method enforcement, per-session
+// keying and rate limiting, then dispatch and metrics. Rate limiting is a
 // sharded token-bucket table (ratelimit.go): keys hash to independent
 // shards so concurrent sessions do not serialize on one lock, and idle
-// buckets are evicted so the table stays bounded across long campaigns. Over-eager clients get the
-// structured 429 envelope with a Retry-After hint — the behaviour that
-// forced the crawler design of §4 — and the Client can retry with
-// jittered backoff honouring that hint (RetryPolicy).
+// buckets are evicted so the table stays bounded across long campaigns.
+// Over-eager clients get the structured 429 envelope with a Retry-After
+// hint — the behaviour that forced the crawler design of §4 — and a
+// Client built WithRetry retries with jittered backoff honouring that
+// hint.
 //
 // Errors travel as a structured envelope (errors.go) with a stable code
 // ("rate_limited", "too_many_ids", …) and message, decoded back into

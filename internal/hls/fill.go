@@ -115,13 +115,6 @@ type TieredSource struct {
 	Peers []SegmentSource
 	// Origin is the authoritative source (required).
 	Origin SegmentSource
-	// ProbeTimeout caps each peer probe. Every probe additionally gets a
-	// fair share of whatever budget remains on the caller's context
-	// (remaining / tiers-left, origin counted as the last tier), so one
-	// hung peer can delay but never consume the whole fill window.
-	// Defaults to DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-
 	// Counters is the block the tier's peer/origin outcomes count into —
 	// the parent's when a longer-lived owner such as a POP reports for many
 	// sources. Nil counts into the source's own block.
@@ -129,10 +122,13 @@ type TieredSource struct {
 	own      FillCounters
 }
 
-// DefaultProbeTimeout bounds one cache-only peer probe. A probe is a
-// single RTT plus a cached read, so it needs far less than a full
-// origin fill.
-const DefaultProbeTimeout = time.Second
+// probeTimeout bounds one cache-only peer probe. A probe is a single RTT
+// plus a cached read, so it needs far less than a full origin fill. Every
+// probe additionally gets a fair share of whatever budget remains on the
+// caller's context (remaining / tiers-left, origin counted as the last
+// tier), so one hung peer can delay but never consume the whole fill
+// window.
+const probeTimeout = time.Second
 
 // FetchPlaylist implements SegmentSource: playlists are origin-only.
 func (t *TieredSource) FetchPlaylist(ctx context.Context) ([]byte, error) {
@@ -145,13 +141,9 @@ func (t *TieredSource) FetchPlaylist(ctx context.Context) ([]byte, error) {
 // flat FillTimeout, where the first hung peer starved every tier after
 // it.
 func (t *TieredSource) FetchSegment(ctx context.Context, seq int) ([]byte, error) {
-	probeMax := t.ProbeTimeout
-	if probeMax <= 0 {
-		probeMax = DefaultProbeTimeout
-	}
 	c := t.counters()
 	for i, p := range t.Peers {
-		per := probeMax
+		per := probeTimeout
 		if deadline, ok := ctx.Deadline(); ok {
 			// Fair share of the remaining budget across the tiers still
 			// to try (peers left + the origin).

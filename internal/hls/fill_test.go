@@ -114,24 +114,20 @@ func TestTieredSourcePerTierDeadline(t *testing.T) {
 	}
 }
 
-// A hung peer with no caller deadline is bounded by ProbeTimeout, so the
+// A hung peer with no caller deadline is bounded by probeTimeout, so the
 // origin is still reached.
 func TestTieredSourceProbeTimeoutWithoutDeadline(t *testing.T) {
 	hung := &hangingSource{}
 	origin := newFakeSource()
 	origin.setSegment(2, []byte("authoritative"))
-	src := &TieredSource{
-		Peers:        []SegmentSource{hung},
-		Origin:       origin,
-		ProbeTimeout: 50 * time.Millisecond,
-	}
+	src := &TieredSource{Peers: []SegmentSource{hung}, Origin: origin}
 	start := time.Now()
 	data, err := src.FetchSegment(context.Background(), 2)
 	if err != nil || string(data) != "authoritative" {
 		t.Fatalf("FetchSegment = %q, %v", data, err)
 	}
-	if e := time.Since(start); e > time.Second {
-		t.Errorf("fill took %v, want ~ProbeTimeout", e)
+	if e := time.Since(start); e < probeTimeout || e > 2*probeTimeout {
+		t.Errorf("fill took %v, want ~probeTimeout (%v)", e, probeTimeout)
 	}
 }
 
@@ -203,17 +199,15 @@ func (s *gatedSource) FetchSegment(ctx context.Context, seq int) ([]byte, error)
 // queued fills are counted (a saturated cap is observable, not silent),
 // and a capped broadcast cannot starve another replica's fills.
 func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
+	const fills, queued = DefaultFillConcurrency + 4, 4
 	hot := newGatedSource()
-	for seq := 0; seq < 6; seq++ {
+	for seq := 0; seq < fills; seq++ {
 		hot.inner.setSegment(seq, []byte{byte(seq)})
 	}
-	repA := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 2})
-	if got := repA.Stats().FillCap; got != 2 {
-		t.Fatalf("FillCap = %d, want 2", got)
-	}
+	repA := NewReplica(ReplicaConfig{Source: hot})
 
 	var wg sync.WaitGroup
-	for seq := 0; seq < 6; seq++ {
+	for seq := 0; seq < fills; seq++ {
 		wg.Add(1)
 		go func(seq int) {
 			defer wg.Done()
@@ -222,9 +216,9 @@ func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
 			}
 		}(seq)
 	}
-	// The cap admits exactly two upstream fetches; the other four queue.
-	waitUntil(t, func() bool { return hot.cur.Load() == 2 })
-	waitUntil(t, func() bool { return repA.Stats().FillCapWaits == 4 })
+	// The cap admits exactly its upstream fetches; the other four queue.
+	waitUntil(t, func() bool { return hot.cur.Load() == DefaultFillConcurrency })
+	waitUntil(t, func() bool { return repA.Stats().FillCapWaits == queued })
 
 	// A different broadcast's replica fills promptly while A is saturated:
 	// the cap is per broadcast, not per POP.
@@ -247,11 +241,11 @@ func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
 
 	close(hot.release)
 	wg.Wait()
-	if got := hot.max.Load(); got != 2 {
-		t.Errorf("upstream concurrency high-water = %d, want 2", got)
+	if got := hot.max.Load(); got != DefaultFillConcurrency {
+		t.Errorf("upstream concurrency high-water = %d, want %d", got, DefaultFillConcurrency)
 	}
-	if st := repA.Stats(); st.Fills != 6 {
-		t.Errorf("fills = %d, want 6", st.Fills)
+	if st := repA.Stats(); st.Fills != fills {
+		t.Errorf("fills = %d, want %d", st.Fills, fills)
 	}
 }
 
@@ -259,15 +253,20 @@ func TestReplicaFillCapBoundsConcurrency(t *testing.T) {
 // must not queue behind a saturated broadcast's demand fills.
 func TestReplicaPrefetchSkipsWhenCapSaturated(t *testing.T) {
 	hot := newGatedSource()
-	hot.inner.setPlaylist(livePlaylist(0, 1))
-	hot.inner.setSegment(0, []byte{0})
-	hot.inner.setSegment(1, []byte{1})
-	rep := NewReplica(ReplicaConfig{Source: hot, MaxConcurrentFills: 1})
+	var listed []int
+	for seq := 0; seq <= DefaultFillConcurrency; seq++ {
+		hot.inner.setSegment(seq, []byte{byte(seq)})
+		listed = append(listed, seq)
+	}
+	hot.inner.setPlaylist(livePlaylist(listed...))
+	rep := NewReplica(ReplicaConfig{Source: hot})
 	defer rep.Close()
 
-	// Saturate the cap with a demand fill held open at the source.
-	go rep.Segment(context.Background(), 0)
-	waitUntil(t, func() bool { return hot.cur.Load() == 1 })
+	// Saturate the cap with demand fills held open at the source.
+	for seq := 0; seq < DefaultFillConcurrency; seq++ {
+		go rep.Segment(context.Background(), seq)
+	}
+	waitUntil(t, func() bool { return hot.cur.Load() == DefaultFillConcurrency })
 
 	// The first poll is answered once the round has offered its listed
 	// segments for prefetch; while saturated the offer must skip, not block.
@@ -287,8 +286,8 @@ func TestReplicaPrefetchSkipsWhenCapSaturated(t *testing.T) {
 	if rep.Stats().PrefetchDropped == 0 {
 		t.Error("skipped prefetch not counted")
 	}
-	if got := hot.cur.Load(); got != 1 {
-		t.Errorf("%d upstream fetches under a fill cap of 1", got)
+	if got := hot.cur.Load(); got != DefaultFillConcurrency {
+		t.Errorf("%d upstream fetches under a fill cap of %d", got, DefaultFillConcurrency)
 	}
 	close(hot.release)
 }

@@ -36,26 +36,14 @@ type ReplicaConfig struct {
 	// ones, so edge cache occupancy slides in lockstep with the origin.
 	Window int
 	// TargetDuration is the origin's segment target: a source that cannot
-	// hold is asked again no sooner than half of it; NegativeTTL derives.
+	// hold is asked again no sooner than half of it, and a failed segment
+	// fill is answered from the negative cache for a quarter of it.
 	TargetDuration time.Duration
 	// FillAttempts caps upstream attempts inside one single-flight fill:
 	// a transient failure is retried (with backoff) instead of being
 	// published to every coalesced waiter. Defaults to
 	// DefaultFillAttempts; 404s and other 4xx are terminal.
 	FillAttempts int
-	// RetryBackoff is the base of the jittered doubling backoff between
-	// attempts. Defaults to 50 ms.
-	RetryBackoff time.Duration
-	// NegativeTTL is how long a failed segment fill is answered from the
-	// negative cache without re-probing upstream, shielding a struggling
-	// origin from per-viewer retry storms. Defaults to TargetDuration/4.
-	NegativeTTL time.Duration
-	// MaxConcurrentFills caps this broadcast's concurrent upstream segment
-	// fetches (origin or peer), so one hot broadcast cannot monopolize its
-	// peers or the POP's egress: demand fills past the cap queue (counted
-	// as FillCapWaits), prefetches past it are skipped. Defaults to
-	// DefaultFillConcurrency.
-	MaxConcurrentFills int
 	// Counters is the block the replica counts into — the parent's when a
 	// longer-lived owner such as a POP reports for many replicas. Nil
 	// gives the replica its own block.
@@ -85,14 +73,13 @@ type Replica struct {
 	keep     int
 	floor    time.Duration // least time between two rounds that do not advance
 	attempts int
-	backoff  time.Duration
-	negTTL   time.Duration
+	negTTL   time.Duration // how long a failed segment fill is answered from the negative cache
 	now      func() time.Time
 	// c is the cumulative counter block: the replica's own, or its
 	// parent's (shared with sibling replicas).
 	c *FillCounters
-	// fillSem bounds concurrent upstream segment fetches (the
-	// per-broadcast fill concurrency cap).
+	// fillSem bounds concurrent upstream segment fetches at
+	// DefaultFillConcurrency.
 	fillSem chan struct{}
 
 	// mu guards fills, the miss path: per sequence, the fill in flight or
@@ -150,13 +137,19 @@ func (w *window) segment(seq int) ([]byte, bool) {
 
 const watchOff, watchOK, watchFailing int32 = 0, 1, 2
 
-// DefaultFillConcurrency is the per-broadcast cap on concurrent upstream
-// segment fetches.
+// DefaultFillConcurrency caps one broadcast's concurrent upstream segment
+// fetches (origin or peer), so one hot broadcast cannot monopolize its
+// peers or the POP's egress: demand fills past the cap queue (counted as
+// FillCapWaits), prefetches past it are skipped.
 const DefaultFillConcurrency = 4
 
 // DefaultFillAttempts is the per-fill upstream attempt budget inside the
 // single-flight.
 const DefaultFillAttempts = 3
+
+// fillRetryBackoff is the base of the jittered doubling backoff between
+// a fill's attempts.
+const fillRetryBackoff = 50 * time.Millisecond
 
 // fillTimeout is the overall budget of one fill operation — attempts,
 // backoff and all — and bounds each background origin fetch. Each attempt
@@ -174,17 +167,8 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.MaxConcurrentFills <= 0 {
-		cfg.MaxConcurrentFills = DefaultFillConcurrency
-	}
 	if cfg.FillAttempts <= 0 {
 		cfg.FillAttempts = DefaultFillAttempts
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.NegativeTTL <= 0 {
-		cfg.NegativeTTL = cfg.TargetDuration / 4
 	}
 	if cfg.Counters == nil {
 		cfg.Counters = new(FillCounters)
@@ -195,11 +179,10 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		keep:     cfg.Window + 2, // parity with Segmenter.maxKeep
 		floor:    min(cfg.TargetDuration/2, holdCap),
 		attempts: cfg.FillAttempts,
-		backoff:  cfg.RetryBackoff,
-		negTTL:   cfg.NegativeTTL,
+		negTTL:   cfg.TargetDuration / 4,
 		now:      cfg.Now,
 		c:        cfg.Counters,
-		fillSem:  make(chan struct{}, cfg.MaxConcurrentFills),
+		fillSem:  make(chan struct{}, DefaultFillConcurrency),
 		fills:    map[int]*fillResult{},
 		ctx:      ctx,
 		cancel:   cancel,
@@ -213,8 +196,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 // own gauges.
 type ReplicaStats struct {
 	FillStats
-	// FillCap echoes the configured per-broadcast fill concurrency cap.
-	FillCap int
 	// CachedSegments is the current cache occupancy.
 	CachedSegments int
 	// PlaylistAge is the time since the source last confirmed the served
@@ -228,7 +209,7 @@ type ReplicaStats struct {
 // Stats snapshots the replica's counters and gauges.
 func (r *Replica) Stats() ReplicaStats {
 	w := r.win.Load()
-	st := ReplicaStats{FillStats: r.c.Load(), FillCap: cap(r.fillSem), CachedSegments: len(w.segs), Final: w.pl.Ended}
+	st := ReplicaStats{FillStats: r.c.Load(), CachedSegments: len(w.segs), Final: w.pl.Ended}
 	if w.raw != nil && !st.Final {
 		st.PlaylistAge = r.now().Sub(w.at)
 	}
@@ -357,7 +338,7 @@ func (r *Replica) fillWithRetries(parent context.Context, hold time.Duration, do
 		if err == nil || !retryableFill(err) || parent.Err() != nil || attempt == r.attempts-1 {
 			return err
 		}
-		wait := jitteredBackoff(r.backoff, attempt)
+		wait := jitteredBackoff(fillRetryBackoff, attempt)
 		if wait >= time.Until(deadline) {
 			break
 		}

@@ -201,11 +201,7 @@ func TestFillRetrySurvivesTransientError(t *testing.T) {
 	// First two attempts fail with a retryable 502, third succeeds.
 	src.failNext(0, 2, &UpstreamError{Status: http.StatusBadGateway})
 
-	rep := NewReplica(ReplicaConfig{
-		Source:       src,
-		Window:       4,
-		RetryBackoff: time.Millisecond,
-	})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4})
 
 	const viewers = 8
 	var wg sync.WaitGroup
@@ -247,10 +243,10 @@ func TestFillRetrySurvivesTransientError(t *testing.T) {
 // slept and no retry counted for an attempt that never comes — and Close
 // during a backoff ends it instead of waiting it out.
 func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
-	const backoff = 40 * time.Millisecond
+	const backoff = fillRetryBackoff
 	src := newFakeSource()
 	src.setSegErr(3, &UpstreamError{Status: http.StatusBadGateway})
-	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, RetryBackoff: backoff})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4})
 	start := time.Now()
 	if _, err := rep.Segment(context.Background(), 3); err == nil {
 		t.Fatal("a fill whose every attempt failed reported success")
@@ -274,14 +270,13 @@ func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
 		t.Errorf("failed fill took %v, want under %v (the backoffs between its attempts)", elapsed, bound)
 	}
 
+	// A round of five attempts backs off 8× the base before its last one.
 	src.setPlaylistErr(&UpstreamError{Status: http.StatusBadGateway})
-	rep = NewReplica(ReplicaConfig{Source: src, Window: 4, RetryBackoff: time.Second})
+	rep = NewReplica(ReplicaConfig{Source: src, Window: 4, FillAttempts: 5})
 	rep.WarmUp()
-	for src.playlistFetches.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// The watch's first attempt failed: it is in (or about to enter) a
-	// backoff of at least 500 ms, well inside the fill's 5 s budget.
+	waitUntil(t, func() bool { return rep.Stats().FillRetries == 4 })
+	// The watch's fourth attempt failed: it is in a backoff of at least
+	// 4× the base (200 ms), well inside the fill's 5 s budget.
 	start = time.Now()
 	rep.Close()
 	if d := time.Since(start); d > 100*time.Millisecond {
@@ -293,7 +288,7 @@ func TestFillGivesUpWithoutTrailingBackoff(t *testing.T) {
 // not burn retry attempts.
 func TestFillRetrySkipsTerminalErrors(t *testing.T) {
 	src := newFakeSource()
-	rep := NewReplica(ReplicaConfig{Source: src, Window: 4, RetryBackoff: time.Millisecond})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: 4})
 	if _, err := rep.Segment(context.Background(), 7); err == nil {
 		t.Fatal("want 404 error")
 	}
@@ -312,11 +307,11 @@ func TestNegativeCacheShieldsUpstream(t *testing.T) {
 		return clock
 	}
 	rep := NewReplica(ReplicaConfig{
-		Source:       src,
-		Window:       4,
-		FillAttempts: 1,
-		NegativeTTL:  time.Second,
-		Now:          now,
+		Source:         src,
+		Window:         4,
+		FillAttempts:   1,
+		TargetDuration: 4 * time.Second, // a negative TTL of 1 s
+		Now:            now,
 	})
 
 	// First miss pays one upstream attempt and fails.
@@ -355,7 +350,7 @@ func TestNegativeCacheShieldsUpstream(t *testing.T) {
 // TestNegativeCacheIsSwept is the unbounded-map regression: a client
 // walking distinct sequences that all 404 (old sequence numbers on a long
 // broadcast) must not leave one negative entry behind per sequence
-// forever. Entries past NegativeTTL go on the next insert and when the
+// forever. Entries past the negative TTL go on the next insert and when the
 // window slides.
 func TestNegativeCacheIsSwept(t *testing.T) {
 	src := newFakeSource()
@@ -383,11 +378,11 @@ func TestNegativeCacheIsSwept(t *testing.T) {
 		return n
 	}
 	rep := NewReplica(ReplicaConfig{
-		Source:       src,
-		Window:       4,
-		FillAttempts: 1,
-		NegativeTTL:  time.Second,
-		Now:          now,
+		Source:         src,
+		Window:         4,
+		FillAttempts:   1,
+		TargetDuration: 4 * time.Second, // a negative TTL of 1 s
+		Now:            now,
 	})
 
 	const walked = 200
@@ -479,7 +474,6 @@ func TestReplicaServesLastWindowWhileWatchFails(t *testing.T) {
 		Window:         4,
 		TargetDuration: 20 * time.Millisecond, // a round every 10 ms
 		FillAttempts:   1,
-		RetryBackoff:   time.Millisecond,
 		Now:            func() time.Time { return time.Unix(1000+clock.Load(), 0) },
 	})
 	defer rep.Close()

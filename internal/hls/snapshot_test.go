@@ -15,7 +15,7 @@ import (
 // second look, under the replica lock, instead of starting a fill of its
 // own.
 func TestSegmentFillLandsOnce(t *testing.T) {
-	const seqs, askers = 16, 8
+	const seqs, askers = DefaultFillConcurrency, 8
 	src := newFakeSource()
 	var listed []int
 	for seq := 0; seq < seqs; seq++ {
@@ -25,7 +25,7 @@ func TestSegmentFillLandsOnce(t *testing.T) {
 	src.setPlaylist(livePlaylist(listed...))
 	gate := make(chan struct{})
 	src.gate = gate
-	rep := NewReplica(ReplicaConfig{Source: src, Window: seqs, MaxConcurrentFills: seqs})
+	rep := NewReplica(ReplicaConfig{Source: src, Window: seqs})
 	defer rep.Close()
 	if _, _, err := rep.Playlist(context.Background()); err != nil {
 		t.Fatal(err)

@@ -191,8 +191,7 @@ func TestColdPlaylistFailureIsNotARetryStorm(t *testing.T) {
 	src.setPlaylistErr(&UpstreamError{Status: http.StatusBadGateway})
 	const attempts, target = 2, 2 * time.Second
 	rep := NewReplica(ReplicaConfig{
-		Source: src, FillAttempts: attempts, RetryBackoff: 20 * time.Millisecond,
-		TargetDuration: target,
+		Source: src, FillAttempts: attempts, TargetDuration: target,
 	})
 	defer rep.Close()
 

@@ -39,6 +39,11 @@ import (
 // reported as a one-edge cycle: with unkeyed instances it is a
 // self-deadlock on the same instance and an ordering hazard across
 // instances.
+//
+// It still earns its place in today's idiom: seeding fanout.watch to
+// take Group.mu inside shard.mu, and Attach to take shard.mu before it
+// lets go of Group.mu, is reported as the cycle
+// fanout.shard.mu → fanout.Group.mu → fanout.shard.mu.
 var LockOrderAnalyzer = &analysis.Analyzer{
 	Name:      "lockorder",
 	Doc:       "detect lock-order cycles (potential deadlocks) across the whole module",

@@ -421,7 +421,6 @@ func (p *cdnPOP) stats() POPSnapshot {
 		Health:        p.health().String(),
 		FillErrorRate: p.fillErrorRate(),
 		Reroutes:      p.reroutes.Load(),
-		FillCap:       hls.DefaultFillConcurrency,
 	}
 	if p.originBreaker != nil {
 		st.OriginBreaker = p.originBreaker.State().String()

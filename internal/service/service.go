@@ -213,13 +213,8 @@ func Start(cfg Config) (*Service, error) {
 		return nil, err
 	}
 
-	// API gateway: defaults for the typed-endpoint chain (sharded
-	// limiter, ID cap) with the service's rate policy.
-	scfg := api.DefaultServerConfig()
-	scfg.RateLimit = cfg.APIRateLimit
-	scfg.Burst = cfg.APIBurst
-	scfg.Seed = cfg.Seed
-	s.API = api.NewServer(s.Pop, s, scfg)
+	// API gateway, under the service's rate policy.
+	s.API = api.NewServer(s.Pop, s, api.ServerConfig{RateLimit: cfg.APIRateLimit, Burst: cfg.APIBurst, Seed: cfg.Seed})
 	if err := s.apiEP.listen(s.API); err != nil {
 		s.Close()
 		return nil, err

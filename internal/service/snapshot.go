@@ -87,9 +87,6 @@ type POPSnapshot struct {
 	// the ones answered from cache, PeerBytesOut their volume — this
 	// POP's contribution as a fill source for its cluster.
 	PeerRequests, PeerServes, PeerBytesOut int64
-	// FillCap is the per-broadcast fill concurrency limit FillCapWaits
-	// queues on: a saturated cap is observable, not silent.
-	FillCap int
 	// MaxPlaylistAge is the longest time since the origin last confirmed a
 	// live playlist at this edge: up to a segment duration when healthy,
 	// beyond that the replica is not polled or its watch is failing.

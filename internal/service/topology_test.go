@@ -211,7 +211,9 @@ func TestPeerFillHierarchy(t *testing.T) {
 
 // TestPeerFillSingleFlight: single-flight is preserved across the peer
 // hop — N viewers fanning in at a cold POP produce exactly one probe to
-// the warm peer and none to the origin.
+// the warm peer and none to the origin. The cold POP's one peer link
+// models a 250 ms RTT, so the probe outlasts the fan-in and the viewers
+// after the first coalesce onto it rather than find the segment landed.
 func TestPeerFillSingleFlight(t *testing.T) {
 	svc, pops := newTestTopology(t, "us-west", "us-west")
 	seg := buildSegments(6*time.Second, 800*time.Millisecond, 0, true)
@@ -223,6 +225,10 @@ func TestPeerFillSingleFlight(t *testing.T) {
 	uri := pl.Segments[0].URI
 	fetchSegment(t, pops[0], "cast", uri) // warm the anchor from origin
 	originBefore := svc.origin.SegmentRequests.Load()
+	if len(pops[1].peers) != 1 {
+		t.Fatalf("cold POP has %d peers, want the warm one", len(pops[1].peers))
+	}
+	pops[1].peers[0].link.RTT = 250 * time.Millisecond
 
 	const viewers = 50
 	var wg sync.WaitGroup

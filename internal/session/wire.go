@@ -42,7 +42,7 @@ func WatchOnce(cfg WireConfig) (Record, error) {
 	// Wire sessions run in real time, so the client's 429-aware retry
 	// (jittered backoff honouring Retry-After) rides out the rate limiter
 	// instead of failing the session.
-	apiCli := api.NewClient(cfg.APIBaseURL, cfg.Session, httpClient).WithRetry(api.DefaultRetryPolicy())
+	apiCli := api.NewClient(cfg.APIBaseURL, cfg.Session, httpClient).WithRetry()
 
 	id, err := apiCli.Teleport()
 	if err != nil {
